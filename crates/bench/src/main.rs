@@ -214,8 +214,10 @@ fn check_trace(path: &str) -> ! {
         }
     };
     // Specific operations a full trace must cover on top of the per-layer
-    // categories: the block engine's one-time translation build.
-    const REQUIRED_SPANS: [&str; 1] = ["vm.translate"];
+    // categories: the code generator's instruction selection and linking
+    // (children of `codegen.module`) and the block engine's one-time
+    // translation build.
+    const REQUIRED_SPANS: [&str; 3] = ["codegen.isel", "codegen.link", "vm.translate"];
     match confllvm_obs::validate_chrome_trace(&text) {
         Ok(check) => {
             let mut missing = check.missing_categories(&confllvm_obs::LAYERS);

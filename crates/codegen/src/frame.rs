@@ -6,8 +6,6 @@
 //! scheme) or `gs:[esp + off]` (segmentation scheme).  Both frames are the
 //! same size and move together with a single `sub rsp, frame_size`.
 
-use std::collections::HashMap;
-
 use confllvm_ir::{Function, Inst, ValueId};
 use confllvm_minic::Taint;
 
@@ -33,10 +31,10 @@ pub struct AllocaArea {
 /// The complete frame layout of one function.
 #[derive(Debug, Clone, Default)]
 pub struct FrameLayout {
-    /// Home slots for scalar values.
-    pub slots: HashMap<ValueId, Slot>,
-    /// Byte ranges for allocas (keyed by the alloca's result value).
-    pub allocas: HashMap<ValueId, AllocaArea>,
+    /// Home slot of each scalar value, indexed by value.
+    slots: Vec<Option<Slot>>,
+    /// Byte range of each alloca, indexed by the alloca's result value.
+    allocas: Vec<Option<AllocaArea>>,
     /// Bytes reserved at the bottom of the frame for outgoing stack
     /// arguments (arguments beyond the four register arguments).
     pub outgoing_args_bytes: u32,
@@ -47,7 +45,11 @@ pub struct FrameLayout {
 impl FrameLayout {
     /// Compute the frame layout for a function.
     pub fn build(f: &Function, opts: &CodegenOptions) -> FrameLayout {
-        let mut layout = FrameLayout::default();
+        let mut layout = FrameLayout {
+            slots: vec![None; f.values.len()],
+            allocas: vec![None; f.values.len()],
+            ..FrameLayout::default()
+        };
 
         // Outgoing argument area: the widest call decides.
         let mut max_extra_args = 0usize;
@@ -81,18 +83,15 @@ impl FrameLayout {
                 if let Inst::Alloca { dst, size, .. } = inst {
                     let taint = frame_taint(f.value_info(*dst).pointee_taint);
                     let off = reserve((*size).max(8) as u32, &mut offset);
-                    layout.allocas.insert(
-                        *dst,
-                        AllocaArea {
-                            offset: off,
-                            size: (*size).max(8) as u32,
-                            taint,
-                        },
-                    );
+                    layout.allocas[dst.0 as usize] = Some(AllocaArea {
+                        offset: off,
+                        size: (*size).max(8) as u32,
+                        taint,
+                    });
                 } else if let Some(dst) = inst.def() {
                     let taint = frame_taint(f.value_info(dst).taint);
                     let off = reserve(8, &mut offset);
-                    layout.slots.insert(dst, Slot { offset: off, taint });
+                    layout.slots[dst.0 as usize] = Some(Slot { offset: off, taint });
                 }
             }
         }
@@ -101,7 +100,7 @@ impl FrameLayout {
         for (i, p) in f.params.iter().enumerate() {
             let taint = frame_taint(f.param_taints[i]);
             let off = reserve(8, &mut offset);
-            layout.slots.insert(*p, Slot { offset: off, taint });
+            layout.slots[p.0 as usize] = Some(Slot { offset: off, taint });
         }
 
         layout.frame_size = (offset as u32).div_ceil(16) * 16;
@@ -111,7 +110,23 @@ impl FrameLayout {
     /// Slot of a scalar value (panics for allocas — those use
     /// [`FrameLayout::alloca`]).
     pub fn slot(&self, v: ValueId) -> Option<Slot> {
-        self.slots.get(&v).copied()
+        self.slots.get(v.0 as usize).copied().flatten()
+    }
+
+    /// Every value's home slot, in value order.
+    pub fn slots(&self) -> impl Iterator<Item = (ValueId, Slot)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(v, s)| Some((ValueId(v as u32), (*s)?)))
+    }
+
+    /// Every alloca's byte range, in value order.
+    pub fn allocas(&self) -> impl Iterator<Item = (ValueId, AllocaArea)> + '_ {
+        self.allocas
+            .iter()
+            .enumerate()
+            .filter_map(|(v, a)| Some((ValueId(v as u32), (*a)?)))
     }
 
     /// The rsp-relative displacement a slot is addressed with under the MPX
@@ -127,7 +142,7 @@ impl FrameLayout {
     }
 
     pub fn alloca(&self, v: ValueId) -> Option<AllocaArea> {
-        self.allocas.get(&v).copied()
+        self.allocas.get(v.0 as usize).copied().flatten()
     }
 
     /// Offset (from the callee's rsp, after its prologue) of incoming stack
@@ -195,8 +210,8 @@ mod tests {
         let mut opts = CodegenOptions::mpx();
         opts.split_stacks = false;
         let (_f, layout) = build_frame(src, "f", &opts);
-        assert!(layout.allocas.values().all(|a| a.taint == Taint::Public));
-        assert!(layout.slots.values().all(|s| s.taint == Taint::Public));
+        assert!(layout.allocas().all(|(_, a)| a.taint == Taint::Public));
+        assert!(layout.slots().all(|(_, s)| s.taint == Taint::Public));
     }
 
     #[test]
@@ -216,14 +231,12 @@ mod tests {
         let src = "int f(int a, int b) { int c = a + b; int d = c * 2; return d - a; }";
         let (_f, layout) = build_frame(src, "f", &CodegenOptions::segment());
         let mut ranges: Vec<(i32, i32)> = layout
-            .slots
-            .values()
-            .map(|s| (s.offset, s.offset + 8))
+            .slots()
+            .map(|(_, s)| (s.offset, s.offset + 8))
             .chain(
                 layout
-                    .allocas
-                    .values()
-                    .map(|a| (a.offset, a.offset + a.size as i32)),
+                    .allocas()
+                    .map(|(_, a)| (a.offset, a.offset + a.size as i32)),
             )
             .collect();
         ranges.sort();

@@ -157,10 +157,10 @@ pub fn compile_function(
         insts: Vec::new(),
         labels: Vec::new(),
         patches: Vec::new(),
-        block_labels: HashMap::new(),
+        block_labels: Vec::new(),
         fail_label: 0,
-        add_const_defs: HashMap::new(),
-        global_defs: HashMap::new(),
+        add_const_defs: Vec::new(),
+        global_defs: Vec::new(),
         check_sites: Vec::new(),
         mblocks: Vec::new(),
         cur_block: BlockId(0),
@@ -170,11 +170,20 @@ pub fn compile_function(
     c.compile()
 }
 
-/// Compute the `v -> (base, const)` map of values defined as `base + const`
-/// — the displacement-folding addressing patterns (shared with the machine
-/// passes, which must mirror the selector's address resolution).
-pub fn add_const_defs(f: &Function) -> HashMap<ValueId, (ValueId, i64)> {
-    let mut map = HashMap::new();
+/// A per-value table of `f`, indexed by `ValueId`.
+pub(crate) type ValueTable<T> = Vec<Option<T>>;
+
+/// Look `v` up in a [`ValueTable`].
+pub(crate) fn lookup<T: Copy>(table: &ValueTable<T>, v: ValueId) -> Option<T> {
+    table.get(v.0 as usize).copied().flatten()
+}
+
+/// Compute the `v -> (base, const)` table of values defined as
+/// `base + const` — the displacement-folding addressing patterns (shared
+/// with the machine passes, which must mirror the selector's address
+/// resolution).
+pub fn add_const_defs(f: &Function) -> ValueTable<(ValueId, i64)> {
+    let mut table = vec![None; f.values.len()];
     for b in &f.blocks {
         for inst in &b.insts {
             if let Inst::Bin {
@@ -184,26 +193,26 @@ pub fn add_const_defs(f: &Function) -> HashMap<ValueId, (ValueId, i64)> {
                 rhs: Operand::Const(c),
             } = inst
             {
-                map.insert(*dst, (*base, *c));
+                table[dst.0 as usize] = Some((*base, *c));
             }
         }
     }
-    map
+    table
 }
 
 /// Values defined by `GlobalAddr`, mapped to their global-table index.
-pub fn global_addr_defs(module: &Module, f: &Function) -> HashMap<ValueId, u32> {
-    let mut map = HashMap::new();
+pub fn global_addr_defs(module: &Module, f: &Function) -> ValueTable<u32> {
+    let mut table = vec![None; f.values.len()];
     for b in &f.blocks {
         for inst in &b.insts {
             if let Inst::GlobalAddr { dst, name } = inst {
                 if let Some(i) = module.globals.iter().position(|g| &g.name == name) {
-                    map.insert(*dst, i as u32);
+                    table[dst.0 as usize] = Some(i as u32);
                 }
             }
         }
     }
-    map
+    table
 }
 
 /// The instruction sequence that materialises the value of `v` into `dst`
@@ -276,13 +285,14 @@ struct FnCompiler<'a> {
     insts: Vec<MInst>,
     labels: Vec<usize>,
     patches: Vec<(usize, MagicPatch)>,
-    block_labels: HashMap<u32, u32>,
+    /// Label of each IR block, indexed by block.
+    block_labels: Vec<u32>,
     fail_label: u32,
     /// `v -> (base, const)` for values defined as `base + const` (used for the
     /// MPX displacement-folding addressing patterns).
-    add_const_defs: HashMap<ValueId, (ValueId, i64)>,
+    add_const_defs: ValueTable<(ValueId, i64)>,
     /// Values holding global addresses, for check-site provenance.
-    global_defs: HashMap<ValueId, u32>,
+    global_defs: ValueTable<u32>,
     check_sites: Vec<CheckSite>,
     mblocks: Vec<MBlock>,
     cur_block: BlockId,
@@ -345,12 +355,12 @@ impl<'a> FnCompiler<'a> {
             });
             self.emit(MInst::BndCheck {
                 bnd,
-                mem: mem.clone(),
+                mem,
                 upper: false,
             });
             self.emit(MInst::BndCheck {
                 bnd,
-                mem: mem.clone(),
+                mem,
                 upper: true,
             });
             self.bound_checks += 2;
@@ -413,7 +423,7 @@ impl<'a> FnCompiler<'a> {
         let guard = MemoryLayout::MPX_GUARD_SIZE as i64 - 1;
         if self.opts.scheme == Scheme::Mpx {
             if let Operand::Value(v) = addr {
-                if let Some((base, c)) = self.add_const_defs.get(&v).copied() {
+                if let Some((base, c)) = lookup(&self.add_const_defs, v) {
                     if c.abs() < guard {
                         self.load_value(base_reg, base);
                         return (Operand::Value(base), c as i32);
@@ -453,7 +463,7 @@ impl<'a> FnCompiler<'a> {
                     BndReg::Bnd0
                 };
                 let base_val = addr_key.as_value();
-                let global = base_val.and_then(|v| self.global_defs.get(&v).copied());
+                let global = base_val.and_then(|v| lookup(&self.global_defs, v));
                 self.check_sites.push(CheckSite {
                     lower: self.insts.len(),
                     upper: self.insts.len() + 1,
@@ -467,7 +477,7 @@ impl<'a> FnCompiler<'a> {
                 let check_mem = MemOperand::base_disp(base_reg, disp);
                 self.emit(MInst::BndCheck {
                     bnd,
-                    mem: check_mem.clone(),
+                    mem: check_mem,
                     upper: false,
                 });
                 self.emit(MInst::BndCheck {
@@ -550,16 +560,16 @@ impl<'a> FnCompiler<'a> {
         }
 
         // Labels for blocks and the CFI failure stub.
-        for b in &self.f.blocks {
+        for _ in &self.f.blocks {
             let l = self.new_label();
-            self.block_labels.insert(b.id.0, l);
+            self.block_labels.push(l);
         }
         self.fail_label = self.new_label();
 
         // Entry block falls through; make sure it is first.
-        let blocks = self.f.blocks.clone();
-        for (bi, block) in blocks.iter().enumerate() {
-            let label = self.block_labels[&block.id.0];
+        let f = self.f;
+        for (bi, block) in f.blocks.iter().enumerate() {
+            let label = self.block_labels[block.id.0 as usize];
             // The entry block's machine span includes the prologue above.
             let start = if bi == 0 { 0 } else { self.insts.len() };
             self.bind_label(label);
@@ -799,7 +809,7 @@ impl<'a> FnCompiler<'a> {
     fn compile_terminator(&mut self, term: &Terminator) -> Result<(), CodegenError> {
         match term {
             Terminator::Br(b) => {
-                let l = self.block_labels[&b.0];
+                let l = self.block_labels[b.0 as usize];
                 self.emit(MInst::Jmp { target: l });
             }
             Terminator::CondBr {
@@ -813,8 +823,8 @@ impl<'a> FnCompiler<'a> {
                     lhs: SCRATCH0,
                     rhs: RegImm::Imm(0),
                 });
-                let lt = self.block_labels[&then_bb.0];
-                let le = self.block_labels[&else_bb.0];
+                let lt = self.block_labels[then_bb.0 as usize];
+                let le = self.block_labels[else_bb.0 as usize];
                 self.emit(MInst::Jcc {
                     cond: Cond::Ne,
                     target: lt,

@@ -61,36 +61,50 @@ pub fn compile_module_with_entry(
     }
 
     // Module-level compile span (closes when this function returns, so it
-    // parents the per-pass spans the pipeline records on this thread).
-    let mut obs_span = confllvm_obs::recorder().span("compiler", "codegen.module");
+    // parents the isel, per-pass and link spans recorded on this thread).
+    let rec = confllvm_obs::recorder();
+    let mut obs_span = rec.span("compiler", "codegen.module");
 
-    // 1. Compile every function and run the machine pass pipeline over it.
+    // 1. Select instructions for every function, then run the machine pass
+    //    pipeline over each.
     let pipeline = crate::mpass::MachinePipeline::parse(&opts.passes)?;
+    let mut compiled = Vec::with_capacity(module.functions.len());
+    {
+        let mut span = rec.span("compiler", "codegen.isel");
+        for f in &module.functions {
+            compiled.push(compile_function(module, f, opts, &func_index)?);
+        }
+        if span.active() {
+            span.attr("functions", compiled.len());
+            span.attr(
+                "insts",
+                compiled.iter().map(|c| c.insts.len()).sum::<usize>(),
+            );
+        }
+    }
     let mut pass_report = crate::mpass::MPipelineReport::default();
-    let mut compiled = Vec::new();
-    for f in &module.functions {
-        let mut cf = compile_function(module, f, opts, &func_index)?;
+    for (f, cf) in module.functions.iter().zip(&mut compiled) {
         let frame = cf.frame.clone();
         let mut cx = crate::mpass::MachineCtx::new(module, f, &frame, opts);
-        pass_report.merge(&pipeline.run(&mut cf, &mut cx));
+        pass_report.merge(&pipeline.run(cf, &mut cx));
         cf.bound_checks = cf
             .insts
             .iter()
             .filter(|i| matches!(i, MInst::BndCheck { .. }))
             .count();
-        compiled.push(cf);
     }
+    let mut link_span = rec.span("compiler", "codegen.link");
 
     // 2. Concatenate, remembering per-function instruction ranges.
-    let mut insts: Vec<MInst> = Vec::new();
+    let mut insts: Vec<MInst> = Vec::with_capacity(compiled.iter().map(|c| c.insts.len()).sum());
     let mut patches: Vec<(usize, MagicPatch)> = Vec::new();
     let mut func_ranges: Vec<(usize, usize)> = Vec::new(); // [start, end) inst indices
-    for cf in &compiled {
+    for cf in &mut compiled {
         let start = insts.len();
         for (idx, patch) in &cf.patches {
             patches.push((start + idx, *patch));
         }
-        insts.extend(cf.insts.iter().cloned());
+        insts.append(&mut cf.insts);
         func_ranges.push((start, insts.len()));
     }
 
@@ -119,14 +133,13 @@ pub fn compile_module_with_entry(
     }
 
     // 5. Resolve jumps (local labels), direct calls and function references.
-    let mut resolved = insts.clone();
     for (fi, cf) in compiled.iter().enumerate() {
         let (start, end) = func_ranges[fi];
         let label_word = |label: u32| -> u32 {
             let local_idx = cf.labels[label as usize];
             word_of[start + local_idx]
         };
-        for inst in &mut resolved[start..end] {
+        for inst in &mut insts[start..end] {
             match inst {
                 MInst::Jmp { target } => *target = label_word(*target),
                 MInst::Jcc { target, .. } => *target = label_word(*target),
@@ -154,73 +167,67 @@ pub fn compile_module_with_entry(
 
     // 6. Choose magic prefixes and patch the magic-dependent words, retrying
     //    (with new random prefixes) in the astronomically unlikely event that
-    //    a prefix also appears in an unrelated code word.
+    //    a prefix also appears in an unrelated code word.  Candidate
+    //    prefixes are drawn against the unpatched words — exactly the
+    //    paper's "generate random bit sequences and check for uniqueness"
+    //    loop.  Patching keeps every instruction's length and rewrites the
+    //    same fields on each attempt, so it works in place.
+    let mut words: Vec<u64> = Vec::with_capacity(total_words as usize);
+    for inst in &insts {
+        words.extend_from_slice(&confllvm_machine::encode_inst(inst));
+    }
+    let candidate_words = words.clone();
+    let mut is_magic = vec![false; total_words as usize];
+    for (idx, patch) in &patches {
+        if matches!(
+            patch,
+            MagicPatch::CallMagic { .. } | MagicPatch::RetMagic { .. }
+        ) {
+            is_magic[word_of[*idx] as usize] = true;
+        }
+    }
     let seed = opts.prefix_seed.unwrap_or(0x5eed);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut attempts = 0usize;
-    let (final_insts, prefixes) = loop {
+    let prefixes = loop {
         attempts += 1;
-        // Candidate prefixes are drawn against the words we have so far
-        // (before patching) — exactly the paper's "generate random bit
-        // sequences and check for uniqueness" loop.
-        let candidate_words: Vec<u64> = {
-            let mut ws = Vec::with_capacity(total_words as usize);
-            for inst in &resolved {
-                ws.extend(confllvm_machine::encode_inst(inst));
-            }
-            ws
-        };
         let prefixes = find_unique_prefixes(&mut rng, &candidate_words);
-        let mut patched = resolved.clone();
         for (idx, patch) in &patches {
+            let inst = &mut insts[*idx];
             match patch {
                 MagicPatch::CallMagic { args, ret } => {
-                    patched[*idx] = MInst::MagicWord {
+                    *inst = MInst::MagicWord {
                         value: prefixes.call_word(*args, *ret),
                     };
                 }
                 MagicPatch::RetMagic { ret } => {
-                    patched[*idx] = MInst::MagicWord {
+                    *inst = MInst::MagicWord {
                         value: prefixes.ret_word(*ret),
                     };
                 }
                 MagicPatch::NotCallMagic { args, ret } => {
-                    if let MInst::MovImm { imm, .. } = &mut patched[*idx] {
+                    if let MInst::MovImm { imm, .. } = inst {
                         *imm = !(prefixes.call_word(*args, *ret)) as i64;
                     }
                 }
                 MagicPatch::NotRetMagic { ret } => {
-                    if let MInst::MovImm { imm, .. } = &mut patched[*idx] {
+                    if let MInst::MovImm { imm, .. } = inst {
                         *imm = !(prefixes.ret_word(*ret)) as i64;
                     }
                 }
             }
+            let at = word_of[*idx] as usize;
+            let enc = confllvm_machine::encode_inst(inst);
+            words[at..at + enc.len()].copy_from_slice(&enc);
         }
         // Verify uniqueness in the final image: no word other than the magic
         // words themselves may carry either prefix.
-        let magic_positions: std::collections::HashSet<u32> = patches
+        let ok = words
             .iter()
-            .filter(|(_, p)| {
-                matches!(
-                    p,
-                    MagicPatch::CallMagic { .. } | MagicPatch::RetMagic { .. }
-                )
-            })
-            .map(|(idx, _)| word_of[*idx])
-            .collect();
-        let mut ok = true;
-        let mut word_idx = 0u32;
-        for inst in &patched {
-            for wv in confllvm_machine::encode_inst(inst) {
-                let is_magic_pos = magic_positions.contains(&word_idx);
-                if !is_magic_pos && (prefixes.is_call_word(wv) || prefixes.is_ret_word(wv)) {
-                    ok = false;
-                }
-                word_idx += 1;
-            }
-        }
+            .zip(&is_magic)
+            .all(|(&wv, &magic)| magic || !(prefixes.is_call_word(wv) || prefixes.is_ret_word(wv)));
         if ok {
-            break (patched, prefixes);
+            break prefixes;
         }
         if attempts > 64 {
             return Err(CodegenError {
@@ -228,6 +235,12 @@ pub fn compile_module_with_entry(
             });
         }
     };
+    if link_span.active() {
+        link_span.attr("insts", insts.len());
+        link_span.attr("code_words", total_words);
+        link_span.attr("prefix_attempts", attempts);
+    }
+    drop(link_span);
 
     let entry_function = func_index[entry];
     let globals: Vec<GlobalSpec> = module
@@ -255,7 +268,7 @@ pub fn compile_module_with_entry(
 
     let report = CodegenReport {
         functions: compiled.len(),
-        instructions: final_insts.len(),
+        instructions: insts.len(),
         code_words: total_words,
         bound_checks: compiled.iter().map(|c| c.bound_checks).sum(),
         cfi_checks: compiled.iter().map(|c| c.cfi_checks).sum(),
@@ -284,7 +297,7 @@ pub fn compile_module_with_entry(
 
     let program = Program {
         name: module.name.clone(),
-        insts: final_insts,
+        insts,
         functions,
         globals,
         externs,

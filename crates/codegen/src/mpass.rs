@@ -30,12 +30,13 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use confllvm_ir::dataflow::{solve_forward, ForwardTransfer, MustSet};
-use confllvm_ir::{dominators, natural_loops, BlockId, Function, Inst, Module, Operand, ValueId};
+use confllvm_ir::{natural_loops, BlockId, DomTree, Function, Inst, Module, Operand, ValueId};
 use confllvm_machine::{BndReg, MInst, MemOperand, MemoryLayout, Scheme, Taint, SCRATCH2};
 
 use crate::frame::FrameLayout;
 use crate::isel::{
-    add_const_defs, global_addr_defs, materialize_value, CheckKind, CheckSite, CompiledFunction,
+    add_const_defs, global_addr_defs, lookup, materialize_value, CheckKind, CheckSite,
+    CompiledFunction, ValueTable,
 };
 use crate::options::CodegenOptions;
 use crate::CodegenError;
@@ -71,11 +72,12 @@ pub struct MachineCtx<'a> {
     /// Set by `mpx-fold-displacements`: checks now cover the base register
     /// only, so availability keys ignore displacements.
     pub folded: bool,
-    /// Keys checked at the *end* of a preheader block by `mpx-hoist-checks`,
-    /// consumed by the availability analysis of `mpx-cross-block-elim`.
-    pub hoisted: HashMap<BlockId, Vec<CheckKey>>,
-    add_const: HashMap<ValueId, (ValueId, i64)>,
-    globals: HashMap<ValueId, u32>,
+    /// Keys checked at the *end* of each preheader block (indexed by block)
+    /// by `mpx-hoist-checks`, consumed by the availability analysis of
+    /// `mpx-cross-block-elim`.
+    pub hoisted: Vec<Vec<CheckKey>>,
+    add_const: ValueTable<(ValueId, i64)>,
+    globals: ValueTable<u32>,
 }
 
 impl<'a> MachineCtx<'a> {
@@ -92,7 +94,7 @@ impl<'a> MachineCtx<'a> {
             opts,
             layout: MemoryLayout::new(opts.scheme, opts.split_stacks, opts.separate_trusted_memory),
             folded: false,
-            hoisted: HashMap::new(),
+            hoisted: vec![Vec::new(); f.blocks.len()],
             add_const: add_const_defs(f),
             globals: global_addr_defs(module, f),
         }
@@ -102,13 +104,13 @@ impl<'a> MachineCtx<'a> {
     /// address resolution (and the fold pass when it has run).
     fn key_of_addr(&self, addr: Operand, region: Taint) -> Option<CheckKey> {
         let v = addr.as_value()?;
-        let (base, disp) = match self.add_const.get(&v).copied() {
+        let (base, disp) = match lookup(&self.add_const, v) {
             Some((b, c)) if c.abs() < GUARD => (b, c as i32),
             _ => (v, 0),
         };
         let disp = if self.folded { 0 } else { disp };
-        let sym = match self.globals.get(&base) {
-            Some(g) => BaseSym::Global(*g),
+        let sym = match lookup(&self.globals, base) {
+            Some(g) => BaseSym::Global(g),
             None => BaseSym::Val(base),
         };
         Some(CheckKey {
@@ -271,38 +273,47 @@ impl MachinePipeline {
 // instruction stream surgery
 // ---------------------------------------------------------------------------
 
-/// Delete the given instruction indices, remapping labels, patches, check
-/// sites and block spans.
-fn delete_insts(mf: &mut CompiledFunction, dead: &BTreeSet<usize>) {
-    if dead.is_empty() {
-        return;
+/// Delete the instructions flagged in `dead` (one flag per instruction),
+/// remapping labels, patches, check sites and block spans through one
+/// prefix sum of the deleted counts.  Returns how many were deleted.
+fn delete_insts(mf: &mut CompiledFunction, dead: &[bool]) -> usize {
+    // removed_before[i]: deleted instructions at indices below i, for every
+    // i up to and including the end of the stream.
+    let mut removed_before = Vec::with_capacity(dead.len() + 1);
+    let mut removed = 0usize;
+    for &d in dead {
+        removed_before.push(removed);
+        removed += d as usize;
     }
-    let removed_before = |idx: usize| dead.range(..idx).count();
-    mf.insts = mf
-        .insts
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !dead.contains(i))
-        .map(|(_, inst)| inst.clone())
-        .collect();
+    removed_before.push(removed);
+    if removed == 0 {
+        return 0;
+    }
+    let shift = |idx: usize| idx - removed_before[idx];
+    let mut i = 0;
+    mf.insts.retain(|_| {
+        i += 1;
+        !dead[i - 1]
+    });
     for l in &mut mf.labels {
         if *l != usize::MAX {
-            *l -= removed_before(*l);
+            *l = shift(*l);
         }
     }
     for (idx, _) in &mut mf.patches {
-        debug_assert!(!dead.contains(idx), "patched instructions are never dead");
-        *idx -= removed_before(*idx);
+        debug_assert!(!dead[*idx], "patched instructions are never dead");
+        *idx = shift(*idx);
     }
-    mf.check_sites.retain(|s| !dead.contains(&s.lower));
+    mf.check_sites.retain(|s| !dead[s.lower]);
     for s in &mut mf.check_sites {
-        s.lower -= removed_before(s.lower);
-        s.upper -= removed_before(s.upper);
+        s.lower = shift(s.lower);
+        s.upper = shift(s.upper);
     }
     for b in &mut mf.mblocks {
-        b.start -= removed_before(b.start);
-        b.term_start -= removed_before(b.term_start);
+        b.start = shift(b.start);
+        b.term_start = shift(b.term_start);
     }
+    removed
 }
 
 /// Insert instructions at `at`, remapping all recorded indices.  A label
@@ -338,6 +349,16 @@ fn insert_insts(mf: &mut CompiledFunction, at: usize, new: Vec<MInst>) {
             b.term_start += n;
         }
     }
+}
+
+/// For each instruction index, the check site whose lower check sits there
+/// (`usize::MAX` for none).
+fn site_at_lower(mf: &CompiledFunction) -> Vec<usize> {
+    let mut site = vec![usize::MAX; mf.insts.len()];
+    for (i, s) in mf.check_sites.iter().enumerate() {
+        site[s.lower] = i;
+    }
+    site
 }
 
 /// The half-open instruction ranges of each block, in emission order.
@@ -377,16 +398,14 @@ impl MachinePass for SkipStackChecks {
     }
 
     fn run(&self, mf: &mut CompiledFunction, _cx: &mut MachineCtx) -> usize {
-        let mut dead = BTreeSet::new();
+        let mut dead = vec![false; mf.insts.len()];
         for s in &mf.check_sites {
             if s.kind == CheckKind::Stack {
-                dead.insert(s.lower);
-                dead.insert(s.upper);
+                dead[s.lower] = true;
+                dead[s.upper] = true;
             }
         }
-        let removed = dead.len() / 2;
-        delete_insts(mf, &dead);
-        removed
+        delete_insts(mf, &dead) / 2
     }
 }
 
@@ -441,37 +460,29 @@ impl MachinePass for CoalesceChecks {
         if mf.check_sites.is_empty() {
             return 0;
         }
-        let site_by_lower: HashMap<usize, usize> = mf
-            .check_sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.lower, i))
-            .collect();
-        let mut dead = BTreeSet::new();
+        let site_by_lower = site_at_lower(mf);
+        let mut dead = vec![false; mf.insts.len()];
         for (_, start, end) in block_ranges(mf) {
             let mut checked: HashSet<CheckKey> = HashSet::new();
-            for idx in start..end {
-                if is_call(&mf.insts[idx]) {
+            for (inst, &si) in mf.insts[start..end].iter().zip(&site_by_lower[start..end]) {
+                if is_call(inst) {
                     checked.clear();
                     continue;
                 }
-                if let Some(&si) = site_by_lower.get(&idx) {
-                    let site = &mf.check_sites[si];
+                if let Some(site) = mf.check_sites.get(si) {
                     if site.kind != CheckKind::User {
                         continue;
                     }
                     if let Some(key) = cx.key_of_site(site) {
                         if !checked.insert(key) {
-                            dead.insert(site.lower);
-                            dead.insert(site.upper);
+                            dead[site.lower] = true;
+                            dead[site.upper] = true;
                         }
                     }
                 }
             }
         }
-        let removed = dead.len() / 2;
-        delete_insts(mf, &dead);
-        removed
+        delete_insts(mf, &dead) / 2
     }
 }
 
@@ -505,43 +516,44 @@ impl MachinePass for HoistChecks {
             return 0;
         }
         let f = cx.f;
-        let doms = dominators(f);
+        let doms = DomTree::new(f);
         let loops = natural_loops(f, &doms);
         if loops.is_empty() {
             return 0;
         }
         // Defining block of every value (parameters live in the entry).
-        let mut def_block: HashMap<ValueId, BlockId> =
-            f.params.iter().map(|p| (*p, f.entry())).collect();
+        let mut def_block: Vec<Option<BlockId>> = vec![None; f.values.len()];
+        for p in &f.params {
+            def_block[p.0 as usize] = Some(f.entry());
+        }
         for b in &f.blocks {
             for inst in &b.insts {
                 if let Some(d) = inst.def() {
-                    def_block.insert(d, b.id);
+                    def_block[d.0 as usize] = Some(b.id);
                 }
             }
         }
-        let blocks_with_calls: HashSet<BlockId> = f
+        let has_call: Vec<bool> = f
             .blocks
             .iter()
-            .filter(|b| b.insts.iter().any(Inst::is_call))
-            .map(|b| b.id)
+            .map(|b| b.insts.iter().any(Inst::is_call))
             .collect();
 
         let mut hoisted_total = 0usize;
-        // Keys already hoisted into an enclosing loop, with that loop's body.
-        let mut enclosing: Vec<(HashSet<BlockId>, CheckKey)> = Vec::new();
+        // Keys already hoisted into an enclosing loop, with that loop.
+        let mut enclosing: Vec<(&confllvm_ir::NaturalLoop, CheckKey)> = Vec::new();
         for l in &loops {
             let Some(preheader) = l.preheader else {
                 continue;
             };
-            if l.body.iter().any(|b| blocks_with_calls.contains(b)) {
+            if l.body.iter().any(|b| has_call[b.0 as usize]) {
                 // A call clobbers the bound registers conservatively: hoisted
                 // availability would not survive an iteration.
                 continue;
             }
             let mut keys: BTreeSet<CheckKey> = BTreeSet::new();
             for site in &mf.check_sites {
-                if site.kind != CheckKind::User || !l.body.contains(&site.block) {
+                if site.kind != CheckKind::User || !l.contains(site.block) {
                     continue;
                 }
                 // Profitability: only checks that execute on every complete
@@ -565,8 +577,8 @@ impl MachinePass for HoistChecks {
                     BaseSym::Global(_) => true,
                     BaseSym::Val(v) => {
                         cx.frame.alloca(v).is_some()
-                            && match def_block.get(&v) {
-                                Some(db) => !l.body.contains(db) && doms.dominates(*db, preheader),
+                            && match def_block.get(v.0 as usize).copied().flatten() {
+                                Some(db) => !l.contains(db) && doms.dominates(db, preheader),
                                 None => false,
                             }
                     }
@@ -576,7 +588,7 @@ impl MachinePass for HoistChecks {
                 }
                 if enclosing
                     .iter()
-                    .any(|(body, k)| *k == key && body.contains(&l.header))
+                    .any(|(outer, k)| *k == key && outer.contains(l.header))
                 {
                     continue;
                 }
@@ -613,7 +625,7 @@ impl MachinePass for HoistChecks {
                 new_insts.extend(mat);
                 new_insts.push(MInst::BndCheck {
                     bnd,
-                    mem: mem.clone(),
+                    mem,
                     upper: false,
                 });
                 new_insts.push(MInst::BndCheck {
@@ -636,7 +648,7 @@ impl MachinePass for HoistChecks {
                     taint: key.taint,
                 });
                 new_keys.push(key);
-                enclosing.push((l.body.clone(), key));
+                enclosing.push((l, key));
                 hoisted_total += 1;
             }
             // Register the new sites *before* the shift, then insert: the
@@ -653,7 +665,7 @@ impl MachinePass for HoistChecks {
                 s.lower -= total;
                 s.upper -= total;
             }
-            cx.hoisted.entry(preheader).or_default().extend(new_keys);
+            cx.hoisted[preheader.0 as usize].extend(new_keys);
         }
         hoisted_total
     }
@@ -665,7 +677,6 @@ struct CrossBlockElim;
 /// have been checked on every path into a block.
 struct AvailChecks<'c, 'a> {
     cx: &'c MachineCtx<'a>,
-    hoisted: HashMap<BlockId, Vec<CheckKey>>,
 }
 
 impl ForwardTransfer for AvailChecks<'_, '_> {
@@ -696,10 +707,8 @@ impl ForwardTransfer for AvailChecks<'_, '_> {
                 out.retain(|k| k.base != BaseSym::Val(d));
             }
         }
-        if let Some(keys) = self.hoisted.get(&block) {
-            for k in keys {
-                out.insert(*k);
-            }
+        for k in &self.cx.hoisted[block.0 as usize] {
+            out.insert(*k);
         }
         out
     }
@@ -727,11 +736,7 @@ impl MachinePass for CrossBlockElim {
         if mf.check_sites.is_empty() {
             return 0;
         }
-        let transfer = AvailChecks {
-            cx,
-            hoisted: cx.hoisted.clone(),
-        };
-        let avail_in = solve_forward(cx.f, &transfer, MustSet::empty());
+        let avail_in = solve_forward(cx.f, &AvailChecks { cx }, MustSet::empty());
 
         // ConfVerify scans each procedure linearly: an elimination is only
         // verifiable if the providing check also precedes the access in the
@@ -739,33 +744,23 @@ impl MachinePass for CrossBlockElim {
         // linear availability in lock-step with the CFG facts.
         let slot_owner: HashMap<i32, ValueId> = cx
             .frame
-            .slots
-            .iter()
+            .slots()
             .map(|(v, slot)| {
                 let disp = FrameLayout::slot_disp(
-                    *slot,
+                    slot,
                     cx.opts.split_stacks,
                     cx.layout.private_stack_offset(),
                 );
-                (disp, *v)
+                (disp, v)
             })
             .collect();
-        let site_by_lower: HashMap<usize, usize> = mf
-            .check_sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.lower, i))
-            .collect();
+        let site_by_lower = site_at_lower(mf);
 
         let mut linear: HashSet<CheckKey> = HashSet::new();
-        let mut dead = BTreeSet::new();
+        let mut dead = vec![false; mf.insts.len()];
         for (bid, start, end) in block_ranges(mf) {
-            let mut avail: HashSet<CheckKey> = avail_in
-                .get(&bid)
-                .map(|m| m.as_concrete())
-                .unwrap_or_default();
-            for idx in start..end {
-                let inst = &mf.insts[idx];
+            let mut avail: HashSet<CheckKey> = avail_in[bid.0 as usize].as_concrete();
+            for (inst, &si) in mf.insts[start..end].iter().zip(&site_by_lower[start..end]) {
                 if is_call(inst) {
                     avail.clear();
                     linear.clear();
@@ -779,8 +774,7 @@ impl MachinePass for CrossBlockElim {
                         }
                     }
                 }
-                if let Some(&si) = site_by_lower.get(&idx) {
-                    let site = &mf.check_sites[si];
+                if let Some(site) = mf.check_sites.get(si) {
                     if site.kind != CheckKind::User {
                         continue;
                     }
@@ -795,8 +789,8 @@ impl MachinePass for CrossBlockElim {
                         BaseSym::Val(v) => cx.frame.alloca(v).is_none() || cx.opts.emit_chkstk,
                     };
                     if verifiable && avail.contains(&key) && linear.contains(&key) {
-                        dead.insert(site.lower);
-                        dead.insert(site.upper);
+                        dead[site.lower] = true;
+                        dead[site.upper] = true;
                     } else {
                         avail.insert(key);
                         linear.insert(key);
@@ -804,15 +798,149 @@ impl MachinePass for CrossBlockElim {
                 }
             }
         }
-        let removed = dead.len() / 2;
-        delete_insts(mf, &dead);
-        removed
+        delete_insts(mf, &dead) / 2
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use confllvm_ir::{infer, lower, InferOptions, PassManager, DEFAULT_IR_PIPELINE};
+    use confllvm_minic::{parse, Sema};
+    use proptest::prelude::*;
+
+    /// The remap `delete_insts` replaced: one ordered-set range count per
+    /// recorded index.  Kept only as the oracle for the prefix sum.
+    fn delete_insts_naive(mf: &mut CompiledFunction, dead: &BTreeSet<usize>) {
+        if dead.is_empty() {
+            return;
+        }
+        let removed_before = |idx: usize| dead.range(..idx).count();
+        mf.insts = mf
+            .insts
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !dead.contains(i))
+            .map(|(_, inst)| *inst)
+            .collect();
+        for l in &mut mf.labels {
+            if *l != usize::MAX {
+                *l -= removed_before(*l);
+            }
+        }
+        for (idx, _) in &mut mf.patches {
+            *idx -= removed_before(*idx);
+        }
+        mf.check_sites.retain(|s| !dead.contains(&s.lower));
+        for s in &mut mf.check_sites {
+            s.lower -= removed_before(s.lower);
+            s.upper -= removed_before(s.upper);
+        }
+        for b in &mut mf.mblocks {
+            b.start -= removed_before(b.start);
+            b.term_start -= removed_before(b.term_start);
+        }
+    }
+
+    /// Every function of a small program with loops, globals, pointers and
+    /// calls, selected under MPX so it carries check sites.
+    fn compiled_functions() -> Vec<CompiledFunction> {
+        let src = "
+            int table[16];
+            int sum(int *p, int n) {
+                int s = 0; int i;
+                for (i = 0; i < n; i = i + 1) { s = s + p[i] + table[i % 16]; }
+                return s;
+            }
+            int main() {
+                int local[8]; int j;
+                for (j = 0; j < 8; j = j + 1) { local[j] = j; table[j] = j * 2; }
+                if (local[3] > 2) { return sum(local, 8); }
+                return table[5];
+            }
+        ";
+        let ast = parse(src).unwrap();
+        let sema = Sema::analyze(&ast).unwrap();
+        let mut module = lower(&ast, &sema, "t").unwrap();
+        PassManager::parse(DEFAULT_IR_PIPELINE)
+            .unwrap()
+            .run(&mut module);
+        infer(&mut module, InferOptions::default()).unwrap();
+        let func_index: HashMap<String, usize> = module
+            .functions
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (f.name.clone(), i))
+            .collect();
+        let opts = CodegenOptions::mpx();
+        module
+            .functions
+            .iter()
+            .map(|f| crate::isel::compile_function(&module, f, &opts, &func_index).unwrap())
+            .collect()
+    }
+
+    fn assert_same(a: &CompiledFunction, b: &CompiledFunction) {
+        assert_eq!(a.insts, b.insts);
+        assert_eq!(a.labels, b.labels);
+        assert_eq!(a.patches, b.patches);
+        assert_eq!(a.check_sites, b.check_sites);
+        assert_eq!(a.mblocks, b.mblocks);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn prefix_sum_delete_matches_the_naive_remap(
+            which in 0usize..2,
+            picks in prop::collection::vec(0usize..1 << 16, 0..64),
+        ) {
+            let base = &compiled_functions()[which];
+            assert!(!base.check_sites.is_empty());
+            // Any instruction may go except the magic-patched ones (the
+            // linker patches them in place).
+            let n = base.insts.len();
+            let dead: BTreeSet<usize> = picks
+                .iter()
+                .map(|p| p % n)
+                .filter(|i| base.patches.iter().all(|(idx, _)| idx != i))
+                .collect();
+            let mut mask = vec![false; n];
+            for &i in &dead {
+                mask[i] = true;
+            }
+            let mut fast = base.clone();
+            let mut naive = base.clone();
+            prop_assert_eq!(delete_insts(&mut fast, &mask), dead.len());
+            delete_insts_naive(&mut naive, &dead);
+            assert_same(&fast, &naive);
+        }
+    }
+
+    #[test]
+    fn deleting_whole_check_sites_matches_the_naive_remap() {
+        for base in compiled_functions() {
+            for step in 1..4 {
+                let dead: BTreeSet<usize> = base
+                    .check_sites
+                    .iter()
+                    .step_by(step)
+                    .flat_map(|s| [s.lower, s.upper])
+                    .collect();
+                let mut mask = vec![false; base.insts.len()];
+                for &i in &dead {
+                    mask[i] = true;
+                }
+                let mut fast = base.clone();
+                let mut naive = base.clone();
+                assert_eq!(delete_insts(&mut fast, &mask), dead.len());
+                delete_insts_naive(&mut naive, &dead);
+                assert_same(&fast, &naive);
+                assert!(fast.check_sites.len() < base.check_sites.len());
+            }
+        }
+    }
 
     #[test]
     fn pipeline_parsing_validates_names_and_constraints() {

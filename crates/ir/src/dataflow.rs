@@ -6,10 +6,13 @@
 //! * [`MustSet`] — an intersection (must) lattice for forward analyses such
 //!   as the available-bounds-checks analysis behind the cross-block
 //!   redundant-check elimination in `confllvm-codegen`,
-//! * [`dominators`] and [`natural_loops`] — the loop structure needed by the
-//!   loop-invariant check-hoisting machine pass.
+//! * [`DomTree`] and [`natural_loops`] — the dominator tree behind the IR's
+//!   CSE and the loop structure needed by the loop-invariant check-hoisting
+//!   machine pass.
+//!
+//! Every per-block table is a `Vec` indexed by the dense `BlockId`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::Hash;
 
 use crate::inst::{BlockId, Operand, ValueId};
@@ -31,30 +34,30 @@ pub trait ForwardTransfer {
 }
 
 /// Solve a forward dataflow problem to a fixpoint using a worklist.
-/// Returns the fact holding *at entry* of each block.
+/// Returns the fact holding *at entry* of each block, indexed by block.
 pub fn solve_forward<T: ForwardTransfer>(
     f: &Function,
     transfer: &T,
     entry_fact: T::Fact,
-) -> HashMap<BlockId, T::Fact> {
-    let mut in_facts: HashMap<BlockId, T::Fact> = HashMap::new();
-    for b in &f.blocks {
-        in_facts.insert(b.id, T::Fact::bottom());
-    }
-    in_facts.insert(f.entry(), entry_fact);
+) -> Vec<T::Fact> {
+    let n = f.blocks.len();
+    let mut in_facts: Vec<T::Fact> = vec![T::Fact::bottom(); n];
+    in_facts[f.entry().0 as usize] = entry_fact;
     let mut worklist: Vec<BlockId> = f.blocks.iter().map(|b| b.id).collect();
+    let mut queued = vec![true; n];
     let mut iterations = 0usize;
     while let Some(b) = worklist.pop() {
+        queued[b.0 as usize] = false;
         iterations += 1;
-        if iterations > f.blocks.len() * 64 + 1024 {
+        if iterations > n * 64 + 1024 {
             // Defensive bound; lattices used here all have finite height.
             break;
         }
-        let in_fact = in_facts[&b].clone();
-        let out = transfer.transfer(f, b, &in_fact);
+        let out = transfer.transfer(f, b, &in_facts[b.0 as usize]);
         for succ in f.block(b).term.successors() {
-            let entry = in_facts.get_mut(&succ).expect("all blocks have facts");
-            if entry.join(&out) && !worklist.contains(&succ) {
+            let s = succ.0 as usize;
+            if in_facts[s].join(&out) && !queued[s] {
+                queued[s] = true;
                 worklist.push(succ);
             }
         }
@@ -80,21 +83,19 @@ impl Lattice for LiveSet {
 }
 
 /// Per-function liveness: for every block, the set of values live at block
-/// entry (classic backwards may-analysis).
-pub fn liveness(f: &Function) -> HashMap<BlockId, LiveSet> {
+/// entry (classic backwards may-analysis), indexed by block.
+pub fn liveness(f: &Function) -> Vec<LiveSet> {
     let preds = f.predecessors();
-    let mut live_in: HashMap<BlockId, LiveSet> = f
-        .blocks
-        .iter()
-        .map(|b| (b.id, LiveSet::default()))
-        .collect();
+    let mut live_in: Vec<LiveSet> = vec![LiveSet::default(); f.blocks.len()];
     let mut worklist: Vec<BlockId> = f.blocks.iter().map(|b| b.id).collect();
+    let mut queued = vec![true; f.blocks.len()];
     while let Some(bid) = worklist.pop() {
+        queued[bid.0 as usize] = false;
         let block = f.block(bid);
         // live-out = union of successors' live-in.
         let mut live: HashSet<ValueId> = HashSet::new();
         for s in block.term.successors() {
-            live.extend(live_in[&s].0.iter().copied());
+            live.extend(live_in[s.0 as usize].0.iter().copied());
         }
         // Terminator uses.
         for op in block.term.uses() {
@@ -113,12 +114,12 @@ pub fn liveness(f: &Function) -> HashMap<BlockId, LiveSet> {
                 }
             }
         }
-        let entry = live_in.get_mut(&bid).expect("all blocks present");
+        let entry = &mut live_in[bid.0 as usize];
         let before = entry.0.len();
         entry.0.extend(live.iter().copied());
         if entry.0.len() != before {
-            for p in preds.get(&bid).into_iter().flatten() {
-                if !worklist.contains(p) {
+            for p in &preds[bid.0 as usize] {
+                if !std::mem::replace(&mut queued[p.0 as usize], true) {
                     worklist.push(*p);
                 }
             }
@@ -205,141 +206,254 @@ impl<K: Eq + Hash + Clone> Lattice for MustSet<K> {
     }
 }
 
-/// Dominator sets for every reachable block of a function, computed with the
-/// classic iterative data-flow algorithm (the CFGs here are small).
+/// "No block": the dense per-block tables below use it for unreachable
+/// blocks and absent entries.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// The dominator tree of a function's reachable blocks.
+///
+/// Immediate dominators come from the Cooper–Harvey–Kennedy iteration over
+/// reverse postorder ("A Simple, Fast Dominance Algorithm", 2001).  The tree
+/// is then numbered with DFS intervals, so [`DomTree::dominates`] is two
+/// comparisons and [`DomTree::children`] a slice.  Every table is indexed by
+/// the dense `BlockId`.
 #[derive(Debug, Clone)]
-pub struct Dominators {
-    doms: HashMap<BlockId, HashSet<BlockId>>,
-    reachable: HashSet<BlockId>,
+pub struct DomTree {
+    /// Preorder number of each block in the tree ([`NO_BLOCK`] when
+    /// unreachable) ...
+    pre: Vec<u32>,
+    /// ... and the largest preorder number inside its subtree.
+    last: Vec<u32>,
+    /// `children[child_start[b]..child_start[b + 1]]` are `b`'s children,
+    /// in ascending block order.
+    child_start: Vec<u32>,
+    children: Vec<BlockId>,
 }
 
-impl Dominators {
-    /// Does `a` dominate `b`?  Unreachable blocks dominate nothing and are
-    /// dominated by nothing (callers should filter them out first).
+impl DomTree {
+    /// Build the dominator tree of `f`'s CFG.
+    pub fn new(f: &Function) -> DomTree {
+        let n = f.blocks.len();
+        let entry = f.entry().0 as usize;
+
+        // Reverse postorder of the reachable blocks, by an explicit DFS that
+        // takes successors in terminator order.
+        let mut postorder: Vec<usize> = Vec::with_capacity(n);
+        let mut seen = vec![false; n];
+        let mut stack: Vec<(usize, usize)> = vec![(entry, 0)];
+        seen[entry] = true;
+        while let Some((b, next)) = stack.last_mut() {
+            let (b, succ) = (*b, f.blocks[*b].term.successors().nth(*next));
+            *next += 1;
+            match succ {
+                Some(s) => {
+                    let s = s.0 as usize;
+                    if !std::mem::replace(&mut seen[s], true) {
+                        stack.push((s, 0));
+                    }
+                }
+                None => {
+                    postorder.push(b);
+                    stack.pop();
+                }
+            }
+        }
+        let mut rpo_num = vec![NO_BLOCK; n];
+        for (i, &b) in postorder.iter().rev().enumerate() {
+            rpo_num[b] = i as u32;
+        }
+
+        // Cooper–Harvey–Kennedy: iterate to a fixpoint, intersecting the
+        // processed predecessors' dominator chains by walking the finger
+        // with the larger reverse-postorder number up the tree.  The
+        // entry's immediate dominator is itself, an unreachable block's
+        // `NO_BLOCK`.
+        let preds = f.predecessors();
+        let mut idom = vec![NO_BLOCK; n];
+        idom[entry] = entry as u32;
+        let intersect = |idom: &[u32], mut a: u32, mut b: u32| -> u32 {
+            while a != b {
+                while rpo_num[a as usize] > rpo_num[b as usize] {
+                    a = idom[a as usize];
+                }
+                while rpo_num[b as usize] > rpo_num[a as usize] {
+                    b = idom[b as usize];
+                }
+            }
+            a
+        };
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in postorder.iter().rev().skip(1) {
+                let mut new = NO_BLOCK;
+                for p in &preds[b] {
+                    let p = p.0;
+                    if idom[p as usize] == NO_BLOCK {
+                        continue;
+                    }
+                    new = if new == NO_BLOCK {
+                        p
+                    } else {
+                        intersect(&idom, p, new)
+                    };
+                }
+                if idom[b] != new {
+                    idom[b] = new;
+                    changed = true;
+                }
+            }
+        }
+
+        // Children lists, in ascending block order.
+        let mut child_start = vec![0u32; n + 1];
+        for (b, &d) in idom.iter().enumerate() {
+            if d != NO_BLOCK && b != entry {
+                child_start[d as usize + 1] += 1;
+            }
+        }
+        for b in 0..n {
+            child_start[b + 1] += child_start[b];
+        }
+        let mut fill = child_start.clone();
+        let mut children = vec![BlockId(0); child_start[n] as usize];
+        for (b, &d) in idom.iter().enumerate() {
+            if d != NO_BLOCK && b != entry {
+                children[fill[d as usize] as usize] = BlockId(b as u32);
+                fill[d as usize] += 1;
+            }
+        }
+
+        // DFS interval numbering: preorder numbers, then subtree extents
+        // accumulated in reverse preorder.
+        let mut pre = vec![NO_BLOCK; n];
+        let mut preorder: Vec<usize> = Vec::with_capacity(postorder.len());
+        let mut stack = vec![entry];
+        while let Some(b) = stack.pop() {
+            pre[b] = preorder.len() as u32;
+            preorder.push(b);
+            let kids = &children[child_start[b] as usize..child_start[b + 1] as usize];
+            stack.extend(kids.iter().map(|c| c.0 as usize));
+        }
+        let mut size = vec![1u32; n];
+        for &b in preorder.iter().skip(1).rev() {
+            size[idom[b] as usize] += size[b];
+        }
+        let last = (0..n)
+            .map(|b| {
+                if pre[b] == NO_BLOCK {
+                    NO_BLOCK
+                } else {
+                    pre[b] + size[b] - 1
+                }
+            })
+            .collect();
+
+        DomTree {
+            pre,
+            last,
+            child_start,
+            children,
+        }
+    }
+
+    /// Does `a` dominate `b`?  Every block dominates itself; unreachable
+    /// blocks dominate nothing and are dominated by nothing.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        self.reachable.contains(&a) && self.doms.get(&b).map(|d| d.contains(&a)).unwrap_or(false)
+        let (a, b) = (a.0 as usize, b.0 as usize);
+        let pb = self.pre[b];
+        self.pre[a] != NO_BLOCK && pb != NO_BLOCK && self.pre[a] <= pb && pb <= self.last[a]
     }
 
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.reachable.contains(&b)
+        self.pre[b.0 as usize] != NO_BLOCK
     }
-}
 
-/// Compute the dominator sets of a function's CFG.
-pub fn dominators(f: &Function) -> Dominators {
-    let entry = f.entry();
-    let mut reachable: HashSet<BlockId> = HashSet::new();
-    let mut stack = vec![entry];
-    while let Some(b) = stack.pop() {
-        if reachable.insert(b) {
-            stack.extend(f.block(b).term.successors());
-        }
+    /// The blocks `b` immediately dominates, in ascending block order.
+    pub fn children(&self, b: BlockId) -> &[BlockId] {
+        let b = b.0 as usize;
+        &self.children[self.child_start[b] as usize..self.child_start[b + 1] as usize]
     }
-    let all: HashSet<BlockId> = reachable.iter().copied().collect();
-    let preds = f.predecessors();
-    let mut doms: HashMap<BlockId, HashSet<BlockId>> = reachable
-        .iter()
-        .map(|&b| {
-            if b == entry {
-                (b, std::iter::once(b).collect())
-            } else {
-                (b, all.clone())
-            }
-        })
-        .collect();
-    let order: Vec<BlockId> = {
-        let mut v: Vec<BlockId> = reachable.iter().copied().collect();
-        v.sort();
-        v
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &order {
-            if b == entry {
-                continue;
-            }
-            let mut new: Option<HashSet<BlockId>> = None;
-            for p in preds.get(&b).into_iter().flatten() {
-                if !reachable.contains(p) {
-                    continue;
-                }
-                let pd = &doms[p];
-                new = Some(match new {
-                    None => pd.clone(),
-                    Some(acc) => acc.intersection(pd).copied().collect(),
-                });
-            }
-            let mut new = new.unwrap_or_default();
-            new.insert(b);
-            if new != doms[&b] {
-                doms.insert(b, new);
-                changed = true;
-            }
-        }
-    }
-    Dominators { doms, reachable }
 }
 
 /// A natural loop: a header, the blocks that jump back to it (latches), and
 /// the body (header included).  `preheader` is the unique out-of-loop
 /// predecessor of the header, present only when it unconditionally branches
 /// to the header (the safe insertion point for hoisted code).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NaturalLoop {
     pub header: BlockId,
     pub latches: Vec<BlockId>,
-    pub body: HashSet<BlockId>,
+    /// The body, header included, in ascending block order.
+    pub body: Vec<BlockId>,
     pub preheader: Option<BlockId>,
+}
+
+impl NaturalLoop {
+    /// Is `b` in the loop body?
+    pub fn contains(&self, b: BlockId) -> bool {
+        self.body.binary_search(&b).is_ok()
+    }
 }
 
 /// Find the natural loops of a function (back edges `latch -> header` where
 /// the header dominates the latch); loops sharing a header are merged.
-pub fn natural_loops(f: &Function, doms: &Dominators) -> Vec<NaturalLoop> {
+/// Loops come outermost first: by descending body size, ties by header.
+pub fn natural_loops(f: &Function, doms: &DomTree) -> Vec<NaturalLoop> {
     let preds = f.predecessors();
-    let mut by_header: HashMap<BlockId, NaturalLoop> = HashMap::new();
+    let n = f.blocks.len();
+    let mut latches: Vec<Vec<BlockId>> = vec![Vec::new(); n];
     for b in &f.blocks {
         if !doms.is_reachable(b.id) {
             continue;
         }
         for succ in b.term.successors() {
-            if !doms.dominates(succ, b.id) {
-                continue;
-            }
-            // Back edge b -> succ: the body is everything that reaches the
-            // latch without passing through the header.
-            let header = succ;
-            let entry = by_header.entry(header).or_insert_with(|| NaturalLoop {
-                header,
-                latches: Vec::new(),
-                body: std::iter::once(header).collect(),
-                preheader: None,
-            });
-            entry.latches.push(b.id);
-            let mut stack = vec![b.id];
-            while let Some(n) = stack.pop() {
-                if entry.body.insert(n) {
-                    stack.extend(preds.get(&n).into_iter().flatten().copied());
-                }
+            if doms.dominates(succ, b.id) {
+                latches[succ.0 as usize].push(b.id);
             }
         }
     }
-    let mut loops: Vec<NaturalLoop> = by_header.into_values().collect();
-    for l in &mut loops {
-        let outside: Vec<BlockId> = preds
-            .get(&l.header)
-            .into_iter()
-            .flatten()
+    let mut in_body = vec![false; n];
+    let mut loops = Vec::new();
+    for (h, latches) in latches.into_iter().enumerate() {
+        if latches.is_empty() {
+            continue;
+        }
+        // The body is everything that reaches a latch without passing
+        // through the header.
+        let header = BlockId(h as u32);
+        in_body[h] = true;
+        let mut body = vec![header];
+        let mut stack = latches.clone();
+        while let Some(b) = stack.pop() {
+            if !std::mem::replace(&mut in_body[b.0 as usize], true) {
+                body.push(b);
+                stack.extend_from_slice(&preds[b.0 as usize]);
+            }
+        }
+        for b in &body {
+            in_body[b.0 as usize] = false;
+        }
+        body.sort_unstable();
+        let outside: Vec<BlockId> = preds[h]
+            .iter()
             .copied()
-            .filter(|p| !l.body.contains(p) && doms.is_reachable(*p))
+            .filter(|p| body.binary_search(p).is_err() && doms.is_reachable(*p))
             .collect();
-        if let [p] = outside[..] {
-            if matches!(f.block(p).term, crate::inst::Terminator::Br(t) if t == l.header) {
-                l.preheader = Some(p);
+        let preheader = match outside[..] {
+            [p] if matches!(f.block(p).term, crate::inst::Terminator::Br(t) if t == header) => {
+                Some(p)
             }
-        }
+            _ => None,
+        };
+        loops.push(NaturalLoop {
+            header,
+            latches,
+            body,
+            preheader,
+        });
     }
-    loops.sort_by_key(|l| std::cmp::Reverse(l.body.len()));
+    loops.sort_by_key(|l| (std::cmp::Reverse(l.body.len()), l.header));
     loops
 }
 
@@ -352,7 +466,7 @@ pub fn live_across_calls(f: &Function) -> HashSet<ValueId> {
         // Recompute liveness backwards through the block, noting call sites.
         let mut live: HashSet<ValueId> = HashSet::new();
         for s in block.term.successors() {
-            live.extend(live_in[&s].0.iter().copied());
+            live.extend(live_in[s.0 as usize].0.iter().copied());
         }
         for op in block.term.uses() {
             if let Operand::Value(v) = op {
@@ -397,7 +511,7 @@ mod tests {
         );
         let live = liveness(&f);
         // The allocas for s and i must be live at the loop-head block.
-        let any_nonempty = live.values().any(|l| !l.0.is_empty());
+        let any_nonempty = live.iter().any(|l| !l.0.is_empty());
         assert!(any_nonempty);
     }
 
@@ -443,7 +557,7 @@ mod tests {
             "int f(int n) { int s = 0; int i; for (i = 0; i < n; i = i + 1) { s = s + i; } return s; }",
             "f",
         );
-        let doms = dominators(&f);
+        let doms = DomTree::new(&f);
         let entry = f.entry();
         for b in &f.blocks {
             if doms.is_reachable(b.id) {
@@ -456,7 +570,7 @@ mod tests {
         assert!(!l.latches.is_empty());
         assert!(l.body.len() >= 3, "header, body and step blocks");
         let ph = l.preheader.expect("for-loops have a preheader");
-        assert!(!l.body.contains(&ph));
+        assert!(!l.contains(ph));
         // Every body block is dominated by the header.
         for b in &l.body {
             assert!(doms.dominates(l.header, *b));
@@ -473,12 +587,12 @@ mod tests {
                return s; }",
             "f",
         );
-        let doms = dominators(&f);
+        let doms = DomTree::new(&f);
         let loops = natural_loops(&f, &doms);
         assert_eq!(loops.len(), 2);
         // Outermost first (larger body).
         assert!(loops[0].body.len() > loops[1].body.len());
-        assert!(loops[0].body.contains(&loops[1].header));
+        assert!(loops[0].contains(loops[1].header));
     }
 
     #[test]

@@ -324,15 +324,17 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Br(b) => vec![*b],
+    /// Successor blocks of this terminator, in order (a conditional branch
+    /// with equal targets yields its target twice).
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> + Clone {
+        let (first, second) = match *self {
+            Terminator::Br(b) => (Some(b), None),
             Terminator::CondBr {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Ret { .. } => vec![],
-        }
+            } => (Some(then_bb), Some(else_bb)),
+            Terminator::Ret { .. } => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Operands read by the terminator.
@@ -396,14 +398,17 @@ mod tests {
             else_bb: BlockId(2),
             span: Span::default(),
         };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(Terminator::Br(BlockId(7)).successors(), vec![BlockId(7)]);
-        assert!(Terminator::Ret {
-            value: None,
-            span: Span::default()
-        }
-        .successors()
-        .is_empty());
+        assert!(t.successors().eq([BlockId(1), BlockId(2)]));
+        assert!(Terminator::Br(BlockId(7)).successors().eq([BlockId(7)]));
+        assert_eq!(
+            Terminator::Ret {
+                value: None,
+                span: Span::default()
+            }
+            .successors()
+            .count(),
+            0
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod pm;
 pub mod taint;
 
 pub use builder::FunctionBuilder;
-pub use dataflow::{dominators, natural_loops, Dominators, MustSet, NaturalLoop};
+pub use dataflow::{natural_loops, DomTree, MustSet, NaturalLoop};
 pub use inst::{BinOp, BlockId, CmpOp, Inst, MemSize, Operand, Terminator, ValueId};
 pub use lower::lower;
 pub use module::{Block, ExternFunc, Function, Global, Module, ValueInfo};

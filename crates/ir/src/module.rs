@@ -1,7 +1,5 @@
 //! IR functions, globals and modules.
 
-use std::collections::HashMap;
-
 use confllvm_minic::{Span, Taint};
 
 use crate::inst::{BlockId, Inst, Operand, Terminator, ValueId};
@@ -105,13 +103,13 @@ impl Function {
         self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
-    /// Predecessor map of the CFG.
-    pub fn predecessors(&self) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    /// Predecessors of every block, indexed by block; a block branching to
+    /// the same successor twice is listed twice.
+    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
+        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); self.blocks.len()];
         for b in &self.blocks {
-            preds.entry(b.id).or_default();
             for s in b.term.successors() {
-                preds.entry(s).or_default().push(b.id);
+                preds[s.0 as usize].push(b.id);
             }
         }
         preds
@@ -217,8 +215,8 @@ mod tests {
         });
         let f = b.finish();
         let preds = f.predecessors();
-        assert_eq!(preds[&join].len(), 2);
-        assert!(preds[&f.entry()].is_empty());
+        assert_eq!(preds[join.0 as usize].len(), 2);
+        assert!(preds[f.entry().0 as usize].is_empty());
     }
 
     #[test]

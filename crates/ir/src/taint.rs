@@ -13,6 +13,7 @@
 //! lattice to Z3; for a two-point lattice a union-find plus a reachability
 //! fixpoint is an exact solver, so no SMT solver is needed (see DESIGN.md).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use confllvm_minic::{Span, Taint};
@@ -158,7 +159,9 @@ struct Var(u32);
 struct Constraint {
     kind: ConstraintKind,
     span: Span,
-    why: String,
+    /// Why the constraint exists, for diagnostics.  Most reasons are fixed
+    /// text and borrowed; only those naming a symbol are formatted.
+    why: Cow<'static, str>,
 }
 
 #[derive(Debug, Clone)]
@@ -201,7 +204,7 @@ impl ConstraintSet {
         self.nvalues * 3
     }
 
-    fn push(&mut self, kind: ConstraintKind, span: Span, why: impl Into<String>) {
+    fn push(&mut self, kind: ConstraintKind, span: Span, why: impl Into<Cow<'static, str>>) {
         self.constraints.push(Constraint {
             kind,
             span,
@@ -210,7 +213,7 @@ impl ConstraintSet {
     }
 
     /// Flow from an operand's value taint into a variable.
-    fn flow_operand_into(&mut self, op: Operand, hi: Var, span: Span, why: &str) {
+    fn flow_operand_into(&mut self, op: Operand, hi: Var, span: Span, why: &'static str) {
         match op {
             Operand::Const(_) => {} // public ⊑ anything, vacuous
             Operand::Value(v) => self.push(
@@ -222,7 +225,13 @@ impl ConstraintSet {
     }
 
     /// Constrain an operand's value taint to flow into a fixed taint bound.
-    fn operand_at_most(&mut self, op: Operand, bound: Taint, span: Span, why: &str) {
+    fn operand_at_most(
+        &mut self,
+        op: Operand,
+        bound: Taint,
+        span: Span,
+        why: impl Into<Cow<'static, str>>,
+    ) {
         if bound == Taint::Private {
             return; // anything ⊑ private
         }
@@ -237,7 +246,13 @@ impl ConstraintSet {
 
     /// Pin an operand's pointee taint to exactly `t` (pointer invariance at
     /// call boundaries).
-    fn operand_pointee_eq(&mut self, op: Operand, t: Taint, span: Span, why: &str) {
+    fn operand_pointee_eq(
+        &mut self,
+        op: Operand,
+        t: Taint,
+        span: Span,
+        why: impl Into<Cow<'static, str>>,
+    ) {
         if let Operand::Value(v) = op {
             self.push(
                 ConstraintKind::Pin(self.var(v, Level::Pointee), t),
@@ -337,7 +352,7 @@ fn infer_function(
                     *v,
                     bound,
                     *span,
-                    &format!("return value of `{fname}` is declared {bound}"),
+                    format!("return value of `{fname}` is declared {bound}"),
                 );
             }
             Terminator::CondBr { cond, span, .. } => {
@@ -675,13 +690,13 @@ fn gen_call_constraints(
             *arg,
             pt,
             span,
-            &format!("argument {i} of call to `{callee}` expects {pt} data"),
+            format!("argument {i} of call to `{callee}` expects {pt} data"),
         );
         cs.operand_pointee_eq(
             *arg,
             pp,
             span,
-            &format!("argument {i} of call to `{callee}` must point to the {pp} region"),
+            format!("argument {i} of call to `{callee}` must point to the {pp} region"),
         );
     }
     if let Some(d) = dst {
@@ -761,9 +776,9 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
 
     // Phase 2: collect pins and bounds per class.
     let mut pinned: Vec<Option<Taint>> = vec![None; n];
-    let mut pin_why: Vec<Option<(Span, String)>> = vec![None; n];
-    let mut at_most_public: Vec<Option<(Span, String)>> = vec![None; n];
-    let mut at_least_private: Vec<Option<(Span, String)>> = vec![None; n];
+    let mut pin_why: Vec<Option<(Span, &str)>> = vec![None; n];
+    let mut at_most_public: Vec<Option<(Span, &str)>> = vec![None; n];
+    let mut at_least_private: Vec<Option<(Span, &str)>> = vec![None; n];
     for c in &cs.constraints {
         match &c.kind {
             ConstraintKind::Pin(v, t) => {
@@ -771,13 +786,10 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
                 match pinned[r] {
                     None => {
                         pinned[r] = Some(*t);
-                        pin_why[r] = Some((c.span, c.why.clone()));
+                        pin_why[r] = Some((c.span, &c.why));
                     }
                     Some(existing) if existing != *t => {
-                        let prev = pin_why[r]
-                            .as_ref()
-                            .map(|(_, w)| w.clone())
-                            .unwrap_or_default();
+                        let prev = pin_why[r].map(|(_, w)| w).unwrap_or_default();
                         errors.push(TaintError {
                             function: fname.to_string(),
                             message: format!(
@@ -793,13 +805,13 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
             ConstraintKind::AtMostPublic(v) => {
                 let r = uf.find(v.0 as usize);
                 if at_most_public[r].is_none() {
-                    at_most_public[r] = Some((c.span, c.why.clone()));
+                    at_most_public[r] = Some((c.span, &c.why));
                 }
             }
             ConstraintKind::AtLeastPrivate(v) => {
                 let r = uf.find(v.0 as usize);
                 if at_least_private[r].is_none() {
-                    at_least_private[r] = Some((c.span, c.why.clone()));
+                    at_least_private[r] = Some((c.span, &c.why));
                 }
             }
             _ => {}
@@ -849,7 +861,7 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
         }
         if taints[r] == Taint::Private {
             if pinned[r] == Some(Taint::Public) {
-                let (span, why) = pin_why[r].clone().unwrap_or_default();
+                let (span, why) = pin_why[r].unwrap_or_default();
                 errors.push(TaintError {
                     function: fname.to_string(),
                     message: format!(
@@ -858,11 +870,11 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
                     span,
                 });
             }
-            if let Some((span, why)) = &at_most_public[r] {
+            if let Some((span, why)) = at_most_public[r] {
                 errors.push(TaintError {
                     function: fname.to_string(),
                     message: format!("private data flows into a public sink: {why}"),
-                    span: *span,
+                    span,
                 });
             }
         }

@@ -180,10 +180,29 @@ fn reg(f: u8) -> Reg {
     Reg::from_index(f as usize).unwrap_or(Reg::Rax)
 }
 
+/// The one or two words of an encoded instruction, held inline so that
+/// encoding never allocates.  Derefs to the word slice.
+#[derive(Debug, Clone, Copy)]
+pub struct EncodedInst {
+    words: [u64; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for EncodedInst {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.words[..self.len as usize]
+    }
+}
+
 /// Encode one instruction to one or two words.
-pub fn encode_inst(inst: &MInst) -> Vec<u64> {
+pub fn encode_inst(inst: &MInst) -> EncodedInst {
     if let MInst::MagicWord { value } = inst {
-        return vec![*value];
+        return EncodedInst {
+            words: [*value, 0],
+            len: 1,
+        };
     }
     let mut f = Fields::default();
     let mut imm: u64 = 0;
@@ -310,7 +329,10 @@ pub fn encode_inst(inst: &MInst) -> Vec<u64> {
         }
         MInst::Nop => f.opcode = OP_NOP,
     }
-    vec![f.pack(), imm]
+    EncodedInst {
+        words: [f.pack(), imm],
+        len: 2,
+    }
 }
 
 /// Decode one instruction starting at `words[0]`; returns the instruction and
@@ -438,15 +460,13 @@ pub fn decode_words(
 pub fn encode_program(p: &Program) -> Binary {
     let mut words = Vec::with_capacity(p.insts.len() * 2);
     for inst in &p.insts {
-        words.extend(encode_inst(inst));
+        words.extend_from_slice(&encode_inst(inst));
     }
-    let offsets = p.word_offsets();
     let entry_word = p
         .functions
         .get(p.entry_function)
         .map(|f| f.entry_word)
         .unwrap_or(0);
-    let _ = offsets;
     Binary {
         words,
         header: BinaryHeader {
@@ -564,7 +584,7 @@ mod tests {
         ];
         let mut words = Vec::new();
         for i in &insts {
-            words.extend(encode_inst(i));
+            words.extend_from_slice(&encode_inst(i));
         }
         let decoded = decode_words(&words, &prefixes).unwrap();
         assert_eq!(decoded.len(), 3);

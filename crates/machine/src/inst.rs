@@ -169,7 +169,7 @@ pub mod trap {
 /// During code generation they temporarily hold label ids; the assembler in
 /// `confllvm-codegen` rewrites them to word offsets before the program is
 /// encoded (the encoded form always holds word offsets).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MInst {
     /// `dst = imm`.
     MovImm { dst: Reg, imm: i64 },
@@ -372,7 +372,7 @@ mod tests {
         let mem = MemOperand::base(Reg::Rcx);
         let l = MInst::Load {
             dst: Reg::Rax,
-            mem: mem.clone(),
+            mem,
             size: 8,
         };
         assert!(l.memory_operand().is_some());

@@ -25,7 +25,7 @@ pub mod operand;
 pub mod program;
 pub mod reg;
 
-pub use encode::{decode_words, encode_inst, encoded_len, DecodeError};
+pub use encode::{decode_words, encode_inst, encoded_len, DecodeError, EncodedInst};
 pub use inst::{trap, AluOp, BndReg, Cond, MInst, RegImm};
 pub use layout::MemoryLayout;
 pub use magic::{find_unique_prefixes, pad_arg_taints, MagicPrefixes};

@@ -26,7 +26,7 @@ impl Seg {
 }
 
 /// An x64-style memory operand.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemOperand {
     /// Optional segment prefix (segmentation scheme only).
     pub seg: Option<Seg>,

@@ -92,22 +92,23 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, FrontendError> {
     Lexer::new(src).run()
 }
 
+/// Walks the source text in place; identifiers and numeric literals are
+/// slices of it.
 struct Lexer<'a> {
-    chars: Vec<char>,
+    src: &'a str,
+    /// Byte offset of the next character.
     pos: usize,
     line: u32,
     col: u32,
-    src: &'a str,
 }
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            chars: src.chars().collect(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
-            src,
         }
     }
 
@@ -116,16 +117,24 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        match *self.src.as_bytes().get(self.pos)? {
+            b if b.is_ascii() => Some(b as char),
+            _ => self.src[self.pos..].chars().next(),
+        }
     }
 
     fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).copied()
+        self.src[self.pos..].chars().nth(1)
+    }
+
+    /// The source text from byte offset `start` up to the next character.
+    fn since(&self, start: usize) -> &'a str {
+        &self.src[start..self.pos]
     }
 
     fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
-        self.pos += 1;
+        self.pos += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.col = 1;
@@ -210,31 +219,24 @@ impl<'a> Lexer<'a> {
     }
 
     fn lex_number(&mut self) -> Result<Tok, FrontendError> {
-        let mut text = String::new();
         let hex = self.peek() == Some('0') && matches!(self.peek2(), Some('x') | Some('X'));
         if hex {
             self.bump();
             self.bump();
-            while let Some(c) = self.peek() {
-                if c.is_ascii_hexdigit() {
-                    text.push(c);
-                    self.bump();
-                } else {
-                    break;
-                }
+            let start = self.pos;
+            while self.peek().is_some_and(|c| c.is_ascii_hexdigit()) {
+                self.bump();
             }
-            let v = i64::from_str_radix(&text, 16)
+            let text = self.since(start);
+            let v = i64::from_str_radix(text, 16)
                 .map_err(|_| self.error(format!("invalid hex literal `0x{text}`")))?;
             return Ok(Tok::Int(v));
         }
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                text.push(c);
-                self.bump();
-            } else {
-                break;
-            }
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.bump();
         }
+        let text = self.since(start);
         let v: i64 = text
             .parse()
             .map_err(|_| self.error(format!("invalid integer literal `{text}`")))?;
@@ -282,16 +284,15 @@ impl<'a> Lexer<'a> {
     }
 
     fn lex_ident(&mut self) -> Tok {
-        let mut s = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                s.push(c);
-                self.bump();
-            } else {
-                break;
-            }
+        let start = self.pos;
+        while self
+            .peek()
+            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
+        {
+            self.bump();
         }
-        match s.as_str() {
+        let s = self.since(start);
+        match s {
             "int" | "long" => Tok::KwInt,
             "char" => Tok::KwChar,
             "void" => Tok::KwVoid,
@@ -306,7 +307,7 @@ impl<'a> Lexer<'a> {
             "private" => Tok::KwPrivate,
             "extern" => Tok::KwExtern,
             "sizeof" => Tok::KwSizeof,
-            _ => Tok::Ident(s),
+            _ => Tok::Ident(s.to_string()),
         }
     }
 
@@ -387,7 +388,6 @@ impl<'a> Lexer<'a> {
                 ))
             }
         };
-        let _ = self.src;
         Ok(tok)
     }
 }

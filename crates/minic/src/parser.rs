@@ -43,12 +43,16 @@ impl Parser {
         self.toks[self.pos.min(self.toks.len() - 1)].span
     }
 
+    /// Consume the current token.  The parser never looks behind, so the
+    /// token is moved out of the stream; the final `Eof` stays put.
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].tok.clone();
-        if self.pos < self.toks.len() - 1 {
+        let last = self.toks.len() - 1;
+        if self.pos < last {
             self.pos += 1;
+            std::mem::replace(&mut self.toks[self.pos - 1].tok, Tok::Eof)
+        } else {
+            self.toks[last].tok.clone()
         }
-        t
     }
 
     fn eat(&mut self, tok: Tok) -> bool {

@@ -960,8 +960,14 @@ mod tests {
     fn lifecycle_transitions_emit_tagged_events() {
         use confllvm_obs::{recorder, AttrValue};
 
+        // Other tests in this binary mint the same `VersionId`s on their own
+        // threads while the recorder is on.  Transitions are emitted on the
+        // submitting thread, so only this thread's ring is read, from a
+        // marker recorded before the first submission.
+        const MARKER: &str = "test.lifecycle.begin";
         let rec = recorder();
         rec.set_enabled(true);
+        drop(rec.instant("server", MARKER));
         let reg = Registry::new(VerifyPolicy::RequireVerified);
         let opts = CompileOptions::for_config(Config::OurMpx);
         let v1 = reg.submit_source("auth", APP, &opts, None).unwrap();
@@ -970,10 +976,18 @@ mod tests {
         reg.promote(v2).unwrap();
         rec.set_enabled(false);
 
+        let snapshot = rec.snapshot();
+        let ours = snapshot
+            .threads
+            .iter()
+            .find_map(|t| {
+                let at = t.events.iter().rposition(|e| e.name == MARKER)?;
+                Some(&t.events[at + 1..])
+            })
+            .expect("the marker is in this thread's ring");
         // Pull out the transition markers tagged with each version's id.
         let states_of = |version: VersionId| -> Vec<&'static str> {
-            rec.snapshot()
-                .events()
+            ours.iter()
                 .filter(|e| {
                     e.name == "registry.transition"
                         && e.attrs.contains(&("version", AttrValue::U64(version.0)))

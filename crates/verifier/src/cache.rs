@@ -154,9 +154,8 @@ pub(crate) fn proc_content_hash(s: &Shared<'_>, p: &Proc, header_ctx: u64) -> u6
         match &s.insts[idx].1 {
             MInst::CallDirect { target } => {
                 let callee_magic = s
-                    .word_to_idx
-                    .get(&target.saturating_sub(1))
-                    .and_then(|&mi| match s.insts[mi].1 {
+                    .inst_at_word(target.saturating_sub(1))
+                    .and_then(|mi| match s.insts[mi].1 {
                         MInst::MagicWord { value } => Some(value),
                         _ => None,
                     });
@@ -168,9 +167,8 @@ pub(crate) fn proc_content_hash(s: &Shared<'_>, p: &Proc, header_ctx: u64) -> u6
                 h.u8(2);
                 h.u64(*target as u64);
                 h.u8(s
-                    .word_to_idx
-                    .get(target)
-                    .map(|&ti| matches!(s.insts[ti].1, MInst::Trap { .. }))
+                    .inst_at_word(*target)
+                    .map(|ti| matches!(s.insts[ti].1, MInst::Trap { .. }))
                     .unwrap_or(false) as u8);
             }
             _ => {}

@@ -39,12 +39,42 @@ pub(crate) struct ProcOutcome {
     pub report: VerifyReport,
 }
 
+/// Per-register facts of the linear scan, indexed by register number.
+struct RegMap<T: Copy>([Option<T>; Reg::COUNT]);
+
+impl<T: Copy> RegMap<T> {
+    fn new() -> Self {
+        RegMap([None; Reg::COUNT])
+    }
+
+    fn get(&self, r: Reg) -> Option<T> {
+        self.0[r.index()]
+    }
+
+    fn insert(&mut self, r: Reg, v: T) {
+        self.0[r.index()] = Some(v);
+    }
+
+    fn remove(&mut self, r: Reg) {
+        self.0[r.index()] = None;
+    }
+
+    fn clear(&mut self) {
+        *self = RegMap::new();
+    }
+}
+
+/// `Shared::idx_of_word` entry for a word that starts no instruction.
+const NO_INST: u32 = u32::MAX;
+
 /// The immutable context every procedure check reads: the binary, its
-/// decoded instruction stream, the word→index map and the memory layout.
+/// decoded instruction stream, the word→index table and the memory layout.
 pub(crate) struct Shared<'a> {
     pub binary: &'a Binary,
     pub insts: Vec<(u32, MInst)>,
-    pub word_to_idx: HashMap<u32, usize>,
+    /// One entry per code word: the index (into `insts`) of the instruction
+    /// starting there, else [`NO_INST`].
+    idx_of_word: Vec<u32>,
     pub layout: MemoryLayout,
 }
 
@@ -64,11 +94,10 @@ impl<'a> Shared<'a> {
                 message: format!("disassembly failed: {e}"),
             }]
         })?;
-        let word_to_idx = insts
-            .iter()
-            .enumerate()
-            .map(|(i, (w, _))| (*w, i))
-            .collect();
+        let mut idx_of_word = vec![NO_INST; binary.words.len()];
+        for (i, (w, _)) in insts.iter().enumerate() {
+            idx_of_word[*w as usize] = i as u32;
+        }
         let layout = MemoryLayout::new(
             binary.header.scheme,
             binary.header.split_stacks,
@@ -77,13 +106,23 @@ impl<'a> Shared<'a> {
         Ok(Shared {
             binary,
             insts,
-            word_to_idx,
+            idx_of_word,
             layout,
         })
     }
 
     pub fn prefixes(&self) -> confllvm_machine::MagicPrefixes {
         self.binary.header.prefixes
+    }
+
+    /// The index of the instruction starting at code word `word`, if any.
+    /// Words past the end of the code, or inside an instruction, resolve to
+    /// `None`: a jump or call there targets no instruction.
+    pub fn inst_at_word(&self, word: u32) -> Option<usize> {
+        match self.idx_of_word.get(word as usize) {
+            Some(&i) if i != NO_INST => Some(i as usize),
+            _ => None,
+        }
     }
 
     /// Procedure discovery (Section 5.2): every call-magic word starts a
@@ -126,8 +165,8 @@ impl<'a> Shared<'a> {
     }
 
     fn target_is_trap(&self, target_word: u32) -> bool {
-        match self.word_to_idx.get(&target_word) {
-            Some(&idx) => matches!(self.insts[idx].1, MInst::Trap { .. }),
+        match self.inst_at_word(target_word) {
+            Some(idx) => matches!(self.insts[idx].1, MInst::Trap { .. }),
             None => false,
         }
     }
@@ -177,11 +216,11 @@ impl ProcChecker<'_, '_> {
         &mut self,
         word: u32,
         mem: &MemOperand,
-        checked: &HashMap<Reg, BndReg>,
-        slot_of_reg: &HashMap<Reg, i32>,
+        checked: &RegMap<BndReg>,
+        slot_of_reg: &RegMap<i32>,
         checked_slots: &HashMap<i32, BndReg>,
-        rsp_off: &HashMap<Reg, i64>,
-        global_of_reg: &HashMap<Reg, u32>,
+        rsp_off: &RegMap<i64>,
+        global_of_reg: &RegMap<u32>,
         checked_globals: &HashMap<u32, BndReg>,
         saw_chkstk: bool,
     ) -> Option<Taint> {
@@ -229,7 +268,7 @@ impl ProcChecker<'_, '_> {
                 // addresses; with `_chkstk` keeping rsp in bounds they are
                 // classified by their offset just like rsp-relative operands
                 // (this is what justifies eliminating their checks).
-                if let Some(off) = rsp_off.get(&base) {
+                if let Some(off) = rsp_off.get(base) {
                     if saw_chkstk && mem.index.is_none() {
                         let total = off + mem.disp as i64;
                         let offset = self.s.layout.private_stack_offset();
@@ -257,18 +296,17 @@ impl ProcChecker<'_, '_> {
                 // the compiler's cross-block elimination and loop hoisting of
                 // checks on global bases.
                 let effective = checked
-                    .get(&base)
-                    .copied()
+                    .get(base)
                     .or_else(|| {
                         slot_of_reg
-                            .get(&base)
-                            .and_then(|d| checked_slots.get(d))
+                            .get(base)
+                            .and_then(|d| checked_slots.get(&d))
                             .copied()
                     })
                     .or_else(|| {
                         global_of_reg
-                            .get(&base)
-                            .and_then(|g| checked_globals.get(g))
+                            .get(base)
+                            .and_then(|g| checked_globals.get(&g))
                             .copied()
                     });
                 match effective {
@@ -301,20 +339,20 @@ impl ProcChecker<'_, '_> {
             taint[r.index()] = p.arg_taints[i];
         }
 
-        let mut checked: HashMap<Reg, BndReg> = HashMap::new();
+        let mut checked: RegMap<BndReg> = RegMap::new();
         // For the check-coalescing optimisation: which stack slot a register's
         // current value was loaded from, and which slots hold already-checked
         // pointers.
-        let mut slot_of_reg: HashMap<Reg, i32> = HashMap::new();
+        let mut slot_of_reg: RegMap<i32> = RegMap::new();
         let mut checked_slots: HashMap<i32, BndReg> = HashMap::new();
         // Registers currently holding `rsp + constant` (materialised stack
         // addresses).
-        let mut rsp_off: HashMap<Reg, i64> = HashMap::new();
+        let mut rsp_off: RegMap<i64> = RegMap::new();
         // Global-address provenance, justifying the cross-block elimination
         // and loop hoisting of checks on global bases: which global's
         // (link-time constant) address a register or slot provably holds, and
         // which globals' addresses have been checked since the last call.
-        let mut global_of_reg: HashMap<Reg, u32> = HashMap::new();
+        let mut global_of_reg: RegMap<u32> = RegMap::new();
         let mut global_of_slot: HashMap<i32, u32> = HashMap::new();
         let mut checked_globals: HashMap<u32, BndReg> = HashMap::new();
         let mut saw_chkstk = false;
@@ -322,39 +360,39 @@ impl ProcChecker<'_, '_> {
         let prefixes = self.prefixes();
 
         for (k, &idx) in body.iter().enumerate() {
-            let (word, inst) = self.s.insts[idx].clone();
+            let (word, inst) = self.s.insts[idx];
             self.out.report.instructions_checked += 1;
             match inst {
                 MInst::ChkStk => saw_chkstk = true,
                 MInst::MovGlobal { dst, index } => {
                     taint[dst.index()] = Taint::Public;
-                    checked.remove(&dst);
-                    slot_of_reg.remove(&dst);
-                    rsp_off.remove(&dst);
+                    checked.remove(dst);
+                    slot_of_reg.remove(dst);
+                    rsp_off.remove(dst);
                     global_of_reg.insert(dst, index);
                 }
                 MInst::MovImm { dst, .. } | MInst::MovFunc { dst, .. } | MInst::Lea { dst, .. } => {
                     taint[dst.index()] = Taint::Public;
-                    checked.remove(&dst);
-                    slot_of_reg.remove(&dst);
-                    rsp_off.remove(&dst);
-                    global_of_reg.remove(&dst);
+                    checked.remove(dst);
+                    slot_of_reg.remove(dst);
+                    rsp_off.remove(dst);
+                    global_of_reg.remove(dst);
                 }
                 MInst::MovReg { dst, src } => {
                     taint[dst.index()] = taint[src.index()];
-                    checked.remove(&dst);
-                    slot_of_reg.remove(&dst);
+                    checked.remove(dst);
+                    slot_of_reg.remove(dst);
                     if src == Reg::Rsp {
                         rsp_off.insert(dst, 0);
-                    } else if let Some(o) = rsp_off.get(&src).copied() {
+                    } else if let Some(o) = rsp_off.get(src) {
                         rsp_off.insert(dst, o);
                     } else {
-                        rsp_off.remove(&dst);
+                        rsp_off.remove(dst);
                     }
-                    if let Some(g) = global_of_reg.get(&src).copied() {
+                    if let Some(g) = global_of_reg.get(src) {
                         global_of_reg.insert(dst, g);
                     } else {
-                        global_of_reg.remove(&dst);
+                        global_of_reg.remove(dst);
                     }
                 }
                 MInst::Alu { op, dst, src } => {
@@ -363,34 +401,34 @@ impl ProcChecker<'_, '_> {
                         RegImm::Imm(_) => Taint::Public,
                     };
                     taint[dst.index()] = taint[dst.index()].join(s);
-                    checked.remove(&dst);
-                    slot_of_reg.remove(&dst);
-                    global_of_reg.remove(&dst);
-                    match (op, src, rsp_off.get(&dst).copied()) {
+                    checked.remove(dst);
+                    slot_of_reg.remove(dst);
+                    global_of_reg.remove(dst);
+                    match (op, src, rsp_off.get(dst)) {
                         (confllvm_machine::AluOp::Add, RegImm::Imm(c), Some(o)) => {
                             rsp_off.insert(dst, o + c);
                         }
                         _ => {
-                            rsp_off.remove(&dst);
+                            rsp_off.remove(dst);
                         }
                     }
                 }
                 MInst::SetCond { dst, .. } => {
                     taint[dst.index()] = Taint::Public;
-                    checked.remove(&dst);
-                    slot_of_reg.remove(&dst);
-                    rsp_off.remove(&dst);
-                    global_of_reg.remove(&dst);
+                    checked.remove(dst);
+                    slot_of_reg.remove(dst);
+                    rsp_off.remove(dst);
+                    global_of_reg.remove(dst);
                 }
                 MInst::Cmp { .. } | MInst::Jmp { .. } | MInst::Jcc { .. } | MInst::Nop => {}
                 MInst::BndCheck { bnd, mem, .. } => {
                     if let Some(base) = mem.base {
                         checked.insert(base, bnd);
-                        if let Some(d) = slot_of_reg.get(&base) {
-                            checked_slots.insert(*d, bnd);
+                        if let Some(d) = slot_of_reg.get(base) {
+                            checked_slots.insert(d, bnd);
                         }
-                        if let Some(g) = global_of_reg.get(&base) {
-                            checked_globals.insert(*g, bnd);
+                        if let Some(g) = global_of_reg.get(base) {
+                            checked_globals.insert(g, bnd);
                         }
                     }
                 }
@@ -410,18 +448,18 @@ impl ProcChecker<'_, '_> {
                     } else {
                         taint[dst.index()] = Taint::Private;
                     }
-                    checked.remove(&dst);
-                    rsp_off.remove(&dst);
+                    checked.remove(dst);
+                    rsp_off.remove(dst);
                     if mem.is_stack_relative() {
                         slot_of_reg.insert(dst, mem.disp);
                         if let Some(g) = global_of_slot.get(&mem.disp).copied() {
                             global_of_reg.insert(dst, g);
                         } else {
-                            global_of_reg.remove(&dst);
+                            global_of_reg.remove(dst);
                         }
                     } else {
-                        slot_of_reg.remove(&dst);
-                        global_of_reg.remove(&dst);
+                        slot_of_reg.remove(dst);
+                        global_of_reg.remove(dst);
                     }
                 }
                 MInst::Store { mem, src, .. } => {
@@ -453,7 +491,7 @@ impl ProcChecker<'_, '_> {
                         // associated with the pointer it used to hold, and
                         // records whether the slot now holds a global address.
                         checked_slots.remove(&mem.disp);
-                        if let Some(g) = global_of_reg.get(&src).copied() {
+                        if let Some(g) = global_of_reg.get(src) {
                             global_of_slot.insert(mem.disp, g);
                         } else {
                             global_of_slot.remove(&mem.disp);
@@ -463,17 +501,17 @@ impl ProcChecker<'_, '_> {
                 MInst::Push { .. } => {}
                 MInst::Pop { dst } => {
                     taint[dst.index()] = Taint::Public;
-                    checked.remove(&dst);
-                    slot_of_reg.remove(&dst);
-                    rsp_off.remove(&dst);
-                    global_of_reg.remove(&dst);
+                    checked.remove(dst);
+                    slot_of_reg.remove(dst);
+                    rsp_off.remove(dst);
+                    global_of_reg.remove(dst);
                 }
                 MInst::LoadCode { dst, .. } => {
                     taint[dst.index()] = Taint::Public;
-                    checked.remove(&dst);
-                    slot_of_reg.remove(&dst);
-                    rsp_off.remove(&dst);
-                    global_of_reg.remove(&dst);
+                    checked.remove(dst);
+                    slot_of_reg.remove(dst);
+                    rsp_off.remove(dst);
+                    global_of_reg.remove(dst);
                 }
                 MInst::CallDirect { target } => {
                     self.out.report.calls_checked += 1;
@@ -552,7 +590,7 @@ impl ProcChecker<'_, '_> {
     fn after_call(
         &mut self,
         taint: &mut [Taint; Reg::COUNT],
-        checked: &mut HashMap<Reg, BndReg>,
+        checked: &mut RegMap<BndReg>,
         body: &[usize],
         k: usize,
     ) {
@@ -580,7 +618,7 @@ impl ProcChecker<'_, '_> {
     /// Direct calls: the argument-register taints at the call site must match
     /// the callee's magic word (which precedes its entry).
     fn check_call_target_taints(&mut self, word: u32, target: u32, taint: &[Taint; Reg::COUNT]) {
-        let magic_idx = self.s.word_to_idx.get(&(target.saturating_sub(1))).copied();
+        let magic_idx = self.s.inst_at_word(target.saturating_sub(1));
         let Some(mi) = magic_idx else {
             self.err(word, "direct call target has no preceding magic word");
             return;

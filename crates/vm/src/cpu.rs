@@ -580,7 +580,7 @@ impl Vm {
         let Some(func) = self.image.function(name).cloned() else {
             return Outcome::Fault(Fault::InvalidJump { word: 0 });
         };
-        let Some(&entry_inst) = self.image.word_to_inst.get(&func.entry_word) else {
+        let Some(entry_inst) = self.image.inst_at_word(func.entry_word as u64) else {
             return Outcome::Fault(Fault::InvalidJump {
                 word: func.entry_word as u64,
             });
@@ -744,7 +744,7 @@ impl Vm {
             MInst::Jcc { cond, target } => {
                 self.charge(cost.jump);
                 if cond.eval(t.last_cmp.0, t.last_cmp.1) {
-                    match self.inst_at_word(*target as u64) {
+                    match self.image.inst_at_word(*target as u64) {
                         Some(i) => next_pc = i,
                         None => {
                             return Step::Done(Outcome::Fault(Fault::InvalidJump {
@@ -756,7 +756,7 @@ impl Vm {
             }
             MInst::Jmp { target } => {
                 self.charge(cost.jump);
-                match self.inst_at_word(*target as u64) {
+                match self.image.inst_at_word(*target as u64) {
                     Some(i) => next_pc = i,
                     None => {
                         return Step::Done(Outcome::Fault(Fault::InvalidJump {
@@ -768,7 +768,7 @@ impl Vm {
             MInst::JmpReg { reg } => {
                 self.charge(cost.jump);
                 let target = t.regs[reg.index()];
-                match self.inst_at_word(target) {
+                match self.image.inst_at_word(target) {
                     Some(i) => next_pc = i,
                     None => return Step::Done(Outcome::Fault(Fault::InvalidJump { word: target })),
                 }
@@ -851,7 +851,7 @@ impl Vm {
                 if let Err(e) = self.push_word(t, ret_word as u64) {
                     return Step::Done(Outcome::Fault(e));
                 }
-                match self.inst_at_word(*target as u64) {
+                match self.image.inst_at_word(*target as u64) {
                     Some(i) => next_pc = i,
                     None => {
                         return Step::Done(Outcome::Fault(Fault::InvalidJump {
@@ -867,7 +867,7 @@ impl Vm {
                 if let Err(e) = self.push_word(t, ret_word as u64) {
                     return Step::Done(Outcome::Fault(e));
                 }
-                match self.inst_at_word(target) {
+                match self.image.inst_at_word(target) {
                     Some(i) => next_pc = i,
                     None => return Step::Done(Outcome::Fault(Fault::InvalidJump { word: target })),
                 }
@@ -880,7 +880,7 @@ impl Vm {
                     Err(e) => return Step::Done(Outcome::Fault(Fault::Memory(e))),
                 };
                 t.regs[Reg::Rsp.index()] = rsp + 8;
-                match self.inst_at_word(word) {
+                match self.image.inst_at_word(word) {
                     Some(i) => next_pc = i,
                     None => return Step::Done(Outcome::Fault(Fault::InvalidJump { word })),
                 }
@@ -1100,7 +1100,7 @@ impl Vm {
                 Terminator::JmpReg { reg } => {
                     acc_cycles += cost.jump;
                     let word = t.regs[*reg as usize];
-                    match bc.inst_at_word(word) {
+                    match image.inst_at_word(word) {
                         Some(i) => {
                             let b = bc.leader_block[i];
                             if b != NO_INDEX {
@@ -1145,7 +1145,7 @@ impl Vm {
                             s.call(image.proc_of_inst[block.start as usize]);
                         }
                     }
-                    match bc.inst_at_word(word) {
+                    match image.inst_at_word(word) {
                         Some(i) => {
                             let b = bc.leader_block[i];
                             if b != NO_INDEX {
@@ -1172,7 +1172,7 @@ impl Vm {
                         Err(e) => break 'dispatch Outcome::Fault(Fault::Memory(e)),
                     };
                     t.regs[Reg::Rsp.index()] = rsp + 8;
-                    match bc.inst_at_word(word) {
+                    match image.inst_at_word(word) {
                         Some(i) => {
                             let b = bc.leader_block[i];
                             if b != NO_INDEX {
@@ -1571,13 +1571,6 @@ impl Vm {
         self.stats.stores += acc.stores;
         self.stats.bound_checks += acc.bound_checks;
         self.stats.cfi_checks += acc.cfi_checks;
-    }
-
-    fn inst_at_word(&self, word: u64) -> Option<usize> {
-        if word > u32::MAX as u64 {
-            return None;
-        }
-        self.image.word_to_inst.get(&(word as u32)).copied()
     }
 
     fn push_word(&mut self, t: &mut ThreadState, value: u64) -> Result<(), Fault> {

@@ -2,10 +2,9 @@
 //! globals into their regions, initialise heaps and stacks, set the bounds /
 //! segment registers, and prepare the entry point.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use confllvm_machine::{encoded_len, trap, MInst, MemoryLayout, Program, Taint};
+use confllvm_machine::{trap, MInst, MemoryLayout, Program, Taint};
 
 use crate::alloc::{AllocatorKind, Heap};
 use crate::cost::CostModel;
@@ -15,6 +14,10 @@ use crate::translate::{translate, BlockCache};
 /// `Image::proc_of_inst` entry for instructions no function owns (the
 /// loader's exit thunks); the profiler renders them as `[runtime]`.
 pub const NO_PROC: u32 = u32::MAX;
+
+/// `Image::inst_of_word` entry for a code word that starts no instruction
+/// (an immediate word).
+pub const NO_INST: u32 = u32::MAX;
 
 /// A loading failure.
 #[derive(Debug, Clone)]
@@ -46,8 +49,11 @@ pub struct Image {
     pub insts: Vec<MInst>,
     /// Code word offset of each instruction.
     pub word_of: Vec<u32>,
-    /// Reverse map: code word offset -> instruction index.
-    pub word_to_inst: HashMap<u32, usize>,
+    /// Reverse map, one entry per code word: the index of the instruction
+    /// starting at that word, else [`NO_INST`].  Both engines and the
+    /// block translation resolve control transfers through it (see
+    /// [`Image::inst_at_word`]).
+    pub inst_of_word: Vec<u32>,
     /// Raw code words (read by `LoadCode`).
     pub code_words: Vec<u64>,
     pub layout: MemoryLayout,
@@ -84,6 +90,16 @@ impl Image {
 
     pub fn fs_base(&self) -> u64 {
         self.layout.fs_base()
+    }
+
+    /// The instruction starting at code word `word`, if any.  Words past
+    /// the end of the code, or inside an instruction, resolve to `None`.
+    #[inline]
+    pub fn inst_at_word(&self, word: u64) -> Option<usize> {
+        match self.inst_of_word.get(usize::try_from(word).ok()?) {
+            Some(&i) if i != NO_INST => Some(i as usize),
+            _ => None,
+        }
     }
 
     pub fn gs_base(&self) -> u64 {
@@ -148,38 +164,35 @@ pub fn load(program: &Program, allocator: AllocatorKind) -> Result<Loaded, LoadE
     // Append the exit thunks: where `main`'s (or any started function's)
     // final return lands.  With CFI the thunk starts with a matching
     // return-site magic word; execution then reaches the EXIT trap.
-    let mut exit_thunks = ExitThunks::default();
-    {
-        let add_thunk = |ret: Taint, insts: &mut Vec<MInst>| -> u32 {
-            let word: u32 = insts.iter().map(encoded_len).sum();
-            if program.cfi {
-                insts.push(MInst::MagicWord {
-                    value: program.prefixes.ret_word(ret),
-                });
-            }
-            insts.push(MInst::Trap { code: trap::EXIT });
-            word
-        };
-        exit_thunks.public_ret = add_thunk(Taint::Public, &mut insts);
-        exit_thunks.private_ret = add_thunk(Taint::Private, &mut insts);
+    let user_insts = program.insts.len();
+    for ret in [Taint::Public, Taint::Private] {
+        if program.cfi {
+            insts.push(MInst::MagicWord {
+                value: program.prefixes.ret_word(ret),
+            });
+        }
+        insts.push(MInst::Trap { code: trap::EXIT });
     }
 
     let mut word_of = Vec::with_capacity(insts.len());
-    let mut word_to_inst = HashMap::new();
-    let mut code_words = Vec::new();
-    let mut w = 0u32;
+    let mut inst_of_word = Vec::with_capacity(insts.len() * 2);
+    let mut code_words = Vec::with_capacity(insts.len() * 2);
     for (i, inst) in insts.iter().enumerate() {
-        word_of.push(w);
-        word_to_inst.insert(w, i);
-        code_words.extend(confllvm_machine::encode_inst(inst));
-        w += encoded_len(inst);
+        let enc = confllvm_machine::encode_inst(inst);
+        word_of.push(code_words.len() as u32);
+        inst_of_word.push(i as u32);
+        inst_of_word.resize(inst_of_word.len() + enc.len() - 1, NO_INST);
+        code_words.extend_from_slice(&enc);
     }
+    let exit_thunks = ExitThunks {
+        public_ret: word_of[user_insts],
+        private_ret: word_of[user_insts + 1 + program.cfi as usize],
+    };
 
     // --- procedure map ------------------------------------------------------
     // Who owns each instruction, for the profiler: functions sorted by entry
     // word own everything up to the next entry; the appended exit thunks
     // belong to no function.
-    let user_insts = program.insts.len();
     let mut entries: Vec<(u32, u32)> = program
         .functions
         .iter()
@@ -258,7 +271,7 @@ pub fn load(program: &Program, allocator: AllocatorKind) -> Result<Loaded, LoadE
     let image = Image {
         insts,
         word_of,
-        word_to_inst,
+        inst_of_word,
         code_words,
         layout,
         global_addrs,
@@ -355,10 +368,39 @@ mod tests {
     fn exit_thunks_are_appended_and_indexed() {
         let loaded = load(&tiny_program(), AllocatorKind::SystemBump).unwrap();
         let img = &loaded.image;
-        assert!(img.word_to_inst.contains_key(&img.exit_thunks.public_ret));
-        assert!(img.word_to_inst.contains_key(&img.exit_thunks.private_ret));
-        let idx = img.word_to_inst[&img.exit_thunks.public_ret];
+        assert!(img
+            .inst_at_word(img.exit_thunks.private_ret as u64)
+            .is_some());
+        let idx = img.inst_at_word(img.exit_thunks.public_ret as u64).unwrap();
         assert!(matches!(img.insts[idx], MInst::Trap { code } if code == trap::EXIT));
+    }
+
+    #[test]
+    fn word_table_resolves_only_instruction_starts() {
+        let mut p = tiny_program();
+        p.cfi = true;
+        p.insts.insert(
+            0,
+            MInst::MagicWord {
+                value: p.prefixes.call_word([Taint::Private; 4], Taint::Public),
+            },
+        );
+        let img = load(&p, AllocatorKind::SystemBump).unwrap().image;
+        assert_eq!(img.inst_of_word.len(), img.code_words.len());
+        for (i, &w) in img.word_of.iter().enumerate() {
+            assert_eq!(img.inst_at_word(w as u64), Some(i));
+        }
+        // Magic word (1 word), then `mov` at word 1 whose immediate is word 2.
+        assert_eq!(img.inst_at_word(1), Some(1));
+        assert_eq!(
+            img.inst_at_word(2),
+            None,
+            "an immediate word starts nothing"
+        );
+        let end = img.code_words.len() as u64;
+        for word in [end, end + 1, u32::MAX as u64, u32::MAX as u64 + 1, u64::MAX] {
+            assert_eq!(img.inst_at_word(word), None, "word {word} is out of range");
+        }
     }
 
     #[test]

@@ -299,8 +299,9 @@ pub(crate) struct Block {
     pub term: Terminator,
 }
 
-/// The shared translation: blocks, the leader index, and a flat
-/// word-to-instruction table replacing the hash map on the hot path.
+/// The shared translation: blocks and the leader index.  Dynamic
+/// control-transfer words resolve through the image's flat word table
+/// ([`Image::inst_at_word`]).
 #[derive(Debug)]
 pub(crate) struct BlockCache {
     /// Cost model the pre-summed block costs were computed with.  A VM whose
@@ -310,24 +311,6 @@ pub(crate) struct BlockCache {
     /// instruction index -> block index if the instruction is a leader,
     /// else [`NO_INDEX`].
     pub leader_block: Vec<u32>,
-    /// code word -> instruction index, else [`NO_INDEX`] (same contents as
-    /// `Image::word_to_inst`, laid out flat).
-    pub inst_of_word: Vec<u32>,
-}
-
-impl BlockCache {
-    /// Resolve a dynamic control-transfer word exactly like the legacy
-    /// engine's `inst_at_word` (words above `u32::MAX` are invalid).
-    #[inline]
-    pub(crate) fn inst_at_word(&self, word: u64) -> Option<usize> {
-        if word > u32::MAX as u64 {
-            return None;
-        }
-        match self.inst_of_word.get(word as usize) {
-            Some(&i) if i != NO_INDEX => Some(i as usize),
-            _ => None,
-        }
-    }
 }
 
 /// Accumulator for the static per-instruction contributions of a
@@ -610,18 +593,7 @@ pub(crate) fn translate(image: &Image, cost: CostModel) -> BlockCache {
     let insts = &image.insts;
     let n = insts.len();
 
-    // --- flat word table ----------------------------------------------------
-    let mut inst_of_word = vec![NO_INDEX; image.code_words.len()];
-    for (i, &w) in image.word_of.iter().enumerate() {
-        inst_of_word[w as usize] = i as u32;
-    }
-    let inst_at = |word: u32| -> Option<usize> {
-        inst_of_word
-            .get(word as usize)
-            .copied()
-            .filter(|&i| i != NO_INDEX)
-            .map(|i| i as usize)
-    };
+    let inst_at = |word: u32| image.inst_at_word(word as u64);
 
     // --- leaders ------------------------------------------------------------
     let mut leader = vec![false; n];
@@ -865,7 +837,6 @@ pub(crate) fn translate(image: &Image, cost: CostModel) -> BlockCache {
         cost,
         blocks,
         leader_block,
-        inst_of_word,
     }
 }
 
@@ -972,7 +943,7 @@ mod tests {
     }
 
     #[test]
-    fn word_table_matches_the_hash_map() {
+    fn exit_thunks_are_trap_leaders() {
         let p = program(vec![
             MInst::MovImm {
                 dst: Reg::Rax,
@@ -983,12 +954,9 @@ mod tests {
         ]);
         let image = load(&p, AllocatorKind::ConfBins).unwrap().image;
         let bc = translate(&image, CostModel::default());
-        for (&w, &i) in &image.word_to_inst {
-            assert_eq!(bc.inst_at_word(w as u64), Some(i));
-        }
-        assert_eq!(bc.inst_at_word(u32::MAX as u64 + 1), None);
-        // The exit thunks are leaders (Trap blocks).
-        let thunk = image.word_to_inst[&image.exit_thunks.public_ret];
+        let thunk = image
+            .inst_at_word(image.exit_thunks.public_ret as u64)
+            .expect("the thunk starts an instruction");
         let b = bc.leader_block[thunk];
         assert_ne!(b, NO_INDEX);
         assert!(matches!(

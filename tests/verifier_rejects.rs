@@ -169,3 +169,33 @@ fn private_store_to_public_memory_is_rejected() {
         "expected a store-taint error, got {errs:?}"
     );
 }
+
+/// A direct call whose target word starts no instruction — past the end of
+/// the code, far out of range, or the immediate word of the callee's first
+/// instruction — has no callee magic word to check the argument taints
+/// against, and must be rejected.
+#[test]
+fn call_targets_that_start_no_instruction_are_rejected() {
+    let compiled = compile_for(APP, Config::OurMpx).unwrap();
+    let pos = compiled
+        .program
+        .insts
+        .iter()
+        .position(|i| matches!(i, MInst::CallDirect { .. }))
+        .unwrap();
+    let MInst::CallDirect { target: entry } = compiled.program.insts[pos] else {
+        unreachable!("found above")
+    };
+    let end = compiled.program.code_words();
+    for target in [end + 1, end + 64, u32::MAX, entry + 2] {
+        let mut program = compiled.program.clone();
+        program.insts[pos] = MInst::CallDirect { target };
+        let errs = verify(&program.encode()).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e
+                .message
+                .contains("direct call target has no preceding magic word")),
+            "target {target}: expected a missing-magic-word error, got {errs:?}"
+        );
+    }
+}
