@@ -2,13 +2,13 @@
 //!
 //! The benchmark harness that regenerates every table and figure of the
 //! paper's evaluation (Section 7) on top of the simulator.  The `repro`
-//! binary prints the tables; the Criterion benches under `benches/` time the
-//! same workloads so `cargo bench` exercises the identical code paths.
+//! binary prints the tables and writes each section's `BENCH_<name>.json`,
+//! which CI diffs against the golden copies in `crates/bench/golden/`.
 //!
 //! Absolute numbers are simulated cycles, not seconds; what is compared with
 //! the paper is the *shape*: which configuration wins, by roughly what
-//! factor, and how the gap moves with the workload parameter (see
-//! EXPERIMENTS.md).
+//! factor, and how the gap moves with the workload parameter
+//! (`repro --usage` lists the sections).
 
 use confllvm_core::codegen::{PIPELINE_MPX_FULL, PIPELINE_MPX_PR1};
 use confllvm_core::vm::World;

@@ -14,10 +14,6 @@
 //!   only (displacement folding, per-block check coalescing, stack-check
 //!   elision), kept as the ablation baseline,
 //! * the empty pipeline — fully unoptimised instrumentation.
-//!
-//! [`MpxOptimizations`] survives as a flag façade for callers and tests that
-//! want to toggle the three classic optimisations without writing pipeline
-//! strings; [`MpxOptimizations::pipeline`] converts it.
 
 use confllvm_machine::Scheme;
 
@@ -30,60 +26,6 @@ pub const PIPELINE_MPX_FULL: &str = "mpx-skip-stack-checks,mpx-fold-displacement
 /// reproduction implemented (no cross-block elimination, no hoisting).
 pub const PIPELINE_MPX_PR1: &str =
     "mpx-skip-stack-checks,mpx-fold-displacements,mpx-coalesce-checks";
-
-/// The MPX-specific optimisations of Section 5.1, as independent flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MpxOptimizations {
-    /// Fold small constant displacements into the memory operand and check
-    /// only the base register, relying on the 1 MiB guard areas around the
-    /// regions (`mpx-fold-displacements`).
-    pub fold_displacements: bool,
-    /// Skip a check if the same address value was already checked against the
-    /// same region earlier in the basic block with no intervening call
-    /// (`mpx-coalesce-checks`).
-    pub coalesce_checks: bool,
-    /// Do not check rsp-relative (stack) accesses at all: the inlined
-    /// `_chkstk` keeps rsp inside the stack area, so rsp (and rsp+OFFSET) are
-    /// always in bounds (`mpx-skip-stack-checks`).
-    pub skip_stack_checks: bool,
-}
-
-impl Default for MpxOptimizations {
-    fn default() -> Self {
-        MpxOptimizations {
-            fold_displacements: true,
-            coalesce_checks: true,
-            skip_stack_checks: true,
-        }
-    }
-}
-
-impl MpxOptimizations {
-    /// All optimisations disabled — the ablation baseline.
-    pub fn none() -> Self {
-        MpxOptimizations {
-            fold_displacements: false,
-            coalesce_checks: false,
-            skip_stack_checks: false,
-        }
-    }
-
-    /// The machine-pipeline description equivalent to these flags (the
-    /// classic trio only; the full pipeline is [`PIPELINE_MPX_FULL`]).
-    pub fn pipeline(&self) -> String {
-        let mut names = Vec::new();
-        if self.skip_stack_checks {
-            names.push("mpx-skip-stack-checks");
-        }
-        if self.fold_displacements {
-            names.push("mpx-fold-displacements");
-        }
-        if self.coalesce_checks {
-            names.push("mpx-coalesce-checks");
-        }
-        names.join(",")
-    }
-}
 
 /// Full code-generation configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,17 +106,5 @@ mod tests {
         assert!(CodegenOptions::mpx().cfi);
         assert_eq!(CodegenOptions::mpx().passes, PIPELINE_MPX_FULL);
         assert_eq!(CodegenOptions::segment().scheme, Scheme::Segment);
-    }
-
-    #[test]
-    fn flag_facade_translates_to_pipelines() {
-        assert_eq!(MpxOptimizations::default().pipeline(), PIPELINE_MPX_PR1);
-        assert_eq!(MpxOptimizations::none().pipeline(), "");
-        let only_coalesce = MpxOptimizations {
-            coalesce_checks: true,
-            fold_displacements: false,
-            skip_stack_checks: false,
-        };
-        assert_eq!(only_coalesce.pipeline(), "mpx-coalesce-checks");
     }
 }

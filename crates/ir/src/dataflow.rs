@@ -1,8 +1,6 @@
 //! A small generic forward-dataflow framework over IR CFGs, plus the CFG
 //! analyses built on it:
 //!
-//! * [`liveness`] / [`live_across_calls`] — backwards may-liveness, used by
-//!   the register allocator in `confllvm-codegen`,
 //! * [`MustSet`] — an intersection (must) lattice for forward analyses such
 //!   as the available-bounds-checks analysis behind the cross-block
 //!   redundant-check elimination in `confllvm-codegen`,
@@ -15,7 +13,7 @@
 use std::collections::HashSet;
 use std::hash::Hash;
 
-use crate::inst::{BlockId, Operand, ValueId};
+use crate::inst::BlockId;
 use crate::module::Function;
 
 /// A join-semilattice of dataflow facts.
@@ -63,69 +61,6 @@ pub fn solve_forward<T: ForwardTransfer>(
         }
     }
     in_facts
-}
-
-/// The set of values live at some program point (a simple powerset lattice,
-/// used backwards for liveness).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct LiveSet(pub HashSet<ValueId>);
-
-impl Lattice for LiveSet {
-    fn bottom() -> Self {
-        LiveSet::default()
-    }
-
-    fn join(&mut self, other: &Self) -> bool {
-        let before = self.0.len();
-        self.0.extend(other.0.iter().copied());
-        self.0.len() != before
-    }
-}
-
-/// Per-function liveness: for every block, the set of values live at block
-/// entry (classic backwards may-analysis), indexed by block.
-pub fn liveness(f: &Function) -> Vec<LiveSet> {
-    let preds = f.predecessors();
-    let mut live_in: Vec<LiveSet> = vec![LiveSet::default(); f.blocks.len()];
-    let mut worklist: Vec<BlockId> = f.blocks.iter().map(|b| b.id).collect();
-    let mut queued = vec![true; f.blocks.len()];
-    while let Some(bid) = worklist.pop() {
-        queued[bid.0 as usize] = false;
-        let block = f.block(bid);
-        // live-out = union of successors' live-in.
-        let mut live: HashSet<ValueId> = HashSet::new();
-        for s in block.term.successors() {
-            live.extend(live_in[s.0 as usize].0.iter().copied());
-        }
-        // Terminator uses.
-        for op in block.term.uses() {
-            if let Operand::Value(v) = op {
-                live.insert(v);
-            }
-        }
-        // Walk instructions backwards.
-        for inst in block.insts.iter().rev() {
-            if let Some(d) = inst.def() {
-                live.remove(&d);
-            }
-            for op in inst.uses() {
-                if let Operand::Value(v) = op {
-                    live.insert(v);
-                }
-            }
-        }
-        let entry = &mut live_in[bid.0 as usize];
-        let before = entry.0.len();
-        entry.0.extend(live.iter().copied());
-        if entry.0.len() != before {
-            for p in &preds[bid.0 as usize] {
-                if !std::mem::replace(&mut queued[p.0 as usize], true) {
-                    worklist.push(*p);
-                }
-            }
-        }
-    }
-    live_in
 }
 
 /// An intersection ("must") lattice over an arbitrary fact type, for forward
@@ -457,39 +392,6 @@ pub fn natural_loops(f: &Function, doms: &DomTree) -> Vec<NaturalLoop> {
     loops
 }
 
-/// Values live across at least one call instruction — these must go to
-/// callee-saved registers or stack slots in the register allocator.
-pub fn live_across_calls(f: &Function) -> HashSet<ValueId> {
-    let live_in = liveness(f);
-    let mut result = HashSet::new();
-    for block in &f.blocks {
-        // Recompute liveness backwards through the block, noting call sites.
-        let mut live: HashSet<ValueId> = HashSet::new();
-        for s in block.term.successors() {
-            live.extend(live_in[s.0 as usize].0.iter().copied());
-        }
-        for op in block.term.uses() {
-            if let Operand::Value(v) = op {
-                live.insert(v);
-            }
-        }
-        for inst in block.insts.iter().rev() {
-            if let Some(d) = inst.def() {
-                live.remove(&d);
-            }
-            if inst.is_call() {
-                result.extend(live.iter().copied());
-            }
-            for op in inst.uses() {
-                if let Operand::Value(v) = op {
-                    live.insert(v);
-                }
-            }
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,35 +403,6 @@ mod tests {
         let sema = Sema::analyze(&prog).unwrap();
         let m = lower(&prog, &sema, "t").unwrap();
         m.function(name).unwrap().clone()
-    }
-
-    #[test]
-    fn liveness_in_loop() {
-        let f = lower_fn(
-            "int f(int n) { int s = 0; int i; for (i = 0; i < n; i = i + 1) { s = s + i; } return s; }",
-            "f",
-        );
-        let live = liveness(&f);
-        // The allocas for s and i must be live at the loop-head block.
-        let any_nonempty = live.iter().any(|l| !l.0.is_empty());
-        assert!(any_nonempty);
-    }
-
-    #[test]
-    fn values_live_across_calls_detected() {
-        let f = lower_fn(
-            "int g(int x) { return x; }\n\
-             int f(int a) { int t = a + 1; g(a); return t; }",
-            "f",
-        );
-        let across = live_across_calls(&f);
-        assert!(!across.is_empty());
-    }
-
-    #[test]
-    fn straight_line_has_no_call_crossing_values() {
-        let f = lower_fn("int f(int a) { return a + 1; }", "f");
-        assert!(live_across_calls(&f).is_empty());
     }
 
     #[test]
@@ -593,16 +466,5 @@ mod tests {
         // Outermost first (larger body).
         assert!(loops[0].body.len() > loops[1].body.len());
         assert!(loops[0].contains(loops[1].header));
-    }
-
-    #[test]
-    fn liveset_join() {
-        let mut a = LiveSet::default();
-        a.0.insert(ValueId(1));
-        let mut b = LiveSet::default();
-        b.0.insert(ValueId(2));
-        assert!(a.join(&b));
-        assert!(!a.join(&b));
-        assert_eq!(a.0.len(), 2);
     }
 }

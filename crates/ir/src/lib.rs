@@ -11,9 +11,9 @@
 //!   declarations and per-pass statistics,
 //! * [`passes`] — the standard clean-up optimisations kept enabled by
 //!   ConfLLVM, registered as pass-manager passes,
-//! * [`dataflow`] — a small dataflow framework (liveness, must-sets,
-//!   dominators, natural loops) shared with the machine-layer passes in
-//!   `confllvm-codegen`,
+//! * [`dataflow`] — a small dataflow framework (a forward solver,
+//!   must-sets, dominators, natural loops) shared with the machine-layer
+//!   passes in `confllvm-codegen`,
 //! * [`display`] — textual IR dumps.
 //!
 //! ```

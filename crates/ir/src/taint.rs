@@ -11,7 +11,7 @@
 //!
 //! The original implementation hands subtyping constraints over the two-point
 //! lattice to Z3; for a two-point lattice a union-find plus a reachability
-//! fixpoint is an exact solver, so no SMT solver is needed (see DESIGN.md).
+//! fixpoint is an exact solver, so no SMT solver is needed.
 
 use std::borrow::Cow;
 use std::collections::HashMap;

@@ -24,10 +24,10 @@
 //!   *version*, snapshotted; every session is a copy-on-write
 //!   [`Vm::fork`](confllvm_vm::Vm::fork) of that snapshot.  Templates hold
 //!   registry pins so blue/green hot-swap still drains correctly.
-//! * [`pool`] — per-session warm instances forked from the template.
-//!   Between requests an instance is rewound to its snapshot in O(dirty
-//!   pages) instead of paying compile + load + setup; parked, it keeps only
-//!   its CoW-faulted pages resident.
+//! * [`pool`] — the warm instance a session forks from the template and
+//!   keeps for its stream.  Between requests it is rewound to its snapshot
+//!   in O(dirty pages) instead of paying compile + load + setup; parked, it
+//!   keeps only its CoW-faulted pages resident.
 //! * [`sched`] — the event-driven scheduler: per-worker run queues with
 //!   work stealing for the real threads, and a deterministic virtual-time
 //!   run loop (bounded admission windows, shed/defer backpressure, EDF
@@ -47,9 +47,10 @@
 //!   worker threads driving many concurrent sessions, in either
 //!   [`ExecMode::Cold`] (fresh VM + setup per request) or
 //!   [`ExecMode::Pooled`] (fork + snapshot/reset) mode, plus
-//!   [`Server::serve_scaled`] for backpressured virtual-time runs.
-//!   Sessions pin the version they start on, so a promotion mid-run never
-//!   swaps a binary under a live session.
+//!   [`Server::serve_scaled`] for backpressured virtual-time runs.  Every
+//!   request of every mode runs through one request path.  Sessions pin the
+//!   version they start on, so a promotion mid-run never swaps a binary
+//!   under a live session.
 //!
 //! The `server_throughput` and `verify_scale` sections of the `repro`
 //! driver are built on this crate.
@@ -66,7 +67,7 @@ pub mod store;
 
 pub use handles::{BinaryId, SessionId, VersionId};
 pub use metrics::{RequestMetrics, StreamMetrics};
-pub use pool::{PoolOptions, PooledInstance, VmPool};
+pub use pool::{PoolOptions, PooledInstance};
 pub use registry::{
     PromoteError, RegisterError, Registry, ServiceBinary, SetupSpec, VerifyPolicy, VersionInfo,
     VersionState,
@@ -80,5 +81,5 @@ pub use sched::{
     Arrival, ArrivalPlan, Backpressure, Completion, ExecCost, SchedResult, SchedulerConfig,
     WorkQueues,
 };
-pub use session::{Request, SessionSpec, SessionSpecBuilder};
+pub use session::{Request, SessionSpec};
 pub use store::{SessionTemplate, SnapshotStore};

@@ -1,12 +1,12 @@
 //! Per-request and per-stream metrics.
 //!
-//! All absolute numbers are *simulated cycles* from the VM's cost model (see
-//! DESIGN.md); throughput is therefore reported as requests per billion
-//! simulated cycles, directly comparable across configurations and across
-//! cold vs pooled execution.  Each request's cycles are split into
-//! application cycles and U↔T crossing cycles (wrapper base cost, copies,
-//! stack switches), the attribution the paper's Section 7.2/7.3 discussion
-//! turns on.
+//! All absolute numbers are *simulated cycles* from the VM's cost model
+//! ([`confllvm_vm::CostModel`]); throughput is therefore reported as
+//! requests per billion simulated cycles, directly comparable across
+//! configurations and across cold vs pooled execution.  Each request's
+//! cycles are split into application cycles and U↔T crossing cycles
+//! (wrapper base cost, copies, stack switches), the attribution the paper's
+//! Section 7.2/7.3 discussion turns on.
 
 use confllvm_vm::ExecStats;
 
@@ -56,15 +56,6 @@ impl RequestMetrics {
             extern_cycles: after.extern_cycles - before.extern_cycles,
             host_nanos: 0,
         }
-    }
-
-    /// Cycles spent in application code (everything that is not a U↔T
-    /// crossing, restore, or setup).
-    pub fn app_cycles(&self) -> u64 {
-        self.cycles
-            .saturating_sub(self.extern_cycles)
-            .saturating_sub(self.restore_cycles)
-            .saturating_sub(self.setup_cycles)
     }
 }
 
@@ -316,17 +307,5 @@ mod tests {
             s.add(&req(c));
         }
         assert_eq!(s.percentile_milli(999), 999);
-    }
-
-    #[test]
-    fn app_cycles_excludes_crossings_and_overheads() {
-        let r = RequestMetrics {
-            cycles: 1000,
-            setup_cycles: 100,
-            restore_cycles: 50,
-            extern_cycles: 200,
-            ..Default::default()
-        };
-        assert_eq!(r.app_cycles(), 650);
     }
 }

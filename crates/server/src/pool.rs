@@ -1,27 +1,23 @@
-//! The warm VM instance pool.
+//! Warm per-session instances.
 //!
 //! A pooled instance is a copy-on-write fork of its version's
-//! [`SessionTemplate`]: the binary was loaded
+//! [`SessionTemplate`](crate::store::SessionTemplate): the binary was loaded
 //! once per version, its setup ran once (or per fork when it reads session
 //! state — see the store's module docs), and the resulting snapshot is
 //! shared.  Serving a request then costs: rewind to the snapshot in O(dirty
 //! pages), queue the request, run the request entry — compile, load and
 //! setup are all skipped, and a parked instance's resident footprint is just
-//! its CoW-faulted pages plus registers/heaps/`World`.  Instances are
-//! per-session, so one client's private state never bleeds into another's
-//! VM.
+//! its CoW-faulted pages plus registers/heaps/`World`.  Each session owns
+//! its instance for the length of its stream, so one client's private state
+//! never bleeds into another's VM.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use confllvm_vm::{Outcome, Vm, VmSnapshot, World};
 
-use crate::handles::SessionId;
-use crate::store::SessionTemplate;
-
 /// Cost accounting for the snapshot-restore, in simulated cycles.  Rewinding
-/// is not free on real hardware (madvise/memcpy of the dirtied pages), so the
-/// pool charges a base cost plus a per-page cost; the pooled-vs-cold
+/// is not free on real hardware (madvise/memcpy of the dirtied pages), so a
+/// reset charges a base cost plus a per-page cost; the pooled-vs-cold
 /// comparison stays honest because restore cost scales with the request's
 /// write working set.
 #[derive(Debug, Clone, Copy)]
@@ -85,8 +81,6 @@ pub struct PooledInstance {
     pub log_baseline: usize,
     /// Simulated cycles the setup run cost (what every cold request re-pays).
     pub setup_cycles: u64,
-    pub resets: u64,
-    pub pages_restored: u64,
 }
 
 impl PooledInstance {
@@ -104,8 +98,6 @@ impl PooledInstance {
             sent_baseline,
             log_baseline,
             setup_cycles,
-            resets: 0,
-            pages_restored: 0,
         }
     }
 
@@ -117,8 +109,6 @@ impl PooledInstance {
         // private state lives in the baseline.
         self.vm.world = self.world_baseline.clone();
         let dirty = stats.dirty_pages as u64;
-        self.resets += 1;
-        self.pages_restored += dirty;
         let cost = opts.restore_base_cycles + dirty * opts.restore_per_page_cycles;
         (dirty, cost)
     }
@@ -130,79 +120,11 @@ impl PooledInstance {
     }
 }
 
-/// A pool of per-session warm instances forked from one version's template.
-#[derive(Debug)]
-pub struct VmPool {
-    template: Arc<SessionTemplate>,
-    /// Snapshot-restore cost model and spawn policy.
-    pub opts: PoolOptions,
-    instances: HashMap<SessionId, PooledInstance>,
-    /// How many warm instances were ever spawned.
-    pub spawned: u64,
-}
-
-impl VmPool {
-    pub fn new(template: Arc<SessionTemplate>, opts: PoolOptions) -> Self {
-        VmPool {
-            template,
-            opts,
-            instances: HashMap::new(),
-            spawned: 0,
-        }
-    }
-
-    /// The template this pool forks from.
-    pub fn template(&self) -> &Arc<SessionTemplate> {
-        &self.template
-    }
-
-    /// Spawn a fresh (non-pooled) VM with `world` installed and the setup
-    /// entry run — the cold path.  Returns the VM and the setup run's
-    /// simulated cycles.
-    pub fn spawn_cold(&self, world: &World) -> Result<(Vm, u64), SpawnError> {
-        self.template.spawn_cold(world)
-    }
-
-    /// The warm instance bound to `session`, spawning (fork + optional
-    /// per-session setup + snapshot, or a fully isolated load when
-    /// [`PoolOptions::isolate_sessions`]) on first use.
-    pub fn instance(
-        &mut self,
-        session: SessionId,
-        world: &World,
-    ) -> Result<&mut PooledInstance, SpawnError> {
-        if !self.instances.contains_key(&session) {
-            let inst = if self.opts.isolate_sessions {
-                self.template.isolated_instance(world)?
-            } else {
-                self.template.instance(world)?
-            };
-            self.spawned += 1;
-            self.instances.insert(session, inst);
-        }
-        Ok(self.instances.get_mut(&session).expect("just inserted"))
-    }
-
-    /// Number of live warm instances.
-    pub fn live(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Iterate over the live instances (order not guaranteed).
-    pub fn instances(&self) -> impl Iterator<Item = (&SessionId, &PooledInstance)> {
-        self.instances.iter()
-    }
-
-    /// Mutable access to every live instance (for parking sweeps).
-    pub fn instances_mut(&mut self) -> impl Iterator<Item = (&SessionId, &mut PooledInstance)> {
-        self.instances.iter_mut()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::{Registry, ServiceBinary, SetupSpec, VerifyPolicy};
+    use crate::store::SessionTemplate;
     use confllvm_core::{CompileOptions, Config};
     use confllvm_vm::VmOptions;
     use confllvm_workloads::{ldap, nginx};
@@ -210,14 +132,11 @@ mod tests {
     fn template_for(
         version: crate::handles::VersionId,
         service: Arc<ServiceBinary>,
-    ) -> Arc<SessionTemplate> {
-        Arc::new(
-            SessionTemplate::build(version, service, VmOptions::default())
-                .expect("template must build"),
-        )
+    ) -> SessionTemplate {
+        SessionTemplate::build(version, service, VmOptions::default()).expect("template must build")
     }
 
-    fn ldap_template() -> Arc<SessionTemplate> {
+    fn ldap_template() -> SessionTemplate {
         let reg = Registry::new(VerifyPolicy::RequireVerified);
         let opts = CompileOptions {
             config: Config::OurMpx,
@@ -237,7 +156,7 @@ mod tests {
         template_for(version, service)
     }
 
-    fn nginx_template() -> Arc<SessionTemplate> {
+    fn nginx_template() -> SessionTemplate {
         let reg = Registry::new(VerifyPolicy::RequireVerified);
         let opts = CompileOptions {
             config: Config::OurSeg,
@@ -265,10 +184,8 @@ mod tests {
 
     #[test]
     fn warm_instance_serves_repeatedly_after_resets() {
-        let mut pool = VmPool::new(ldap_template(), PoolOptions::default());
-        let pool_opts = pool.opts;
-        let w = world();
-        let inst = pool.instance(SessionId::new(7), &w).unwrap();
+        let pool_opts = PoolOptions::default();
+        let mut inst = ldap_template().instance(&world()).unwrap();
         assert!(inst.setup_cycles > 0, "populate must cost cycles");
         for round in 0..3 {
             let (_dirty, cost) = inst.reset(&pool_opts);
@@ -281,19 +198,17 @@ mod tests {
             // output is exactly one response past the baseline.
             assert_eq!(inst.vm.world.sent.len() - inst.sent_baseline, 16);
         }
-        assert_eq!(pool.live(), 1);
-        assert_eq!(pool.spawned, 1);
     }
 
     #[test]
     fn sessions_get_distinct_instances_with_their_own_state() {
-        let mut pool = VmPool::new(ldap_template(), PoolOptions::default());
-        let pool_opts = pool.opts;
+        let template = ldap_template();
+        let pool_opts = PoolOptions::default();
         let mut w1 = World::new();
         w1.set_password("user", b"alpha-password!!");
         let mut w2 = World::new();
         w2.set_password("user", b"omega-password??");
-        let a = pool.instance(SessionId::new(1), &w1).unwrap();
+        let mut a = template.instance(&w1).unwrap();
         let a_resp = {
             a.reset(&pool_opts);
             let r =
@@ -301,7 +216,7 @@ mod tests {
             assert_eq!(r.exit_code(), Some(1));
             a.vm.world.sent.clone()
         };
-        let b = pool.instance(SessionId::new(2), &w2).unwrap();
+        let mut b = template.instance(&w2).unwrap();
         let b_resp = {
             b.reset(&pool_opts);
             let r =
@@ -309,7 +224,6 @@ mod tests {
             assert_eq!(r.exit_code(), Some(1));
             b.vm.world.sent.clone()
         };
-        assert_eq!(pool.live(), 2);
         assert_ne!(
             a_resp, b_resp,
             "different private passwords declassify to different ciphertexts"
@@ -322,29 +236,24 @@ mod tests {
         // The directory server's populate reads passwords, so its setup runs
         // per fork — but load-time pages still share.
         assert!(!template.shared_setup);
-        let mut forked = VmPool::new(Arc::clone(&template), PoolOptions::default());
-        let mut isolated = VmPool::new(
-            template,
-            PoolOptions {
-                isolate_sessions: true,
-                ..Default::default()
-            },
-        );
+        let pool_opts = PoolOptions::default();
         let w = world();
-        for pool in [&mut forked, &mut isolated] {
-            let opts = pool.opts;
-            let inst = pool.instance(SessionId::new(1), &w).unwrap();
-            inst.reset(&opts);
+        let mut outputs = Vec::new();
+        for mut inst in [
+            template.instance(&w).unwrap(),
+            template.isolated_instance(&w).unwrap(),
+        ] {
+            inst.reset(&pool_opts);
             let r = inst
                 .vm
                 .run_function(ldap::REQUEST_ENTRY, &[ldap::present_key(2)]);
             assert_eq!(r.exit_code(), Some(1));
+            outputs.push((inst.vm.world.sent.clone(), inst.vm.world.log.clone()));
         }
-        let f = forked.instance(SessionId::new(1), &w).unwrap();
-        let f_out = (f.vm.world.sent.clone(), f.vm.world.log.clone());
-        let i = isolated.instance(SessionId::new(1), &w).unwrap();
-        let i_out = (i.vm.world.sent.clone(), i.vm.world.log.clone());
-        assert_eq!(f_out, i_out, "fork must be byte-identical to isolation");
+        assert_eq!(
+            outputs[0], outputs[1],
+            "fork must be byte-identical to isolation"
+        );
     }
 
     #[test]
@@ -354,20 +263,14 @@ mod tests {
         // post-setup state is shared and a freshly parked fork owns nothing.
         assert!(template.shared_setup);
         assert!(template.shared_pages() > 0);
-        let mut forked = VmPool::new(Arc::clone(&template), PoolOptions::default());
-        let mut isolated = VmPool::new(
-            template,
-            PoolOptions {
-                isolate_sessions: true,
-                ..Default::default()
-            },
-        );
+        let pool_opts = PoolOptions::default();
         let w = nginx::file_world(2, 256, 1);
         let mut parked = Vec::new();
-        for pool in [&mut forked, &mut isolated] {
-            let opts = pool.opts;
-            let inst = pool.instance(SessionId::new(1), &w).unwrap();
-            inst.reset(&opts);
+        for mut inst in [
+            template.instance(&w).unwrap(),
+            template.isolated_instance(&w).unwrap(),
+        ] {
+            inst.reset(&pool_opts);
             inst.vm.world.push_request(&nginx::request_bytes(0));
             let r = inst.vm.run_function(nginx::REQUEST_ENTRY, &[256]);
             assert_eq!(r.exit_code(), Some(1), "{:?}", r.outcome);
@@ -375,7 +278,7 @@ mod tests {
                 inst.resident_private_pages() > 0,
                 "a running request dirties private pages"
             );
-            inst.reset(&opts);
+            inst.reset(&pool_opts);
             parked.push(inst.resident_private_pages());
         }
         let (f_parked, i_parked) = (parked[0], parked[1]);

@@ -6,15 +6,15 @@
 //! ([`WorkQueues`]): a worker drains its own queue front-first and, when
 //! empty, steals from a sibling's back — a slow session no longer strands
 //! the sessions queued behind it the way the old static round-robin shards
-//! did.  Each worker owns the VM instances of the sessions it runs (VMs are
-//! plain `Send` state, nothing is shared mutably across workers), so the
-//! simulation stays deterministic per session while the host-side work is
-//! genuinely parallel.
+//! did.  A session's VM lives on the worker running it, for the length of
+//! its stream (VMs are plain `Send` state, nothing is shared mutably across
+//! workers), so the simulation stays deterministic per session while the
+//! host-side work is genuinely parallel.
 //!
 //! Per-session VMs are copy-on-write forks of a per-version
-//! [`SessionTemplate`](crate::store::SessionTemplate) kept in the server's
-//! [`SnapshotStore`] — the binary is loaded once per *version*, not per
-//! session or per worker, and sessions share its clean pages.
+//! [`SessionTemplate`] kept in the server's [`SnapshotStore`] — the binary
+//! is loaded once per *version*, not per session or per worker, and
+//! sessions share its clean pages.
 //!
 //! Every session *pins* the binary's active version at session start
 //! ([`Registry::checkout_active`]) and releases it when its stream ends, so
@@ -31,27 +31,33 @@
 //!   post-setup snapshot between requests (O(dirty pages)), the paper's
 //!   many-requests-per-load deployment.
 //!
-//! [`Server::serve_scaled`] is the third entry point: it runs an
+//! [`Server::serve_scaled`] is the other entry point: it runs an
 //! [`ArrivalPlan`] through the deterministic virtual-time scheduler
 //! ([`run_virtual`]) over forked instances — bounded admission,
 //! backpressure (shed/defer), EDF dispatch — and reports queueing-aware
 //! latency tails plus per-session resident-page statistics, the 10^4–10^5
 //! session experiment.
+//!
+//! Both entry points serve every request through one function,
+//! `execute_request`: the modes differ only in where the request's VM comes
+//! from (the session's warm instance, rewound; or a fresh spawn), so every
+//! request — pooled, cold or scheduled — gets the same `server.request`
+//! span, measured host time and cycle accounting.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use confllvm_vm::{Outcome, VmOptions};
+use confllvm_vm::{Outcome, VmOptions, World};
 
 use crate::handles::{BinaryId, SessionId, VersionId};
 use crate::metrics::{RequestMetrics, StreamMetrics};
-use crate::pool::{PoolOptions, PooledInstance, SpawnError, VmPool};
-use crate::registry::Registry;
+use crate::pool::{PoolOptions, PooledInstance, SpawnError};
+use crate::registry::{Registry, ServiceBinary};
 use crate::sched::{run_virtual, ArrivalPlan, ExecCost, SchedulerConfig, WorkQueues};
-use crate::session::SessionSpec;
-use crate::store::SnapshotStore;
+use crate::session::{Request, SessionSpec};
+use crate::store::{SessionTemplate, SnapshotStore};
 
 /// How requests are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,9 +139,9 @@ pub enum ServeError {
         /// The binary with nothing active.
         binary: BinaryId,
     },
-    /// Two sessions share an id.  Instances are keyed by session id, so
-    /// admitting this would serve one client's requests against another
-    /// client's private state.
+    /// Two sessions share an id.  Outcomes are reported by session id, so
+    /// admitting this would make one client's results indistinguishable
+    /// from another's (and their order in the report scheduling-dependent).
     DuplicateSession {
         /// The colliding id.
         id: SessionId,
@@ -215,6 +221,20 @@ pub struct SessionOutcome {
     pub log: Vec<u8>,
     /// The session's aggregated request metrics.
     pub metrics: StreamMetrics,
+}
+
+impl SessionOutcome {
+    /// Nothing served yet: `session` pinned to `version`.
+    fn new(session: &SessionSpec, version: VersionId) -> Self {
+        SessionOutcome {
+            id: session.id,
+            version,
+            exit_codes: Vec::with_capacity(session.requests.len()),
+            sent: Vec::new(),
+            log: Vec::new(),
+            metrics: StreamMetrics::default(),
+        }
+    }
 }
 
 /// The result of serving a set of streams.
@@ -359,21 +379,6 @@ impl Server {
         self.store.live_templates()
     }
 
-    /// Fail fast on an unknown handle or an unpromoted binary; returns the
-    /// service name.
-    fn probe(&self, binary: BinaryId) -> Result<String, ServeError> {
-        let (_, probe) = self.registry.checkout_active(binary).ok_or_else(|| {
-            if self.registry.versions(binary).is_empty() {
-                ServeError::UnknownBinary { binary }
-            } else {
-                ServeError::NoActiveVersion { binary }
-            }
-        })?;
-        let name = probe.name.clone();
-        self.registry.release(probe.version_id);
-        Ok(name)
-    }
-
     /// Serve every session's request stream against `binary`'s active
     /// version, spreading sessions over work-stealing worker threads.  Each
     /// session pins the version active *when it starts* and keeps it for
@@ -387,15 +392,17 @@ impl Server {
         // Fail fast before any worker starts (individual sessions still
         // re-checkout so a mid-run promotion is picked up by later
         // sessions).
-        let name = self.probe(binary)?;
-        let mut ids = std::collections::HashSet::new();
+        let (version, service) = checkout(&self.registry, binary)?;
+        self.registry.release(version);
+        let mut ids = HashSet::new();
         for s in sessions {
             if !ids.insert(s.id) {
                 return Err(ServeError::DuplicateSession { id: s.id });
             }
         }
         let started = Instant::now();
-        let mut obs_span = confllvm_obs::recorder().span("server", "server.serve");
+        let rec = confllvm_obs::recorder();
+        let mut obs_span = rec.span("server", "server.serve");
         if obs_span.active() {
             obs_span.attr("sessions", sessions.len());
             obs_span.attr("mode", mode.name());
@@ -406,21 +413,31 @@ impl Server {
         let queues = WorkQueues::new(workers, 0..sessions.len());
         let abort = AtomicBool::new(false);
 
-        type WorkerYield = (Vec<(usize, Result<SessionOutcome, ServeError>)>, u64);
-        let results: Vec<WorkerYield> = std::thread::scope(|scope| {
+        // Each worker pops (or steals) session indices until the queues
+        // drain or a sibling's failure aborts the run, and hands back
+        // `(session index, outcome)` pairs in the order it ran them.
+        type Ran = Vec<(usize, Result<SessionOutcome, ServeError>)>;
+        let ran: Vec<Ran> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let queues = &queues;
-                    let abort = &abort;
-                    let store = &self.store;
-                    let registry = Arc::clone(&self.registry);
-                    let vm_opts = self.config.vm.clone();
-                    let pool_opts = self.config.pool;
+                    let (queues, abort) = (&queues, &abort);
                     scope.spawn(move || {
-                        run_worker(
-                            w, queues, abort, store, &registry, binary, vm_opts, pool_opts,
-                            sessions, mode, started,
-                        )
+                        let mut ran = Ran::new();
+                        while !abort.load(Ordering::Relaxed) {
+                            let Some((index, stolen)) = queues.pop(w) else {
+                                break;
+                            };
+                            if stolen {
+                                rec.count("server.steal", 1);
+                            }
+                            let result =
+                                self.serve_session(binary, &sessions[index], mode, started);
+                            if result.is_err() {
+                                abort.store(true, Ordering::Relaxed);
+                            }
+                            ran.push((index, result));
+                        }
+                        ran
                     })
                 })
                 .collect();
@@ -431,15 +448,11 @@ impl Server {
         });
 
         let mut outcomes = Vec::with_capacity(sessions.len());
-        let mut spawned = 0;
         let mut errors: Vec<(usize, ServeError)> = Vec::new();
-        for (worker_outcomes, worker_spawned) in results {
-            spawned += worker_spawned;
-            for (index, r) in worker_outcomes {
-                match r {
-                    Ok(outcome) => outcomes.push(outcome),
-                    Err(e) => errors.push((index, e)),
-                }
+        for (index, r) in ran.into_iter().flatten() {
+            match r {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(e) => errors.push((index, e)),
             }
         }
         // Retire drained versions whose last session just released.
@@ -452,13 +465,19 @@ impl Server {
         for s in &outcomes {
             metrics.merge(&s.metrics);
         }
+        // Every session ran: one fork each when pooled, one spawn per
+        // request when cold.
+        let spawned = match mode {
+            ExecMode::Pooled => sessions.len() as u64,
+            ExecMode::Cold => metrics.requests,
+        };
         if obs_span.active() {
             obs_span.attr("instances_spawned", spawned);
             obs_span.attr("requests", metrics.requests);
         }
         Ok(ServiceReport {
             binary,
-            name,
+            name: service.name.clone(),
             mode,
             sessions: outcomes,
             metrics,
@@ -488,60 +507,35 @@ impl Server {
         let rec = confllvm_obs::recorder();
         let started = Instant::now();
         let cache_hits_before = self.registry.cache_stats().hits;
-        let (version, service) = self.registry.checkout_active(binary).ok_or_else(|| {
-            if self.registry.versions(binary).is_empty() {
-                ServeError::UnknownBinary { binary }
-            } else {
-                ServeError::NoActiveVersion { binary }
-            }
-        })?;
-        let name = service.name.clone();
+        let (version, service) = checkout(&self.registry, binary)?;
         let mut span = rec.span("server", "server.scale");
-        let finish = |r: &Registry, store: &SnapshotStore| {
-            r.release(version);
-            store.sweep();
+        let finish = || {
+            self.registry.release(version);
+            self.store.sweep();
         };
 
-        let mut vm_opts = self.config.vm.clone();
-        vm_opts.allocator = service.config.allocator();
-        let template = match self.store.template(version, &service, vm_opts) {
-            Ok(t) => t,
+        // Fork (or isolate) every session's instance up front — the run
+        // models already-admitted sessions, and admission cost is visible
+        // separately via the fork spans.
+        let forked = self.template(version, &service).and_then(|template| {
+            let mut instances = Vec::with_capacity(sessions.len());
+            for s in sessions {
+                instances.push(self.session_instance(&template, &s.world)?);
+            }
+            Ok((template, instances))
+        });
+        let (template, mut instances) = match forked {
+            Ok(forked) => forked,
             Err(e) => {
-                finish(&self.registry, &self.store);
+                finish();
                 return Err(e.into());
             }
         };
         let pool_opts = self.config.pool;
 
-        // Fork (or isolate) every session's instance up front — the run
-        // models already-admitted sessions, and admission cost is visible
-        // separately via the fork spans.
-        let mut instances: Vec<PooledInstance> = Vec::with_capacity(sessions.len());
-        for s in sessions {
-            let inst = if pool_opts.isolate_sessions {
-                template.isolated_instance(&s.world)
-            } else {
-                template.instance(&s.world)
-            };
-            match inst {
-                Ok(i) => instances.push(i),
-                Err(e) => {
-                    finish(&self.registry, &self.store);
-                    return Err(e.into());
-                }
-            }
-        }
-
         let mut outcomes: Vec<SessionOutcome> = sessions
             .iter()
-            .map(|s| SessionOutcome {
-                id: s.id,
-                version,
-                exit_codes: Vec::new(),
-                sent: Vec::new(),
-                log: Vec::new(),
-                metrics: StreamMetrics::default(),
-            })
+            .map(|s| SessionOutcome::new(s, version))
             .collect();
         let mut peak_pages = vec![0usize; sessions.len()];
         let mut first_error: Option<ServeError> = None;
@@ -554,7 +548,6 @@ impl Server {
             if first_error.is_some() {
                 return drain; // drain the plan cheaply once the run has failed
             }
-            let inst = &mut instances[si];
             let Some(req) = sessions[si].requests.get(ri) else {
                 first_error = Some(ServeError::PlanMismatch {
                     session: sessions[si].id,
@@ -562,44 +555,26 @@ impl Server {
                 });
                 return drain;
             };
-            let cow_before = inst.vm.cow_faults();
-            let (dirty, restore_cycles) = inst.reset(&pool_opts);
-            if let Some(input) = &req.input {
-                inst.vm.world.push_request(input);
-            }
-            let before = inst.vm.stats.clone();
-            let result = inst.vm.run_function(&req.entry, &req.args);
-            match result.outcome {
-                Outcome::Exit(code) => outcomes[si].exit_codes.push(code),
-                outcome => {
-                    first_error = Some(ServeError::Request {
-                        session: sessions[si].id,
-                        index: ri,
-                        outcome,
-                    });
-                    return drain;
+            let cow_before = instances[si].vm.cow_faults();
+            let instance = Instance::Warm(&mut instances[si], &pool_opts);
+            match execute_request(instance, req, ri, &mut outcomes[si]) {
+                Ok(m) => {
+                    let vm = &instances[si].vm;
+                    peak_pages[si] = peak_pages[si].max(vm.resident_private_pages());
+                    ExecCost {
+                        cycles: m.cycles,
+                        cow_faults: vm.cow_faults() - cow_before,
+                    }
                 }
-            }
-            let mut m = RequestMetrics::from_stats_delta(&before, &inst.vm.stats);
-            m.restore_cycles = restore_cycles;
-            m.dirty_pages = dirty;
-            m.cycles += restore_cycles;
-            outcomes[si].metrics.add(&m);
-            outcomes[si]
-                .sent
-                .extend_from_slice(&inst.vm.world.sent[inst.sent_baseline..]);
-            outcomes[si]
-                .log
-                .extend_from_slice(&inst.vm.world.log[inst.log_baseline..]);
-            peak_pages[si] = peak_pages[si].max(inst.vm.resident_private_pages());
-            ExecCost {
-                cycles: m.cycles,
-                cow_faults: inst.vm.cow_faults() - cow_before,
+                Err(e) => {
+                    first_error = Some(e);
+                    drain
+                }
             }
         });
 
         if let Some(e) = first_error {
-            finish(&self.registry, &self.store);
+            finish();
             return Err(e);
         }
 
@@ -660,11 +635,11 @@ impl Server {
             span.cycles(sched_result.makespan_cycles);
         }
         drop(span);
-        finish(&self.registry, &self.store);
+        finish();
 
         Ok(ScaleReport {
             binary,
-            name,
+            name: service.name.clone(),
             version,
             sessions: outcomes,
             metrics,
@@ -677,249 +652,209 @@ impl Server {
             host_micros: started.elapsed().as_micros(),
         })
     }
-}
 
-/// One worker's run loop: pop (or steal) session indices until the queues
-/// drain or a sibling aborts the run.  Each session checks out the active
-/// version at its start (pinning it), serves its whole stream on a pool
-/// forked from that version's template, and releases it at the end —
-/// success or failure.  Returns `(index, outcome)` pairs plus the number of
-/// VMs this worker spawned.
-///
-/// With the recorder enabled, each session records a `server`-layer span
-/// carrying its pinned version and how long it waited behind earlier
-/// sessions (`queue_wait_nanos`, measured from `queued_at`, the instant
-/// `serve` enqueued the sessions), and every stolen pop bumps the
-/// `server.steal` counter.
-/// What one worker hands back: `(session index, outcome)` pairs in the
-/// order it ran them, plus how many VMs it spawned.
-type WorkerOutcomes = (Vec<(usize, Result<SessionOutcome, ServeError>)>, u64);
-
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    worker: usize,
-    queues: &WorkQueues<usize>,
-    abort: &AtomicBool,
-    store: &SnapshotStore,
-    registry: &Registry,
-    binary: BinaryId,
-    vm_opts: VmOptions,
-    pool_opts: PoolOptions,
-    sessions: &[SessionSpec],
-    mode: ExecMode,
-    queued_at: Instant,
-) -> WorkerOutcomes {
-    let rec = confllvm_obs::recorder();
-    let mut pools: HashMap<VersionId, VmPool> = HashMap::new();
-    let mut outcomes = Vec::new();
-    let mut cold_spawned = 0u64;
-    while !abort.load(Ordering::Relaxed) {
-        let Some((index, stolen)) = queues.pop(worker) else {
-            break;
-        };
-        if stolen {
-            rec.count("server.steal", 1);
-        }
-        let session = &sessions[index];
-        let result = run_one_session(
-            store, registry, binary, &vm_opts, pool_opts, &mut pools, session, mode, queued_at,
-        );
-        if let ExecMode::Cold = mode {
-            cold_spawned += session.requests.len() as u64;
-        }
-        if result.is_err() {
-            abort.store(true, Ordering::Relaxed);
-        }
-        outcomes.push((index, result));
+    /// `version`'s fork template from the store (built on first use), its
+    /// VMs using the allocator the service was compiled for.
+    fn template(
+        &self,
+        version: VersionId,
+        service: &Arc<ServiceBinary>,
+    ) -> Result<Arc<SessionTemplate>, SpawnError> {
+        let mut vm = self.config.vm.clone();
+        vm.allocator = service.config.allocator();
+        self.store.template(version, service, vm)
     }
-    let spawned = match mode {
-        ExecMode::Pooled => pools.values().map(|p| p.spawned).sum(),
-        ExecMode::Cold => cold_spawned,
-    };
-    (outcomes, spawned)
-}
 
-/// Serve one session end to end: checkout → pool lookup (building the
-/// version's template through the store on first use) → stream → release.
-#[allow(clippy::too_many_arguments)]
-fn run_one_session(
-    store: &SnapshotStore,
-    registry: &Registry,
-    binary: BinaryId,
-    vm_opts: &VmOptions,
-    pool_opts: PoolOptions,
-    pools: &mut HashMap<VersionId, VmPool>,
-    session: &SessionSpec,
-    mode: ExecMode,
-    queued_at: Instant,
-) -> Result<SessionOutcome, ServeError> {
-    let rec = confllvm_obs::recorder();
-    let mut span = rec.span("server", "server.session");
-    let queue_wait_nanos = span.active().then(|| queued_at.elapsed().as_nanos() as u64);
-    let (version, service) = registry
-        .checkout_active(binary)
-        .ok_or(ServeError::NoActiveVersion { binary })?;
-    let pool = match pools.entry(version) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(slot) => {
-            let mut opts = vm_opts.clone();
-            opts.allocator = service.config.allocator();
-            match store.template(version, &service, opts) {
-                Ok(template) => slot.insert(VmPool::new(template, pool_opts)),
-                Err(e) => {
-                    registry.release(version);
-                    return Err(e.into());
-                }
-            }
+    /// A session's warm instance: a copy-on-write fork of the template, or
+    /// a full private load + setup under [`PoolOptions::isolate_sessions`].
+    fn session_instance(
+        &self,
+        template: &SessionTemplate,
+        world: &World,
+    ) -> Result<PooledInstance, SpawnError> {
+        if self.config.pool.isolate_sessions {
+            template.isolated_instance(world)
+        } else {
+            template.instance(world)
         }
-    };
-    let result = match mode {
-        ExecMode::Pooled => run_session_pooled(pool, version, session),
-        ExecMode::Cold => run_session_cold(pool, version, session),
-    };
-    registry.release(version);
-    if span.active() {
-        span.attr("session", session.id.raw());
-        span.attr("version", version.raw());
-        span.attr("requests", session.requests.len());
-        span.attr("queue_wait_nanos", queue_wait_nanos.unwrap_or(0));
-        rec.count("server.queue_wait_nanos", queue_wait_nanos.unwrap_or(0));
-        rec.count("server.sessions", 1);
     }
-    result
-}
 
-fn run_session_pooled(
-    pool: &mut VmPool,
-    version: VersionId,
-    session: &SessionSpec,
-) -> Result<SessionOutcome, ServeError> {
-    let pool_opts = pool.opts;
-    let inst = pool.instance(session.id, &session.world)?;
-    let mut out = SessionOutcome {
-        id: session.id,
-        version,
-        exit_codes: Vec::with_capacity(session.requests.len()),
-        sent: Vec::new(),
-        log: Vec::new(),
-        metrics: StreamMetrics::default(),
-    };
-    for (index, req) in session.requests.iter().enumerate() {
+    /// Serve one session end to end: pin the active version, serve the
+    /// stream on it, release the pin — success or failure.
+    ///
+    /// With the recorder enabled, each session records a `server`-layer
+    /// span carrying its pinned version and how long it waited behind
+    /// earlier sessions (`queue_wait_nanos`, measured from `queued_at`, the
+    /// instant `serve` enqueued the sessions).
+    fn serve_session(
+        &self,
+        binary: BinaryId,
+        session: &SessionSpec,
+        mode: ExecMode,
+        queued_at: Instant,
+    ) -> Result<SessionOutcome, ServeError> {
         let rec = confllvm_obs::recorder();
-        let mut req_span = rec.span("server", "server.request");
-        let host_t0 = Instant::now();
-        let (dirty, restore_cycles) = {
+        let mut span = rec.span("server", "server.session");
+        let queue_wait_nanos = span.active().then(|| queued_at.elapsed().as_nanos() as u64);
+        let (version, service) = checkout(&self.registry, binary)?;
+        let result = self.serve_stream(version, &service, session, mode);
+        self.registry.release(version);
+        if span.active() {
+            span.attr("session", session.id.raw());
+            span.attr("version", version.raw());
+            span.attr("requests", session.requests.len());
+            span.attr("queue_wait_nanos", queue_wait_nanos.unwrap_or(0));
+            rec.count("server.queue_wait_nanos", queue_wait_nanos.unwrap_or(0));
+            rec.count("server.sessions", 1);
+        }
+        result
+    }
+
+    /// Run a session's stream on `version`: pooled, on one warm instance
+    /// forked for the session and dropped when its stream ends; cold, on a
+    /// fresh VM per request.
+    fn serve_stream(
+        &self,
+        version: VersionId,
+        service: &Arc<ServiceBinary>,
+        session: &SessionSpec,
+        mode: ExecMode,
+    ) -> Result<SessionOutcome, ServeError> {
+        let template = self.template(version, service)?;
+        let mut warm = match mode {
+            ExecMode::Pooled => Some(self.session_instance(&template, &session.world)?),
+            ExecMode::Cold => None,
+        };
+        let mut out = SessionOutcome::new(session, version);
+        for (index, req) in session.requests.iter().enumerate() {
+            let instance = match &mut warm {
+                Some(inst) => Instance::Warm(inst, &self.config.pool),
+                None => Instance::Cold(&template, &session.world),
+            };
+            execute_request(instance, req, index, &mut out)?;
+        }
+        Ok(out)
+    }
+}
+
+/// Pin `binary`'s active version, telling a handle the registry never
+/// minted apart from a binary with nothing promoted.  The caller releases
+/// the pin.
+fn checkout(
+    registry: &Registry,
+    binary: BinaryId,
+) -> Result<(VersionId, Arc<ServiceBinary>), ServeError> {
+    registry.checkout_active(binary).ok_or_else(|| {
+        if registry.versions(binary).is_empty() {
+            ServeError::UnknownBinary { binary }
+        } else {
+            ServeError::NoActiveVersion { binary }
+        }
+    })
+}
+
+/// Where a request's VM comes from.
+enum Instance<'a> {
+    /// The session's warm instance, rewound to its post-setup snapshot
+    /// under `server.restore` before the request runs.
+    Warm(&'a mut PooledInstance, &'a PoolOptions),
+    /// A fresh VM spawned from the template for this request alone, its
+    /// setup run against the session's world under `server.spawn`
+    /// ([`ExecMode::Cold`]).
+    Cold(&'a SessionTemplate, &'a World),
+}
+
+/// Serve one request and charge it to `out`: take the VM from `instance`,
+/// run the entry under `server.execute`, then record the exit code, the
+/// observable output and the request's metrics — its restore or setup
+/// cycles and measured host time — under one `server.request` span.  Every
+/// served request comes through here, whether `serve` runs it pooled or
+/// cold or `serve_scaled`'s scheduler dispatches it.
+fn execute_request(
+    instance: Instance<'_>,
+    req: &Request,
+    index: usize,
+    out: &mut SessionOutcome,
+) -> Result<RequestMetrics, ServeError> {
+    let rec = confllvm_obs::recorder();
+    let mut req_span = rec.span("server", "server.request");
+    let host_t0 = Instant::now();
+    let mut cold_vm;
+    // The VM, its observable channels' lengths before the request, and
+    // what obtaining it charged the request.
+    let (vm, sent_baseline, log_baseline, charged) = match instance {
+        Instance::Warm(inst, pool) => {
             let mut restore_span = rec.span("server", "server.restore");
-            let (dirty, restore_cycles) = inst.reset(&pool_opts);
+            let (dirty_pages, restore_cycles) = inst.reset(pool);
             if restore_span.active() {
-                restore_span.attr("dirty_pages", dirty);
+                restore_span.attr("dirty_pages", dirty_pages);
                 restore_span.cycles(restore_cycles);
             }
-            (dirty, restore_cycles)
-        };
-        if let Some(input) = &req.input {
-            inst.vm.world.push_request(input);
+            let charged = RequestMetrics {
+                cycles: restore_cycles,
+                restore_cycles,
+                dirty_pages,
+                ..RequestMetrics::default()
+            };
+            (&mut inst.vm, inst.sent_baseline, inst.log_baseline, charged)
         }
-        let before = inst.vm.stats.clone();
-        let result = {
-            let _exec_span = rec.span("server", "server.execute");
-            inst.vm.run_function(&req.entry, &req.args)
-        };
-        match result.outcome {
-            Outcome::Exit(code) => out.exit_codes.push(code),
-            outcome => {
-                return Err(ServeError::Request {
-                    session: session.id,
-                    index,
-                    outcome,
-                })
-            }
-        }
-        let mut m = RequestMetrics::from_stats_delta(&before, &inst.vm.stats);
-        m.restore_cycles = restore_cycles;
-        m.dirty_pages = dirty;
-        m.cycles += restore_cycles;
-        m.host_nanos = host_t0.elapsed().as_nanos() as u64;
-        if req_span.active() {
-            req_span.attr("index", index);
-            req_span.attr("dirty_pages", m.dirty_pages);
-            req_span.attr("restore_cycles", m.restore_cycles);
-            req_span.attr("tcross", m.stack_switches);
-            req_span.attr("extern_cycles", m.extern_cycles);
-            req_span.cycles(m.cycles);
-        }
-        drop(req_span);
-        out.metrics.add(&m);
-        out.sent
-            .extend_from_slice(&inst.vm.world.sent[inst.sent_baseline..]);
-        out.log
-            .extend_from_slice(&inst.vm.world.log[inst.log_baseline..]);
-    }
-    Ok(out)
-}
-
-fn run_session_cold(
-    pool: &VmPool,
-    version: VersionId,
-    session: &SessionSpec,
-) -> Result<SessionOutcome, ServeError> {
-    let mut out = SessionOutcome {
-        id: session.id,
-        version,
-        exit_codes: Vec::with_capacity(session.requests.len()),
-        sent: Vec::new(),
-        log: Vec::new(),
-        metrics: StreamMetrics::default(),
-    };
-    for (index, req) in session.requests.iter().enumerate() {
-        let rec = confllvm_obs::recorder();
-        let mut req_span = rec.span("server", "server.request");
-        let host_t0 = Instant::now();
-        let (mut vm, setup_cycles) = {
+        Instance::Cold(template, world) => {
             let mut spawn_span = rec.span("server", "server.spawn");
-            let (vm, setup_cycles) = pool.spawn_cold(&session.world)?;
+            let (vm, setup_cycles) = template.spawn_cold(world)?;
             if spawn_span.active() {
                 spawn_span.cycles(setup_cycles);
             }
-            (vm, setup_cycles)
-        };
-        let sent_baseline = vm.world.sent.len();
-        let log_baseline = vm.world.log.len();
-        if let Some(input) = &req.input {
-            vm.world.push_request(input);
+            let (sent_baseline, log_baseline) = (vm.world.sent.len(), vm.world.log.len());
+            let charged = RequestMetrics {
+                cycles: setup_cycles,
+                setup_cycles,
+                ..RequestMetrics::default()
+            };
+            cold_vm = vm;
+            (&mut cold_vm, sent_baseline, log_baseline, charged)
         }
-        let before = vm.stats.clone();
-        let result = {
-            let _exec_span = rec.span("server", "server.execute");
-            vm.run_function(&req.entry, &req.args)
-        };
-        match result.outcome {
-            Outcome::Exit(code) => out.exit_codes.push(code),
-            outcome => {
-                return Err(ServeError::Request {
-                    session: session.id,
-                    index,
-                    outcome,
-                })
-            }
-        }
-        let mut m = RequestMetrics::from_stats_delta(&before, &vm.stats);
-        m.setup_cycles = setup_cycles;
-        m.cycles += setup_cycles;
-        m.host_nanos = host_t0.elapsed().as_nanos() as u64;
-        if req_span.active() {
-            req_span.attr("index", index);
-            req_span.attr("setup_cycles", m.setup_cycles);
-            req_span.attr("tcross", m.stack_switches);
-            req_span.attr("extern_cycles", m.extern_cycles);
-            req_span.cycles(m.cycles);
-        }
-        drop(req_span);
-        out.metrics.add(&m);
-        out.sent.extend_from_slice(&vm.world.sent[sent_baseline..]);
-        out.log.extend_from_slice(&vm.world.log[log_baseline..]);
+    };
+    if let Some(input) = &req.input {
+        vm.world.push_request(input);
     }
-    Ok(out)
+    let before = vm.stats.clone();
+    let result = {
+        let _exec_span = rec.span("server", "server.execute");
+        vm.run_function(&req.entry, &req.args)
+    };
+    match result.outcome {
+        Outcome::Exit(code) => out.exit_codes.push(code),
+        outcome => {
+            return Err(ServeError::Request {
+                session: out.id,
+                index,
+                outcome,
+            })
+        }
+    }
+    let ran = RequestMetrics::from_stats_delta(&before, &vm.stats);
+    let m = RequestMetrics {
+        cycles: ran.cycles + charged.cycles,
+        setup_cycles: charged.setup_cycles,
+        restore_cycles: charged.restore_cycles,
+        dirty_pages: charged.dirty_pages,
+        host_nanos: host_t0.elapsed().as_nanos() as u64,
+        ..ran
+    };
+    if req_span.active() {
+        req_span.attr("index", index);
+        req_span.attr("dirty_pages", m.dirty_pages);
+        req_span.attr("restore_cycles", m.restore_cycles);
+        req_span.attr("setup_cycles", m.setup_cycles);
+        req_span.attr("tcross", m.stack_switches);
+        req_span.attr("extern_cycles", m.extern_cycles);
+        req_span.cycles(m.cycles);
+    }
+    drop(req_span);
+    out.metrics.add(&m);
+    out.sent.extend_from_slice(&vm.world.sent[sent_baseline..]);
+    out.log.extend_from_slice(&vm.world.log[log_baseline..]);
+    Ok(m)
 }
 
 #[cfg(test)]
@@ -1014,10 +949,15 @@ mod tests {
         assert!(pooled.metrics.restore_cycles > 0);
         assert_eq!(cold.metrics.restore_cycles, 0);
         assert!(cold.metrics.setup_cycles > 0);
-        assert!(
-            pooled.metrics.host_nanos > 0,
-            "requests must carry measured host time"
-        );
+        // The smallest per-request sample (percentile 0) is measured, not a
+        // placeholder zero, in both modes.
+        for report in [&cold, &pooled] {
+            assert!(
+                report.metrics.host_percentile(0) > 0,
+                "{} requests must carry measured host time",
+                report.mode.name()
+            );
+        }
     }
 
     #[test]
@@ -1081,8 +1021,8 @@ mod tests {
 
     #[test]
     fn duplicate_session_ids_are_refused() {
-        // Instances are keyed by session id; two sessions sharing an id
-        // would serve one client against the other's private state.
+        // Outcomes are reported by session id; two sessions sharing one
+        // would make one client's results indistinguishable from another's.
         let (server, binary) = ldap_server(Config::OurMpx, 32);
         let mut sessions = ldap_sessions(2, 2, 32);
         sessions[1].id = sessions[0].id;
@@ -1225,6 +1165,13 @@ mod tests {
             forked.resident.mean_parked_pages
         );
         assert!(forked.resident.cow_faults > 0, "requests must CoW-fault");
+        // Scheduled requests run through the same request path as `serve`:
+        // every one carries measured host time (percentile 0 is the
+        // smallest sample).
+        assert!(
+            forked.metrics.host_percentile(0) > 0,
+            "scaled requests must carry measured host time"
+        );
     }
 
     #[test]

@@ -175,26 +175,6 @@ pub struct SchedResult {
     pub series: WindowSeries,
 }
 
-impl SchedResult {
-    /// Nearest-rank latency percentile at per-mille resolution (999 =
-    /// p99.9) over the executed requests.
-    pub fn latency_percentile_milli(&self, per_mille: u32) -> u64 {
-        let lat: Vec<u64> = self.completions.iter().map(|c| c.latency_cycles).collect();
-        confllvm_obs::exact_percentile_milli(&lat, per_mille)
-    }
-
-    pub fn max_queue_depth(&self) -> u64 {
-        self.queue_depth_samples.iter().copied().max().unwrap_or(0)
-    }
-
-    pub fn mean_queue_depth(&self) -> f64 {
-        if self.queue_depth_samples.is_empty() {
-            return 0.0;
-        }
-        self.queue_depth_samples.iter().sum::<u64>() as f64 / self.queue_depth_samples.len() as f64
-    }
-}
-
 /// Queue entry, ordered so that `BinaryHeap<Reverse<QueueItem>>` pops
 /// earliest-deadline-first with the arrival sequence number as a total-order
 /// tie-break (determinism requires no partial orders anywhere).
@@ -450,7 +430,7 @@ mod tests {
         let r = run_virtual(&cfg, &p, |_, _| 1000u64);
         assert_eq!(r.executed + r.shed, 5);
         assert_eq!(r.shed, 3);
-        assert_eq!(r.max_queue_depth(), 2);
+        assert_eq!(r.queue_depth_samples.iter().max(), Some(&2));
     }
 
     #[test]
@@ -538,10 +518,10 @@ mod tests {
         assert_eq!(a.executed, b.executed);
         assert_eq!(a.makespan_cycles, b.makespan_cycles);
         assert_eq!(a.queue_depth_samples, b.queue_depth_samples);
-        assert_eq!(
-            a.latency_percentile_milli(999),
-            b.latency_percentile_milli(999)
-        );
+        let latencies = |r: &SchedResult| -> Vec<u64> {
+            r.completions.iter().map(|c| c.latency_cycles).collect()
+        };
+        assert_eq!(latencies(&a), latencies(&b));
     }
 
     #[test]

@@ -72,44 +72,6 @@ impl SessionSpec {
             requests,
         }
     }
-
-    /// Start building a session incrementally.
-    pub fn builder(id: impl Into<SessionId>) -> SessionSpecBuilder {
-        SessionSpecBuilder {
-            spec: SessionSpec::new(id, World::new(), Vec::new()),
-        }
-    }
-}
-
-/// Builder for [`SessionSpec`], for call sites that accumulate requests.
-#[derive(Debug, Clone)]
-pub struct SessionSpecBuilder {
-    spec: SessionSpec,
-}
-
-impl SessionSpecBuilder {
-    /// Install the session's private world.
-    pub fn world(mut self, world: World) -> Self {
-        self.spec.world = world;
-        self
-    }
-
-    /// Append one request to the stream.
-    pub fn request(mut self, request: Request) -> Self {
-        self.spec.requests.push(request);
-        self
-    }
-
-    /// Append many requests to the stream.
-    pub fn requests(mut self, requests: impl IntoIterator<Item = Request>) -> Self {
-        self.spec.requests.extend(requests);
-        self
-    }
-
-    /// Finish the session.
-    pub fn build(self) -> SessionSpec {
-        self.spec
-    }
 }
 
 #[cfg(test)]
@@ -124,23 +86,5 @@ mod tests {
         assert!(r.input.is_none());
         let r = Request::with_input("handle_request", &[1024], b"GET doc0\0".to_vec());
         assert_eq!(r.input.as_deref(), Some(&b"GET doc0\0"[..]));
-    }
-
-    #[test]
-    fn builder_matches_direct_construction() {
-        let mut w = World::new();
-        w.set_password("user", b"hunter2!hunter2!");
-        let direct = SessionSpec::new(
-            4usize,
-            w.clone(),
-            vec![Request::new("a", &[1]), Request::new("b", &[2])],
-        );
-        let built = SessionSpec::builder(SessionId::new(4))
-            .world(w)
-            .request(Request::new("a", &[1]))
-            .requests([Request::new("b", &[2])])
-            .build();
-        assert_eq!(direct.id, built.id);
-        assert_eq!(direct.requests, built.requests);
     }
 }

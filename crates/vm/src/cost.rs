@@ -1,13 +1,13 @@
 //! The cycle-accounting cost model.
 //!
-//! The reproduction measures *simulated cycles*, not wall-clock time (see
-//! DESIGN.md).  The constants below are chosen so the relative costs match
-//! the qualitative structure the paper reports: MPX bound checks add one
-//! cheap µop per check (but two checks per access), segment prefixes are
-//! free, the CFI expansion costs a handful of straight-line instructions per
-//! return / indirect call, calls into T pay a stack-and-segment-switch
-//! penalty when U and T memories are separated, and data accesses pay a cache
-//! miss penalty that makes the split public/private stacks measurably more
+//! The reproduction measures *simulated cycles*, not wall-clock time.  The
+//! constants below are chosen so the relative costs match the qualitative
+//! structure the paper reports: MPX bound checks add one cheap µop per
+//! check (but two checks per access), segment prefixes are free, the CFI
+//! expansion costs a handful of straight-line instructions per return /
+//! indirect call, calls into T pay a stack-and-segment-switch penalty when
+//! U and T memories are separated, and data accesses pay a cache miss
+//! penalty that makes the split public/private stacks measurably more
 //! expensive for large working sets (Figure 6).
 
 /// Cycle costs per instruction class.

@@ -1,8 +1,8 @@
 //! # confllvm-workloads
 //!
-//! The mini-C programs standing in for the paper's evaluation targets (see
-//! DESIGN.md for the substitution argument), plus drivers that compile and
-//! run them under a given configuration and report simulated cycles.
+//! The mini-C programs standing in for the paper's evaluation targets, plus
+//! drivers that compile and run them under a given configuration and report
+//! simulated cycles.
 //!
 //! * [`spec`] — nine CPU-bound kernels named after the SPEC CPU 2006
 //!   benchmarks they stand in for (Figure 5),
