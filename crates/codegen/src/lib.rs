@@ -37,7 +37,9 @@ mod tests {
         let prog = parse(src).unwrap();
         let sema = Sema::analyze(&prog).unwrap();
         let mut m = lower(&prog, &sema, "test").unwrap();
-        confllvm_ir::passes::run(&mut m, confllvm_ir::PassOptions::default());
+        confllvm_ir::PassManager::parse(confllvm_ir::DEFAULT_IR_PIPELINE)
+            .unwrap()
+            .run(&mut m);
         infer(&mut m, InferOptions::default()).unwrap();
         compile_module(&m, opts).unwrap()
     }

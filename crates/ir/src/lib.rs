@@ -43,6 +43,6 @@ pub use dataflow::{natural_loops, DomTree, MustSet, NaturalLoop};
 pub use inst::{BinOp, BlockId, CmpOp, Inst, MemSize, Operand, Terminator, ValueId};
 pub use lower::lower;
 pub use module::{Block, ExternFunc, Function, Global, Module, ValueInfo};
-pub use passes::{PassOptions, PassStats, DEFAULT_IR_PIPELINE, IR_PASS_NAMES};
+pub use passes::{DEFAULT_IR_PIPELINE, IR_PASS_NAMES};
 pub use pm::{Pass, PassManager, PipelineError, PipelineReport};
 pub use taint::{infer, InferOptions, TaintError, TaintReport};

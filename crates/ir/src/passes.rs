@@ -19,100 +19,15 @@
 //!   exposes repeated address computations to the machine layer's bounds
 //!   check elimination),
 //! * `dce` — remove side-effect-free instructions whose result is unused.
-//!
-//! [`PassOptions`] and [`run`] remain as a thin flag-based façade over the
-//! pass manager for callers that predate the textual pipelines.
 
 use std::collections::HashMap;
 
 use crate::dataflow::DomTree;
 use crate::inst::{BlockId, Inst, Operand, Terminator, ValueId};
-use crate::module::{Function, Module};
-use crate::pm::{PassManager, PipelineReport};
+use crate::module::Function;
 
 /// The default optimisation pipeline, in dependency order.
 pub const DEFAULT_IR_PIPELINE: &str = "const-fold,copy-prop,cse,dce";
-
-/// Statistics reported by a pass-manager run, used in reports and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PassStats {
-    pub folded_constants: usize,
-    pub propagated_copies: usize,
-    pub unified_exprs: usize,
-    pub removed_insts: usize,
-}
-
-impl PassStats {
-    /// Translate a pass-manager report into the legacy flat counters.
-    pub fn from_report(report: &PipelineReport) -> PassStats {
-        PassStats {
-            folded_constants: report.changes_of("const-fold"),
-            propagated_copies: report.changes_of("copy-prop"),
-            unified_exprs: report.changes_of("cse"),
-            removed_insts: report.changes_of("dce"),
-        }
-    }
-}
-
-/// Which passes to run — the legacy flag façade over the textual pipelines.
-/// `OurBare` and friends disable the optimizations the instrumenting
-/// compiler does not support; `Base` runs all of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PassOptions {
-    pub const_fold: bool,
-    pub copy_prop: bool,
-    pub cse: bool,
-    pub dce: bool,
-}
-
-impl Default for PassOptions {
-    fn default() -> Self {
-        PassOptions {
-            const_fold: true,
-            copy_prop: true,
-            cse: true,
-            dce: true,
-        }
-    }
-}
-
-impl PassOptions {
-    /// Everything off — the configuration ConfLLVM falls back to for passes
-    /// it cannot make taint-aware.
-    pub fn none() -> Self {
-        PassOptions {
-            const_fold: false,
-            copy_prop: false,
-            cse: false,
-            dce: false,
-        }
-    }
-
-    /// The pipeline description equivalent to these flags.
-    pub fn pipeline(&self) -> String {
-        let mut names = Vec::new();
-        if self.const_fold {
-            names.push("const-fold");
-        }
-        if self.copy_prop {
-            names.push("copy-prop");
-        }
-        if self.cse {
-            names.push("cse");
-        }
-        if self.dce {
-            names.push("dce");
-        }
-        names.join(",")
-    }
-}
-
-/// Run the enabled passes over every function until a fixpoint, via the pass
-/// manager (kept for flag-based callers; new code should parse a pipeline).
-pub fn run(module: &mut Module, opts: PassOptions) -> PassStats {
-    let pm = PassManager::parse(&opts.pipeline()).expect("flag-derived pipelines are valid");
-    PassStats::from_report(&pm.run(module))
-}
 
 // ---------------------------------------------------------------------------
 // pass registry
@@ -614,6 +529,8 @@ fn common_subexpr_elim(f: &mut Function) -> usize {
 mod tests {
     use super::*;
     use crate::lower::lower;
+    use crate::module::Module;
+    use crate::pm::{PassManager, PipelineReport};
     use confllvm_minic::{parse, Sema};
 
     fn lower_src(src: &str) -> Module {
@@ -622,20 +539,24 @@ mod tests {
         lower(&prog, &sema, "test").unwrap()
     }
 
+    fn optimise(m: &mut Module, pipeline: &str) -> PipelineReport {
+        PassManager::parse(pipeline).unwrap().run(m)
+    }
+
     #[test]
     fn folds_constant_expressions() {
         let mut m = lower_src("int f() { return 2 + 3 * 4; }");
-        let stats = run(&mut m, PassOptions::default());
-        assert!(stats.folded_constants >= 2);
+        let report = optimise(&mut m, DEFAULT_IR_PIPELINE);
+        assert!(report.changes_of("const-fold") >= 2);
     }
 
     #[test]
     fn removes_dead_code() {
         let mut m = lower_src("int f(int x) { x + 1; 3 * 4; return x; }");
         let before = m.function("f").unwrap().inst_count();
-        let stats = run(&mut m, PassOptions::default());
+        let report = optimise(&mut m, DEFAULT_IR_PIPELINE);
         let after = m.function("f").unwrap().inst_count();
-        assert!(stats.removed_insts > 0);
+        assert!(report.changes_of("dce") > 0);
         assert!(after < before);
     }
 
@@ -646,7 +567,7 @@ mod tests {
              char buf[8];\n\
              int f() { send(1, buf, 8); return 0; }",
         );
-        run(&mut m, PassOptions::default());
+        optimise(&mut m, DEFAULT_IR_PIPELINE);
         let f = m.function("f").unwrap();
         let has_call = f
             .blocks
@@ -658,8 +579,10 @@ mod tests {
     #[test]
     fn disabled_passes_do_nothing() {
         let mut m = lower_src("int f() { return 2 + 3; }");
-        let stats = run(&mut m, PassOptions::none());
-        assert_eq!(stats, PassStats::default());
+        let before = m.function("f").unwrap().inst_count();
+        let report = optimise(&mut m, "");
+        assert_eq!(report.total_changes(), 0);
+        assert_eq!(m.function("f").unwrap().inst_count(), before);
     }
 
     #[test]
@@ -671,9 +594,9 @@ mod tests {
              int f() { table[0] = table[0] + 1; return table[0]; }",
         );
         let before: usize = count_global_addrs(m.function("f").unwrap());
-        let stats = run(&mut m, PassOptions::default());
+        let report = optimise(&mut m, DEFAULT_IR_PIPELINE);
         let after = count_global_addrs(m.function("f").unwrap());
-        assert!(stats.unified_exprs > 0);
+        assert!(report.changes_of("cse") > 0);
         assert!(after < before, "{after} vs {before}");
         assert_eq!(after, 1, "one GlobalAddr(table) must remain");
     }
@@ -702,9 +625,9 @@ mod tests {
         ";
         let mut m = lower_src(src);
         let before_loads = count_loads(m.function("f").unwrap());
-        let stats = run(&mut m, PassOptions::default());
+        let report = optimise(&mut m, DEFAULT_IR_PIPELINE);
         let after_loads = count_loads(m.function("f").unwrap());
-        assert!(stats.unified_exprs > 0);
+        assert!(report.changes_of("cse") > 0);
         assert!(
             after_loads < before_loads,
             "{after_loads} vs {before_loads}"
@@ -735,7 +658,7 @@ mod tests {
             }
         ";
         let mut m = lower_src(src);
-        run(&mut m, PassOptions::default());
+        optimise(&mut m, DEFAULT_IR_PIPELINE);
         // Both loads of buf[0] must survive: the extern call may rewrite buf.
         let loads = count_loads(m.function("f").unwrap());
         assert!(loads >= 2, "load across the call must not be forwarded");
@@ -753,9 +676,9 @@ mod tests {
             }
         ";
         let mut opt = lower_src(src);
-        run(&mut opt, PassOptions::default());
+        optimise(&mut opt, DEFAULT_IR_PIPELINE);
         let mut unopt = lower_src(src);
-        run(&mut unopt, PassOptions::none());
+        optimise(&mut unopt, "");
         let r1 = crate::taint::infer(&mut opt, crate::taint::InferOptions::default()).unwrap();
         let r2 = crate::taint::infer(&mut unopt, crate::taint::InferOptions::default()).unwrap();
         assert!(r1.private_accesses > 0);

@@ -126,7 +126,7 @@ mod tests {
     use crate::registry::{Registry, ServiceBinary, SetupSpec, VerifyPolicy};
     use crate::store::SessionTemplate;
     use confllvm_core::{CompileOptions, Config};
-    use confllvm_vm::VmOptions;
+    use confllvm_vm::{ExecStats, VmOptions};
     use confllvm_workloads::{ldap, nginx};
 
     fn template_for(
@@ -187,16 +187,22 @@ mod tests {
         let pool_opts = PoolOptions::default();
         let mut inst = ldap_template().instance(&world()).unwrap();
         assert!(inst.setup_cycles > 0, "populate must cost cycles");
+        let mut round0: Option<ExecStats> = None;
         for round in 0..3 {
             let (_dirty, cost) = inst.reset(&pool_opts);
             assert!(cost >= pool_opts.restore_base_cycles);
+            inst.vm.stats = ExecStats::default();
             let r = inst
                 .vm
                 .run_function(ldap::REQUEST_ENTRY, &[ldap::present_key(4)]);
             assert_eq!(r.exit_code(), Some(1), "round {round}: {:?}", r.outcome);
             // Every round starts from the same snapshot, so the observable
-            // output is exactly one response past the baseline.
+            // output is exactly one response past the baseline...
             assert_eq!(inst.vm.world.sent.len() - inst.sent_baseline, 16);
+            // ...and the run repeats round 0's exactly, data-cache hits and
+            // misses included: the reset rewinds the cache state too.
+            let first = round0.get_or_insert_with(|| r.stats.clone());
+            assert_eq!(r.stats, *first, "round {round}");
         }
     }
 

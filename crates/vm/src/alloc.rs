@@ -37,7 +37,10 @@ pub struct Heap {
     base: u64,
     size: u64,
     cursor: u64,
-    bins: Vec<Vec<u64>>, // free lists per size class (ConfBins only)
+    /// Free lists per size class (ConfBins only).  Empty until the first
+    /// recycled free, so cloning a heap that never freed — two per session
+    /// fork and per restore — allocates nothing.
+    bins: Vec<Vec<u64>>,
     pub allocations: u64,
     pub frees: u64,
     pub live_bytes: u64,
@@ -65,7 +68,7 @@ impl Heap {
             base,
             size,
             cursor: base,
-            bins: vec![Vec::new(); NUM_BINS],
+            bins: Vec::new(),
             allocations: 0,
             frees: 0,
             live_bytes: 0,
@@ -93,7 +96,7 @@ impl Heap {
             }
             AllocatorKind::ConfBins => {
                 let class = size_class(size);
-                if let Some(addr) = self.bins[class].pop() {
+                if let Some(addr) = self.bins.get_mut(class).and_then(Vec::pop) {
                     return Ok(addr);
                 }
                 let bytes = class_bytes(class);
@@ -114,6 +117,9 @@ impl Heap {
         self.live_bytes = self.live_bytes.saturating_sub(size.max(1));
         if self.kind == AllocatorKind::ConfBins && addr >= self.base && addr < self.base + self.size
         {
+            if self.bins.is_empty() {
+                self.bins = vec![Vec::new(); NUM_BINS];
+            }
             self.bins[size_class(size.max(1))].push(addr);
         }
     }

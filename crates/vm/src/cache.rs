@@ -17,7 +17,11 @@
 /// reports each outcome to its caller, and the execution engines account
 /// them in whatever way is cheapest for their loop (per-step statistics for
 /// the legacy engine, register accumulators for the block engine).
-#[derive(Debug, Clone)]
+///
+/// Every cache satisfies `tags.len() == (set_mask + 1) * ways`: the
+/// constructors build it, `DataCache::unallocated` holds it with zero ways,
+/// and `clone_from` copies all four fields together.
+#[derive(Debug)]
 pub struct DataCache {
     tags: Vec<u64>,
     ways: usize,
@@ -43,6 +47,19 @@ impl DataCache {
         DataCache::new(64, 64, 1)
     }
 
+    /// A cache with no tag storage (zero ways): the placeholder a forked VM
+    /// holds until its first run copies the snapshot's cache state in with
+    /// `clone_from`.  It must not be accessed — [`DataCache::access`] on it
+    /// panics on the empty set, it never reads out of bounds.
+    pub(crate) fn unallocated() -> Self {
+        DataCache {
+            tags: Vec::new(),
+            ways: 0,
+            line_bits: 0,
+            set_mask: 0,
+        }
+    }
+
     pub fn new(size_bytes: usize, line_bytes: usize, ways: usize) -> Self {
         let lines = size_bytes / line_bytes;
         let sets = (lines / ways).max(1);
@@ -59,10 +76,10 @@ impl DataCache {
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_bits;
         let base = (line & self.set_mask) as usize * self.ways;
-        // SAFETY: `line & set_mask <= sets - 1` for any `sets >= 1` (the
-        // constructor sets `set_mask = sets - 1`), so `base + ways <= sets *
-        // ways == tags.len()`.  The explicit bounds check would sit on the
-        // interpreter's per-load/store path.
+        // SAFETY: `line & set_mask <= set_mask`, so `base + ways <=
+        // (set_mask + 1) * ways == tags.len()` (the invariant on the type).
+        // The explicit bounds check would sit on the interpreter's
+        // per-load/store path.
         let set = unsafe { self.tags.get_unchecked_mut(base..base + self.ways) };
         // Consecutive accesses overwhelmingly land on the line they just
         // touched: an MRU hit is one compare and no reordering.
@@ -80,6 +97,26 @@ impl DataCache {
             set[0] = line;
             false
         }
+    }
+}
+
+impl Clone for DataCache {
+    fn clone(&self) -> Self {
+        DataCache {
+            tags: self.tags.clone(),
+            ways: self.ways,
+            line_bits: self.line_bits,
+            set_mask: self.set_mask,
+        }
+    }
+
+    /// Copies the tags into this cache's own allocation, so a VM rewound to
+    /// the same snapshot request after request allocates its tags once.
+    fn clone_from(&mut self, source: &Self) {
+        self.tags.clone_from(&source.tags);
+        self.ways = source.ways;
+        self.line_bits = source.line_bits;
+        self.set_mask = source.set_mask;
     }
 }
 

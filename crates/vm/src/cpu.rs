@@ -363,14 +363,16 @@ impl RunResult {
 ///
 /// [`Vm::restore`] rewinds the VM to this state in O(dirty pages), which is
 /// what lets a service runtime reuse one loaded instance across many requests
-/// instead of paying compile + load + setup per request.
+/// instead of paying compile + load + setup per request.  The cache state is
+/// shared by reference with every VM forked or restored from the snapshot;
+/// each copies it only when it next runs.
 #[derive(Debug, Clone)]
 pub struct VmSnapshot {
     mem: MemSnapshot,
     world: World,
     pub_heap: Heap,
     priv_heap: Heap,
-    cache: DataCache,
+    cache: Arc<DataCache>,
 }
 
 impl VmSnapshot {
@@ -412,7 +414,13 @@ pub struct Vm {
     pub memory: Memory,
     pub world: World,
     pub opts: VmOptions,
+    /// The data cache the engines access.  Live only while `cache_pending`
+    /// is `None`; until then it may be `DataCache::unallocated`.
     cache: DataCache,
+    /// Cache state inherited from a snapshot by [`Vm::fork`] or
+    /// [`Vm::restore`] and not yet copied into `cache` — `run_thread` copies
+    /// it before an engine starts, so a VM that never runs holds no tags.
+    cache_pending: Option<Arc<DataCache>>,
     pub_heap: Heap,
     priv_heap: Heap,
     pub stats: ExecStats,
@@ -435,6 +443,7 @@ impl Vm {
             world,
             opts,
             cache,
+            cache_pending: None,
             pub_heap: loaded.pub_heap,
             priv_heap: loaded.priv_heap,
             stats: ExecStats::default(),
@@ -443,11 +452,12 @@ impl Vm {
 
     /// A new session VM forked from `snap`, a snapshot of this VM: the
     /// decoded image is shared by reference, memory pages are shared
-    /// copy-on-write ([`Memory::fork`]), and the heaps and data cache start
-    /// as clones of the captured state.  The fork gets its own `world` (its
-    /// private external environment) and fresh statistics; the snapshot's
-    /// captured world is deliberately not inherited, since sessions are
-    /// mutually distrusting.
+    /// copy-on-write ([`Memory::fork`]), the heaps start as clones of the
+    /// captured state and the data cache inherits the snapshot's by
+    /// reference, copied on the fork's first run.  The fork gets its own
+    /// `world` (its private external environment) and fresh statistics; the
+    /// snapshot's captured world is deliberately not inherited, since
+    /// sessions are mutually distrusting.
     ///
     /// The fork behaves exactly like a freshly loaded VM that replayed the
     /// same deterministic history `snap` captured — but its resident cost is
@@ -460,7 +470,8 @@ impl Vm {
             memory: Memory::fork(&snap.mem),
             world,
             opts: self.opts.clone(),
-            cache: snap.cache.clone(),
+            cache: DataCache::unallocated(),
+            cache_pending: Some(Arc::clone(&snap.cache)),
             pub_heap: snap.pub_heap.clone(),
             priv_heap: snap.priv_heap.clone(),
             stats: ExecStats::default(),
@@ -485,6 +496,8 @@ impl Vm {
     /// program counter need no capture: every `run_function` starts a fresh
     /// thread context.  Execution statistics keep accumulating across
     /// restores; callers interested in per-request numbers diff [`Vm::stats`].
+    /// A VM that has not run since it inherited its cache state shares that
+    /// state with the new snapshot instead of copying it.
     pub fn snapshot(&mut self) -> VmSnapshot {
         let _span = confllvm_obs::recorder().span("vm", "vm.snapshot");
         VmSnapshot {
@@ -492,19 +505,24 @@ impl Vm {
             world: self.world.clone(),
             pub_heap: self.pub_heap.clone(),
             priv_heap: self.priv_heap.clone(),
-            cache: self.cache.clone(),
+            cache: match &self.cache_pending {
+                Some(pending) => Arc::clone(pending),
+                None => Arc::new(self.cache.clone()),
+            },
         }
     }
 
     /// Rewind memory (O(pages dirtied since the snapshot)), heaps, world and
     /// cache to `snap`.  The snapshot must have been taken from this VM.
+    /// The cache state is only referenced here; the next run copies it into
+    /// the VM's own tag storage.
     pub fn restore(&mut self, snap: &VmSnapshot) -> RestoreStats {
         let mut span = confllvm_obs::recorder().span("vm", "vm.restore");
         let dirty_pages = self.memory.restore(&snap.mem);
         self.world = snap.world.clone();
         self.pub_heap = snap.pub_heap.clone();
         self.priv_heap = snap.priv_heap.clone();
-        self.cache = snap.cache.clone();
+        self.cache_pending = Some(Arc::clone(&snap.cache));
         span.attr("dirty_pages", dirty_pages);
         RestoreStats { dirty_pages }
     }
@@ -604,6 +622,10 @@ impl Vm {
         t.regs[Reg::Rsp.index()] -= 8;
         if let Err(e) = self.memory.write(t.regs[Reg::Rsp.index()], 8, thunk as u64) {
             return Outcome::Fault(Fault::Memory(e));
+        }
+        // Both engines access the cache; make the inherited state live first.
+        if let Some(pending) = self.cache_pending.take() {
+            self.cache.clone_from(&pending);
         }
         match self.opts.engine {
             Engine::Legacy => self.exec_loop(&mut t),
@@ -1581,7 +1603,10 @@ impl Vm {
     }
 
     fn call_external(&mut self, t: &mut ThreadState, index: u16) -> Result<(), Fault> {
-        let Some(spec) = self.image.externs.get(index as usize).cloned() else {
+        // Borrow the spec through a handle on the image rather than cloning
+        // its name and taint lists on every trusted call.
+        let image = Arc::clone(&self.image);
+        let Some(spec) = image.externs.get(index as usize) else {
             return Err(Fault::UnknownExtern { index });
         };
         let args = [
@@ -1590,11 +1615,11 @@ impl Vm {
             t.regs[ARG_REGS[2].index()] as i64,
             t.regs[ARG_REGS[3].index()] as i64,
         ];
-        let strict = trusted::strict_for_scheme(self.image.scheme);
+        let strict = trusted::strict_for_scheme(image.scheme);
         let mut ctx = TrustedCtx {
             memory: &mut self.memory,
             world: &mut self.world,
-            layout: &self.image.layout,
+            layout: &image.layout,
             pub_heap: &mut self.pub_heap,
             priv_heap: &mut self.priv_heap,
             strict_regions: strict,
@@ -1606,7 +1631,7 @@ impl Vm {
                 self.stats.extern_bytes += res.bytes_copied;
                 let mut cycles = self.opts.cost.extern_base
                     + res.bytes_copied / 4 * self.opts.cost.extern_per_4_bytes;
-                if self.image.separate_trusted_memory {
+                if image.separate_trusted_memory {
                     cycles += self.opts.cost.trusted_switch;
                     self.stats.stack_switches += 1;
                 }
@@ -1867,6 +1892,25 @@ mod tests {
             f2.stats.cache_misses, f1_first_run_misses,
             "a fork's cache starts from the snapshot state, not a sibling's"
         );
+    }
+
+    #[test]
+    fn a_fork_of_an_unrun_forks_snapshot_runs_like_a_direct_fork() {
+        // The base runs first, so its snapshot carries a warm cache; a fork
+        // that never ran passes that state on through its own snapshot.
+        let p = counter_program();
+        let mut base = Vm::new(&p, VmOptions::default(), World::new()).unwrap();
+        base.run();
+        let snap = base.snapshot();
+        let mut idle = base.fork(&snap, World::new());
+        let idle_snap = idle.snapshot();
+        let mut direct = base.fork(&snap, World::new());
+        let mut second = idle.fork(&idle_snap, World::new());
+        let (a, b) = (direct.run(), second.run());
+        assert_eq!(a.exit_code(), Some(2));
+        assert_eq!(b.exit_code(), Some(2));
+        assert!(a.stats.cache_hits > 0, "the inherited cache is warm");
+        assert_eq!(a.stats, b.stats);
     }
 
     #[test]

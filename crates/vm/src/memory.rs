@@ -12,7 +12,11 @@
 //! * [`Memory::fork`] builds a new memory over a snapshot's page table; the
 //!   first write to a shared page copies it private (a CoW fault, counted in
 //!   [`Memory::cow_faults`]), so a forked session's resident cost is its
-//!   *written* working set, not the whole address space.
+//!   *written* working set, not the whole address space.  The fork shares
+//!   the snapshot's page table itself as its ownership base, and its
+//!   software TLB is one shared, empty table until the fork first fills a
+//!   slot — a fork that never runs owns one page-table clone and nothing
+//!   else.
 //! * [`Memory::restore`] stays O(pages written since the snapshot): dirty
 //!   pages are re-pointed at the snapshot's buffers, releasing the private
 //!   copies.
@@ -23,6 +27,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
+use std::ptr::NonNull;
 use std::sync::Arc;
 
 /// Page size used by the sparse backing store (simulation detail, not
@@ -88,6 +93,65 @@ impl TlbEntry {
     };
 }
 
+/// The all-invalid table every memory's TLB points at until its first
+/// fill.  Never written: [`Tlb::set`] gives the memory a table of its own
+/// first.
+static EMPTY_TLB: SharedTable = SharedTable([TlbEntry::INVALID; TLB_SIZE]);
+
+/// Makes the empty table a `static` (`TlbEntry` holds a raw pointer, which
+/// is not `Sync`).
+struct SharedTable([TlbEntry; TLB_SIZE]);
+
+/// SAFETY: the table is never written, and every pointer in it is null.
+unsafe impl Sync for SharedTable {}
+
+/// A memory's software TLB: [`EMPTY_TLB`] until the first slot is filled,
+/// then a table the memory owns.  A probe reads through the pointer either
+/// way — one load and one compare, with no branch on which table it is —
+/// so forks that never touch memory allocate no table at all.
+#[derive(Debug)]
+struct Tlb(NonNull<[TlbEntry; TLB_SIZE]>);
+
+impl Tlb {
+    fn shared() -> Tlb {
+        Tlb(NonNull::from(&EMPTY_TLB.0))
+    }
+
+    fn is_shared(&self) -> bool {
+        std::ptr::eq(self.0.as_ptr(), &EMPTY_TLB.0)
+    }
+
+    #[inline]
+    fn get(&self, slot: usize) -> TlbEntry {
+        // SAFETY: the pointer targets `EMPTY_TLB` or the table this TLB owns.
+        unsafe { (*self.0.as_ptr())[slot] }
+    }
+
+    fn set(&mut self, slot: usize, entry: TlbEntry) {
+        if self.is_shared() {
+            self.0 = NonNull::from(Box::leak(Box::new([TlbEntry::INVALID; TLB_SIZE])));
+        }
+        // SAFETY: the table is now this TLB's own, reached only through it.
+        unsafe { (*self.0.as_ptr())[slot] = entry };
+    }
+
+    fn clear(&mut self) {
+        if !self.is_shared() {
+            // SAFETY: as in `set` — an owned table.
+            unsafe { (*self.0.as_ptr()).fill(TlbEntry::INVALID) };
+        }
+    }
+}
+
+impl Drop for Tlb {
+    fn drop(&mut self) {
+        if !self.is_shared() {
+            // SAFETY: an owned table came from `Box::leak` in `set`.
+            drop(unsafe { Box::from_raw(self.0.as_ptr()) });
+        }
+    }
+}
+
 /// A memory access fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemFault {
@@ -117,7 +181,8 @@ impl std::fmt::Display for MemFault {
 /// whole new memories via [`Memory::fork`].
 #[derive(Debug, Clone)]
 pub struct MemSnapshot {
-    pages: PageMap,
+    /// Shared with every fork of the snapshot as its ownership base.
+    pages: Arc<PageMap>,
     mapped: Vec<(u64, u64)>,
 }
 
@@ -149,12 +214,13 @@ pub struct Memory {
     /// Whether dirty tracking is armed (set by the first `snapshot`, or at
     /// birth for a fork).
     tracking: bool,
-    /// For a fork: the base snapshot's page table, used to tell shared pages
-    /// from privately materialised ones by buffer identity.  Holding the
-    /// `Arc`s (rather than raw pointers) keeps the comparison sound even if
-    /// the base snapshot is dropped.  Empty for a memory that was never
-    /// forked — every page it materialises is its own cost.
-    base: PageMap,
+    /// For a fork: the base snapshot's page table (shared with the snapshot,
+    /// not copied), used to tell shared pages from privately materialised
+    /// ones by buffer identity.  Holding the `Arc`s (rather than raw
+    /// pointers) keeps the comparison sound even if the base snapshot is
+    /// dropped.  Empty for a memory that was never forked — every page it
+    /// materialises is its own cost.
+    base: Arc<PageMap>,
     /// Writes that had to copy a shared page private.
     cow_faults: u64,
     /// Software TLB over `pages`, the interpreter's per-access fast path.
@@ -166,9 +232,12 @@ pub struct Memory {
     /// operations that break liveness or uniqueness or start a new epoch —
     /// `snapshot` (clones the page table, resets the dirty set) and
     /// `restore` (re-points pages at shared buffers, resets the dirty set) —
-    /// clear the TLB, and a fork starts empty; `page_mut` itself refreshes
-    /// the slot after a possible `make_mut` move.  Accesses that hit a slot
-    /// may therefore go straight through the pointer.
+    /// clear the TLB, and a new memory or fork starts on the shared empty
+    /// table, where every probe misses; `page_mut` itself refreshes the slot
+    /// after a possible `make_mut` move.  Accesses that hit a slot may
+    /// therefore go straight through the pointer.  Only `page_mut` and
+    /// `read_slow` fill slots, and [`Tlb::set`] gives the memory its own
+    /// table before the first one; clearing leaves the shared table alone.
     ///
     /// Provenance: raw pointers are taken via `Arc::as_ptr` / `as_mut_ptr`
     /// on the page-table path.  While a slot is live, references into its
@@ -176,14 +245,16 @@ pub struct Memory {
     /// the slot with a fresh pointer) — reads and writes probe the TLB
     /// before touching the page table — so no pointer is used after a
     /// reference has retagged its buffer.
-    tlb: Box<[TlbEntry; TLB_SIZE]>,
+    tlb: Tlb,
 }
 
-/// SAFETY: the raw pointers in `tlb` target buffers owned (via `Arc`) by
-/// `pages` of the same `Memory`, are only ever dereferenced through `&mut
-/// self` methods, and `&self` methods never touch them — so sending the
-/// value or sharing `&Memory` across threads is as safe as it was without
-/// the TLB.
+/// SAFETY: `tlb` points either at the never-written, all-null `EMPTY_TLB`
+/// or at a table this `Memory` owns, and the raw pointers in its slots
+/// target buffers owned (via `Arc`) by `pages` of the same `Memory`.  Slot
+/// pointers are only ever dereferenced and the table only ever written
+/// through `&mut self` methods; `&self` methods never touch them — so
+/// sending the value or sharing `&Memory` across threads is as safe as it
+/// was without the TLB.
 unsafe impl Send for Memory {}
 /// SAFETY: see the `Send` impl.
 unsafe impl Sync for Memory {}
@@ -203,19 +274,15 @@ impl Memory {
             last_dirty: u64::MAX,
             hot_range: std::sync::atomic::AtomicUsize::new(0),
             tracking: false,
-            base: PageMap::default(),
+            base: Arc::default(),
             cow_faults: 0,
-            tlb: Box::new([TlbEntry::INVALID; TLB_SIZE]),
+            tlb: Tlb::shared(),
         }
     }
 
     #[inline]
     fn tlb_slot(page: u64) -> usize {
         (page as usize) & (TLB_SIZE - 1)
-    }
-
-    fn tlb_clear(&mut self) {
-        self.tlb.fill(TlbEntry::INVALID);
     }
 
     /// Declare `[base, base+size)` accessible.
@@ -264,7 +331,7 @@ impl Memory {
         // epoch is done: later accesses may go straight through the pointer.
         // (If `make_mut` copied the page, this also replaces any read-only
         // slot still aiming at the old shared buffer.)
-        self.tlb[Self::tlb_slot(page)] = if fully_mapped {
+        let entry = if fully_mapped {
             TlbEntry {
                 page,
                 writable: true,
@@ -273,6 +340,7 @@ impl Memory {
         } else {
             TlbEntry::INVALID
         };
+        self.tlb.set(Self::tlb_slot(page), entry);
         buf
     }
 
@@ -282,12 +350,12 @@ impl Memory {
     pub fn snapshot(&mut self) -> MemSnapshot {
         // Cloning the page table shares every buffer, so no TLB entry may
         // outlive it; the reset dirty set starts a new tracking epoch too.
-        self.tlb_clear();
+        self.tlb.clear();
         self.tracking = true;
         self.dirty.clear();
         self.last_dirty = u64::MAX;
         MemSnapshot {
-            pages: self.pages.clone(),
+            pages: Arc::new(self.pages.clone()),
             mapped: self.mapped.clone(),
         }
     }
@@ -295,18 +363,20 @@ impl Memory {
     /// A new memory sharing every page of `snap` copy-on-write: reads hit the
     /// shared buffers, the first write to a page copies it private.  The fork
     /// starts with dirty tracking armed and owns no pages — its resident
-    /// cost grows only with the pages it actually writes.
+    /// cost grows only with the pages it actually writes.  Its one copy is
+    /// of the page table; the base it measures ownership against is the
+    /// snapshot's own table, and its TLB is the shared empty one.
     pub fn fork(snap: &MemSnapshot) -> Memory {
         Memory {
-            pages: snap.pages.clone(),
+            pages: PageMap::clone(&snap.pages),
             mapped: snap.mapped.clone(),
             dirty: HashSet::default(),
             last_dirty: u64::MAX,
             hot_range: std::sync::atomic::AtomicUsize::new(0),
             tracking: true,
-            base: snap.pages.clone(),
+            base: Arc::clone(&snap.pages),
             cow_faults: 0,
-            tlb: Box::new([TlbEntry::INVALID; TLB_SIZE]),
+            tlb: Tlb::shared(),
         }
     }
 
@@ -323,20 +393,22 @@ impl Memory {
     pub fn restore(&mut self, snap: &MemSnapshot) -> usize {
         // Dirty pages re-point at shared buffers and the dirty set restarts:
         // both void the TLB's uniqueness/accounting certificate.
-        self.tlb_clear();
-        let dirty = std::mem::take(&mut self.dirty);
+        self.tlb.clear();
         self.last_dirty = u64::MAX;
-        for page in &dirty {
-            match snap.pages.get(page) {
+        let restored = self.dirty.len();
+        // Drained in place, so the set keeps its allocation for the next
+        // request.
+        for page in self.dirty.drain() {
+            match snap.pages.get(&page) {
                 Some(p) => {
-                    self.pages.insert(*page, Arc::clone(p));
+                    self.pages.insert(page, Arc::clone(p));
                 }
                 None => {
-                    self.pages.remove(page);
+                    self.pages.remove(&page);
                 }
             }
         }
-        dirty.len()
+        restored
     }
 
     /// Number of pages written since the last snapshot/restore.
@@ -371,7 +443,7 @@ impl Memory {
         let off = (addr % PAGE_SIZE) as usize;
         if off as u64 + 8 <= PAGE_SIZE {
             let page = addr / PAGE_SIZE;
-            let e = self.tlb[Self::tlb_slot(page)];
+            let e = self.tlb.get(Self::tlb_slot(page));
             if e.page == page {
                 // SAFETY: TLB invariant (see `read`) + the single-page check.
                 return Ok(unsafe { (e.ptr.add(off) as *const u64).read_unaligned() });
@@ -386,7 +458,7 @@ impl Memory {
         let off = (addr % PAGE_SIZE) as usize;
         if off as u64 + 8 <= PAGE_SIZE {
             let page = addr / PAGE_SIZE;
-            let e = self.tlb[Self::tlb_slot(page)];
+            let e = self.tlb.get(Self::tlb_slot(page));
             if e.page == page && e.writable {
                 // SAFETY: TLB invariant (see `write`) + the single-page check.
                 unsafe { (e.ptr.add(off) as *mut u64).write_unaligned(value) };
@@ -405,7 +477,7 @@ impl Memory {
         let off = (addr % PAGE_SIZE) as usize;
         if off as u64 + len <= PAGE_SIZE {
             let page = addr / PAGE_SIZE;
-            let e = self.tlb[Self::tlb_slot(page)];
+            let e = self.tlb.get(Self::tlb_slot(page));
             if e.page == page {
                 // SAFETY: the TLB invariant (see the `tlb` field) — `e.ptr`
                 // points at this page's live buffer, the whole page is
@@ -456,11 +528,12 @@ impl Memory {
                 // fully-mapped page may occupy a slot.
                 let ptr = Arc::as_ptr(p) as *mut u8;
                 if self.is_mapped(page * PAGE_SIZE, PAGE_SIZE) {
-                    self.tlb[Self::tlb_slot(page)] = TlbEntry {
+                    let entry = TlbEntry {
                         page,
                         writable: false,
                         ptr,
                     };
+                    self.tlb.set(Self::tlb_slot(page), entry);
                 }
             }
             return Ok(u64::from_le_bytes(out));
@@ -486,7 +559,7 @@ impl Memory {
         let off = (addr % PAGE_SIZE) as usize;
         if off as u64 + len <= PAGE_SIZE {
             let page = addr / PAGE_SIZE;
-            let e = self.tlb[Self::tlb_slot(page)];
+            let e = self.tlb.get(Self::tlb_slot(page));
             if e.page == page && e.writable {
                 // SAFETY: TLB invariant — unique live buffer on a fully
                 // mapped page, CoW/dirty accounting for it already done this
@@ -536,19 +609,55 @@ impl Memory {
         Ok(())
     }
 
-    /// Bulk copy out of memory (used by the trusted library wrappers).
+    /// Bulk copy out of memory (used by the trusted library wrappers), one
+    /// page-sized chunk at a time.  A chunk that is not fully mapped is read
+    /// byte by byte, so a fault names the same first unmapped byte a
+    /// byte-at-a-time copy would.
     pub fn read_bytes(&mut self, addr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
         let mut v = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            v.push(self.read(addr + i, 1)? as u8);
+        for (a, page, off, n) in page_chunks(addr, len) {
+            let e = self.tlb.get(Self::tlb_slot(page));
+            if e.page == page {
+                // SAFETY: TLB invariant — the live buffer of a fully-mapped
+                // page — and `off + n <= PAGE_SIZE` (`page_chunks`).
+                v.extend_from_slice(unsafe { std::slice::from_raw_parts(e.ptr.add(off), n) });
+            } else if self.is_mapped(a, n as u64) {
+                match self.pages.get(&page) {
+                    Some(p) => v.extend_from_slice(&p[off..off + n]),
+                    None => v.resize(v.len() + n, 0),
+                }
+            } else {
+                for i in 0..n as u64 {
+                    v.push(self.read(a + i, 1)? as u8);
+                }
+            }
         }
         Ok(v)
     }
 
-    /// Bulk copy into memory.
+    /// Bulk copy into memory, one page-sized chunk at a time.  Each chunk
+    /// does the dirty and CoW accounting of its page once — exactly what
+    /// the first byte of a byte-at-a-time copy did for it.  A chunk that is
+    /// not fully mapped is written byte by byte, so a fault leaves the same
+    /// bytes written and names the same address.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write(addr + i as u64, 1, *b as u64)?;
+        let mut rest = bytes;
+        for (a, page, off, n) in page_chunks(addr, bytes.len() as u64) {
+            let (chunk, tail) = rest.split_at(n);
+            rest = tail;
+            let e = self.tlb.get(Self::tlb_slot(page));
+            if e.page == page && e.writable {
+                // SAFETY: TLB invariant — unique live buffer on a fully
+                // mapped page, its accounting done — and `off + n <=
+                // PAGE_SIZE` (`page_chunks`).
+                unsafe { std::ptr::copy_nonoverlapping(chunk.as_ptr(), e.ptr.add(off), n) };
+            } else if self.is_mapped(a, n as u64) {
+                self.page_mut(page)[off..off + n].copy_from_slice(chunk);
+            } else {
+                for (i, b) in chunk.iter().enumerate() {
+                    self.write(a + i as u64, 1, *b as u64)?;
+                }
+            }
         }
         Ok(())
     }
@@ -571,6 +680,22 @@ impl Memory {
     pub fn touched_pages(&self) -> usize {
         self.pages.len()
     }
+}
+
+/// `[addr, addr + len)` split at page boundaries, as (chunk address, page,
+/// offset in the page, chunk length).
+fn page_chunks(addr: u64, len: u64) -> impl Iterator<Item = (u64, u64, usize, usize)> {
+    let end = addr.saturating_add(len);
+    let mut a = addr;
+    std::iter::from_fn(move || {
+        (a < end).then(|| {
+            let off = a % PAGE_SIZE;
+            let n = (end - a).min(PAGE_SIZE - off);
+            let chunk = (a, a / PAGE_SIZE, off as usize, n as usize);
+            a += n;
+            chunk
+        })
+    })
 }
 
 #[cfg(test)]
@@ -740,6 +865,105 @@ mod tests {
         assert_eq!(f.resident_private_pages(), 0, "copies released");
         assert_eq!(f.read(0x0, 8).unwrap(), 7);
         assert_eq!(f.read(0x5000, 8).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_fork_holds_the_shared_tlb_until_its_first_access() {
+        let mut base = Memory::new();
+        base.map_range(0, 4 * 4096);
+        base.write(0x0, 8, 5).unwrap();
+        let snap = base.snapshot();
+        let mut f = Memory::fork(&snap);
+        assert!(f.tlb.is_shared(), "a fresh fork allocates no table");
+        f.restore(&snap);
+        assert!(f.tlb.is_shared(), "rewinding an unused fork allocates none");
+        assert_eq!(f.read(0x0, 8).unwrap(), 5);
+        assert!(!f.tlb.is_shared(), "the first fill gives the fork its own");
+        assert_eq!(f.read(0x0, 8).unwrap(), 5, "and later reads hit it");
+        f.write(0x0, 8, 6).unwrap();
+        assert!(
+            EMPTY_TLB.0.iter().all(|e| e.page == u64::MAX),
+            "the shared table is never written"
+        );
+        let mut g = Memory::fork(&snap);
+        assert_eq!(g.read(0x0, 8).unwrap(), 5, "a sibling sees no stale slot");
+    }
+
+    /// The byte-at-a-time copies the page-wise `read_bytes`/`write_bytes`
+    /// must match exactly.
+    fn read_bytes_oracle(m: &mut Memory, addr: u64, len: u64) -> Result<Vec<u8>, MemFault> {
+        (0..len)
+            .map(|i| m.read(addr + i, 1).map(|b| b as u8))
+            .collect()
+    }
+
+    fn write_bytes_oracle(m: &mut Memory, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
+        for (i, b) in bytes.iter().enumerate() {
+            m.write(addr + i as u64, 1, *b as u64)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn page_wise_copies_match_a_byte_at_a_time_oracle() {
+        // Pages 0-2 mapped whole; a second range starting and ending inside
+        // pages 4 and 5; page 3 and everything from page 6 up unmapped.
+        let ranges = [(0, 3 * 4096), (4 * 4096 + 100, 5 * 4096 + 2048)];
+        let mut base = Memory::new();
+        for (lo, hi) in ranges {
+            base.map_range(lo, hi - lo);
+        }
+        // Materialise pages 0, 2 and 4; pages 1 and 5 read as zeros.
+        for a in [0x10, 2 * 4096 + 7, 4 * 4096 + 200] {
+            base.write(a, 8, 0x0102_0304_0506_0708).unwrap();
+        }
+        let snap = base.snapshot();
+        let cases: &[(u64, u64)] = &[
+            (0, 0),
+            (0x10, 8),
+            (4090, 20),                    // straddles pages 0 and 1
+            (4096 - 8, 4096 + 16),         // three pages
+            (0, 3 * 4096),                 // the whole first mapping
+            (3 * 4096 - 5, 10),            // runs off its end
+            (3 * 4096 + 10, 4),            // unmapped page
+            (4 * 4096 + 90, 20),           // starts before the second range
+            (4 * 4096 + 100, 4096 + 1948), // exactly the second range
+            (5 * 4096 + 2000, 100),        // runs off its end
+            (5 * 4096 + 2047, 1),          // its last byte
+        ];
+        for &(addr, len) in cases {
+            for warm in [false, true] {
+                let fresh = || {
+                    let mut m = Memory::fork(&snap);
+                    if warm {
+                        // Writable and read-only TLB slots on the pages the
+                        // copy starts and ends on.
+                        let _ = m.write(addr, 1, 0xee);
+                        let _ = m.read(addr + len.saturating_sub(1), 1);
+                    }
+                    m
+                };
+                let (mut m, mut o) = (fresh(), fresh());
+                let want = read_bytes_oracle(&mut o, addr, len);
+                assert_eq!(m.read_bytes(addr, len), want, "read {addr:#x}+{len}");
+
+                let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+                let (mut m, mut o) = (fresh(), fresh());
+                let want = write_bytes_oracle(&mut o, addr, &data);
+                let ctx = format!("write {addr:#x}+{len} warm={warm}");
+                assert_eq!(m.write_bytes(addr, &data), want, "{ctx}");
+                assert_eq!(m.dirty_pages(), o.dirty_pages(), "{ctx}");
+                assert_eq!(m.cow_faults(), o.cow_faults(), "{ctx}");
+                assert_eq!(m.touched_pages(), o.touched_pages(), "{ctx}");
+                for (lo, hi) in ranges {
+                    assert_eq!(
+                        read_bytes_oracle(&mut m, lo, hi - lo),
+                        read_bytes_oracle(&mut o, lo, hi - lo),
+                        "{ctx}: contents after the copy"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! validates pointer arguments against U's memory regions, switches stacks
 //! (accounted by the cost model in the CPU), and only then runs the body.
 
+use std::sync::Arc;
+
 use confllvm_machine::{MemoryLayout, Scheme, Taint};
 
 use crate::alloc::Heap;
@@ -172,7 +174,10 @@ pub fn call(
             let buf = a(1);
             let size = a(2);
             ctx.world.reads += 1;
-            let contents = ctx.world.files.get(&fname).cloned().unwrap_or_default();
+            // A handle on the shared table, so the bytes are borrowed, not
+            // copied, while the wrapper writes them into U's memory.
+            let files = Arc::clone(&ctx.world.files);
+            let contents = files.get(&fname).map_or(&[][..], Vec::as_slice);
             let n = contents.len().min(size as usize);
             ctx.write_buf("read_file", buf, &contents[..n], Taint::Public)?;
             ok(n as i64, n as u64)
@@ -182,12 +187,8 @@ pub fn call(
             let buf = a(1);
             let size = a(2);
             ctx.world.reads += 1;
-            let contents = ctx
-                .world
-                .secret_files
-                .get(&fname)
-                .cloned()
-                .unwrap_or_default();
+            let files = Arc::clone(&ctx.world.secret_files);
+            let contents = files.get(&fname).map_or(&[][..], Vec::as_slice);
             let n = contents.len().min(size as usize);
             ctx.write_buf("read_file_secret", buf, &contents[..n], Taint::Private)?;
             ok(n as i64, n as u64)
@@ -198,12 +199,10 @@ pub fn call(
             let buf = a(1);
             let size = a(2);
             ctx.world.reads += 1;
-            let pw = ctx
-                .world
-                .passwords
+            let passwords = Arc::clone(&ctx.world.passwords);
+            let pw = passwords
                 .get(&uname)
-                .cloned()
-                .unwrap_or_else(|| b"default-password".to_vec());
+                .map_or(&b"default-password"[..], Vec::as_slice);
             let n = pw.len().min(size as usize);
             ctx.write_buf("read_passwd", buf, &pw[..n], Taint::Private)?;
             ok(n as i64, n as u64)

@@ -4,8 +4,15 @@
 //! Everything an attacker can observe is collected here (`sent`, `log`), so
 //! end-to-end confidentiality tests reduce to: run the program twice with
 //! different private state and compare the observable fields.
+//!
+//! The inputs T only reads — files, secret files and passwords — sit behind
+//! `Arc`s, so cloning a world (once per session fork and per restore) copies
+//! no file bytes.  Change them through [`World::add_file`],
+//! [`World::add_secret_file`] and [`World::set_password`], which copy a
+//! shared table before writing it.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// The world state visible to / mutated by T functions.
 #[derive(Debug, Clone, Default)]
@@ -16,12 +23,15 @@ pub struct World {
     pub sent: Vec<u8>,
     /// The log file (`log_write`) — attacker-observable.
     pub log: Vec<u8>,
-    /// Public files (`read_file`).
-    pub files: HashMap<String, Vec<u8>>,
+    /// Public files (`read_file`).  Shared between clones; add through
+    /// [`World::add_file`].
+    pub files: Arc<HashMap<String, Vec<u8>>>,
     /// Private files (`read_file_secret`): served content, user data.
-    pub secret_files: HashMap<String, Vec<u8>>,
-    /// Stored per-user passwords (`read_passwd`).
-    pub passwords: HashMap<String, Vec<u8>>,
+    /// Shared between clones; add through [`World::add_secret_file`].
+    pub secret_files: Arc<HashMap<String, Vec<u8>>>,
+    /// Stored per-user passwords (`read_passwd`).  Shared between clones;
+    /// set through [`World::set_password`].
+    pub passwords: Arc<HashMap<String, Vec<u8>>>,
     /// Values declassified through T (`declassify_result`).
     pub declassified: Vec<i64>,
     /// Toy symmetric key used by `encrypt`/`decrypt`/`encrypt_log`.
@@ -54,16 +64,15 @@ impl World {
     }
 
     pub fn add_file(&mut self, name: &str, contents: &[u8]) {
-        self.files.insert(name.to_string(), contents.to_vec());
+        Arc::make_mut(&mut self.files).insert(name.to_string(), contents.to_vec());
     }
 
     pub fn add_secret_file(&mut self, name: &str, contents: &[u8]) {
-        self.secret_files
-            .insert(name.to_string(), contents.to_vec());
+        Arc::make_mut(&mut self.secret_files).insert(name.to_string(), contents.to_vec());
     }
 
     pub fn set_password(&mut self, user: &str, password: &[u8]) {
-        self.passwords.insert(user.to_string(), password.to_vec());
+        Arc::make_mut(&mut self.passwords).insert(user.to_string(), password.to_vec());
     }
 
     /// The attacker-observable trace: everything that left U in clear.
@@ -110,6 +119,20 @@ mod tests {
         let enc = w.xor_crypt(&data);
         assert_ne!(enc, data);
         assert_eq!(w.xor_crypt(&enc), data);
+    }
+
+    #[test]
+    fn clones_share_inputs_until_one_side_changes_them() {
+        let mut a = World::new();
+        a.add_secret_file("doc", b"private bytes");
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.secret_files, &b.secret_files), "no copy");
+        b.add_secret_file("doc", b"replaced");
+        b.add_secret_file("other", b"new");
+        assert!(!Arc::ptr_eq(&a.secret_files, &b.secret_files));
+        assert_eq!(a.secret_files.len(), 1, "the original is unchanged");
+        assert_eq!(a.secret_files["doc"], b"private bytes");
+        assert_eq!(b.secret_files["doc"], b"replaced");
     }
 
     #[test]
