@@ -4,6 +4,9 @@
 //! paper's evaluation (Section 7) on top of the simulator.  The `repro`
 //! binary prints the tables and writes each section's `BENCH_<name>.json`,
 //! which CI diffs against the golden copies in `crates/bench/golden/`.
+//! [`bench_json`] owns that file format: every section builds its file with
+//! one [`BenchJson`] builder, and `repro --diff-bench` reads and compares
+//! it with [`diff_bench_json`].
 //!
 //! Absolute numbers are simulated cycles, not seconds; what is compared with
 //! the paper is the *shape*: which configuration wins, by roughly what
@@ -19,26 +22,25 @@ use confllvm_server::{
 };
 use confllvm_workloads::{ldap, merkle, nginx, overhead_pct, privado, spec, vuln};
 
+pub mod bench_json;
 pub mod interp_speed;
 pub mod profile;
 pub mod server_scale;
 pub mod verify_scale;
 
+pub use bench_json::{diff_bench_json, BenchJson};
 pub use interp_speed::{
-    interp_speed_json, interp_speed_report, render_interp_speed, write_interp_speed_json,
-    InterpSpeedReport, InterpSpeedRow,
+    interp_speed_json, interp_speed_report, render_interp_speed, InterpSpeedReport, InterpSpeedRow,
 };
 pub use profile::{
-    profile_json, profile_report, render_profile, write_profile_json, ProfileReport, ProfileRow,
-    ServerProfileRow,
+    profile_json, profile_report, render_profile, ProfileReport, ProfileRow, ServerProfileRow,
 };
 pub use server_scale::{
-    render_server_scale, server_scale_json, server_scale_report, write_server_scale_json,
-    ServerScalePoint, ServerScaleReport,
+    render_server_scale, server_scale_json, server_scale_report, ServerScalePoint,
+    ServerScaleReport,
 };
 pub use verify_scale::{
-    diff_bench_json, render_verify_scale, verify_scale_json, verify_scale_report,
-    write_verify_scale_json, VerifyScaleReport,
+    render_verify_scale, verify_scale_json, verify_scale_report, VerifyScaleReport,
 };
 
 /// One row of a figure: a labelled series of (configuration, value) pairs.
@@ -82,46 +84,20 @@ impl Figure {
         out
     }
 
-    /// Serialise as the flat scalar JSON the golden diff understands.
-    /// Every value is a ratio of simulated-cycle totals, so every key
-    /// diffs exactly — figures carry no timing-class keys at all.
-    pub fn figure_json(&self, section: &str, quick: bool) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"section\": \"{section}\",\n"));
-        s.push_str(&format!("  \"quick\": {quick},\n"));
-        s.push_str(&format!("  \"id\": \"{}\",\n", self.id));
-        s.push_str(&format!("  \"metric\": \"{}\",\n", self.metric));
-        s.push_str(&format!("  \"rows\": {}", self.rows.len()));
+    /// The figure's BENCH document.  Every value is a ratio of
+    /// simulated-cycle totals, so every key diffs exactly — figures carry no
+    /// timing-class keys at all.
+    pub fn figure_json(&self, section: &str, quick: bool) -> BenchJson {
+        let mut json = BenchJson::new(section, quick);
+        json.str("id", self.id)
+            .str("metric", self.metric)
+            .plain("rows", self.rows.len());
         for row in &self.rows {
             for (config, value) in &row.values {
-                s.push_str(&format!(
-                    ",\n  \"{}.{}\": {:.3}",
-                    row.label,
-                    config.name(),
-                    value
-                ));
+                json.ratio(format_args!("{}.{}", row.label, config.name()), *value);
             }
         }
-        s.push_str("\n}\n");
-        s
-    }
-
-    /// Write the figure benchmark JSON atomically (temp file + rename).
-    pub fn write_figure_json(
-        &self,
-        section: &str,
-        quick: bool,
-        path: &std::path::Path,
-    ) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let json = self.figure_json(section, quick);
-        let tmp = path.with_extension("json.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
+        json
     }
 }
 
@@ -307,56 +283,21 @@ pub fn ablation_passes_rows(scale: i64) -> Vec<AblationPassesRow> {
     rows
 }
 
-/// Serialise the ablation rows as the flat scalar JSON the golden diff
-/// understands.  Every key — executed checks and simulated cycles under
-/// each pipeline — is deterministic, so the whole file is exact-diffed
-/// against its golden copy.
-pub fn ablation_passes_json(rows: &[AblationPassesRow], quick: bool) -> String {
-    let mut s = String::from("{\n");
-    let mut field = |key: String, value: String, last: bool| {
-        s.push_str(&format!("  \"{key}\": {value}"));
-        s.push_str(if last { "\n" } else { ",\n" });
-    };
-    field("section".into(), "\"ablation_passes\"".into(), false);
-    field("quick".into(), quick.to_string(), false);
-    field("rows".into(), rows.len().to_string(), false);
-    field(
-        "improved".into(),
-        rows.iter().filter(|r| r.improved()).count().to_string(),
-        false,
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let last_row = i + 1 == rows.len();
+/// The ablation's BENCH document.  Every key — executed checks and
+/// simulated cycles under each pipeline — is deterministic, so the whole
+/// file is exact-diffed against its golden copy.
+pub fn ablation_passes_json(rows: &[AblationPassesRow], quick: bool) -> BenchJson {
+    let mut json = BenchJson::new("ablation_passes", quick);
+    json.plain("rows", rows.len())
+        .plain("improved", rows.iter().filter(|r| r.improved()).count());
+    for r in rows {
         let k = r.workload;
-        field(format!("{k}.checks_pr1"), r.checks_pr1.to_string(), false);
-        field(format!("{k}.checks_full"), r.checks_full.to_string(), false);
-        field(format!("{k}.cycles_pr1"), r.cycles_pr1.to_string(), false);
-        field(
-            format!("{k}.cycles_full"),
-            r.cycles_full.to_string(),
-            last_row,
-        );
+        json.plain(format_args!("{k}.checks_pr1"), r.checks_pr1)
+            .plain(format_args!("{k}.checks_full"), r.checks_full)
+            .plain(format_args!("{k}.cycles_pr1"), r.cycles_pr1)
+            .plain(format_args!("{k}.cycles_full"), r.cycles_full);
     }
-    s.push_str("}\n");
-    s
-}
-
-/// Write the ablation benchmark JSON atomically (temp file + rename), like
-/// [`write_verify_scale_json`].
-pub fn write_ablation_passes_json(
-    rows: &[AblationPassesRow],
-    quick: bool,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let json = ablation_passes_json(rows, quick);
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    json
 }
 
 /// The `ablation_passes` section: what cross-block redundant-check
@@ -681,81 +622,34 @@ pub fn server_throughput_table_for(rows: &[ServerThroughputRow]) -> String {
     out
 }
 
-/// Serialise the serving rows as the flat scalar JSON the golden diff
-/// understands (same format and tolerance classes as `verify_scale_json`:
-/// `*_micros` keys are machine-dependent host timings, everything else —
-/// simulated cycles, request counts, check counts — is deterministic and
-/// exact-diffed).
-pub fn server_throughput_json(rows: &[ServerThroughputRow], quick: bool) -> String {
-    let mut s = String::from("{\n");
-    let mut field = |key: String, value: String, last: bool| {
-        s.push_str(&format!("  \"{key}\": {value}"));
-        s.push_str(if last { "\n" } else { ",\n" });
-    };
-    field("section".into(), "\"server_throughput\"".into(), false);
-    field("quick".into(), quick.to_string(), false);
-    field("rows".into(), rows.len().to_string(), false);
-    for (i, r) in rows.iter().enumerate() {
+/// The serving section's BENCH document: `*_micros` keys are
+/// machine-dependent host timings, everything else — simulated cycles,
+/// request counts, check counts — is deterministic and exact-diffed.
+pub fn server_throughput_json(rows: &[ServerThroughputRow], quick: bool) -> BenchJson {
+    let mut json = BenchJson::new("server_throughput", quick);
+    json.plain("rows", rows.len());
+    for r in rows {
         let k = format!("{}.{}", r.workload, r.config.name());
-        let last_row = i + 1 == rows.len();
-        field(format!("{k}.verified"), r.verified.to_string(), false);
-        field(format!("{k}.requests"), r.requests.to_string(), false);
-        field(
-            format!("{k}.cold_cycles_per_req"),
-            r.cold_cycles_per_req.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.pooled_cycles_per_req"),
-            r.pooled_cycles_per_req.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.pooled_p99_cycles"),
-            r.pooled_p99.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.checks_per_req"),
-            r.checks_per_req.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.dirty_pages_per_req"),
-            format!("{:.3}", r.dirty_pages_per_req),
-            false,
-        );
-        field(
-            format!("{k}.cold_host_micros"),
-            r.cold_host_micros.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.pooled_host_micros"),
-            r.pooled_host_micros.to_string(),
-            last_row,
-        );
+        json.plain(format_args!("{k}.verified"), r.verified)
+            .plain(format_args!("{k}.requests"), r.requests)
+            .plain(
+                format_args!("{k}.cold_cycles_per_req"),
+                r.cold_cycles_per_req,
+            )
+            .plain(
+                format_args!("{k}.pooled_cycles_per_req"),
+                r.pooled_cycles_per_req,
+            )
+            .plain(format_args!("{k}.pooled_p99_cycles"), r.pooled_p99)
+            .plain(format_args!("{k}.checks_per_req"), r.checks_per_req)
+            .ratio(
+                format_args!("{k}.dirty_pages_per_req"),
+                r.dirty_pages_per_req,
+            )
+            .plain(format_args!("{k}.cold_host_micros"), r.cold_host_micros)
+            .plain(format_args!("{k}.pooled_host_micros"), r.pooled_host_micros);
     }
-    s.push_str("}\n");
-    s
-}
-
-/// Write the serving benchmark JSON atomically (temp file + rename), like
-/// [`write_verify_scale_json`].
-pub fn write_server_throughput_json(
-    rows: &[ServerThroughputRow],
-    quick: bool,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let json = server_throughput_json(rows, quick);
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    json
 }
 
 /// Section 7.6: the vulnerability-injection summary.

@@ -5,14 +5,18 @@
 //! repro [--section <name>[,<name>...]]... [--quick] [--usage]
 //!       [--trace <out.json>] [--metrics-json <out.json>]
 //!       [--metrics-series <out.jsonl>] [--profile-folded <out.folded>]
-//! repro [--fig5] [--fig6] [--ldap] [--fig7] [--fig8] [--vuln] [--porting]
+//! repro --diff-bench <actual.json> <golden.json>
 //! repro --check-trace <trace.json>
 //! ```
 //! With no section selection, everything is reproduced.  `--quick` shrinks
 //! the workload parameters (useful in CI); the numbers remain comparable in
-//! shape.  `--section <name>` runs one or more evaluation sections
-//! (repeatable, comma-separated lists accepted, e.g. `--section nginx,ldap`);
-//! the legacy `--figN`-style flags remain as aliases.
+//! shape.  Sections are chosen only with `--section <name>` (repeatable,
+//! comma-separated lists accepted, e.g. `--section nginx,ldap`).
+//!
+//! Eleven sections write a `BENCH_<section>.json` that `--diff-bench`
+//! compares against its golden copy; `confllvm_bench::bench_json` owns
+//! that format, from building and writing the file to reading and diffing
+//! it.
 //!
 //! `--trace` and `--metrics-json` enable the observability recorder for
 //! whatever runs — they compose with any `--section` selection — and write
@@ -21,79 +25,67 @@
 
 use confllvm_bench::*;
 
-/// Every evaluation section: canonical name, legacy flag alias, workload
-/// aliases accepted by `--section`, and a description.
-const SECTIONS: [(&str, &str, &[&str], &str); 13] = [
+/// Every evaluation section: canonical name, workload aliases accepted by
+/// `--section`, and a description.
+const SECTIONS: [(&str, &[&str], &str); 13] = [
     (
         "fig5",
-        "--fig5",
         &["spec"],
         "SPEC CPU stand-ins, execution time vs Base",
     ),
     (
         "fig6",
-        "--fig6",
         &["nginx"],
         "NGINX stand-in, throughput vs Base",
     ),
     (
         "ldap",
-        "--ldap",
         &[],
         "OpenLDAP stand-in, hit/miss query throughput",
     ),
     (
         "fig7",
-        "--fig7",
         &["privado"],
         "Privado stand-in, classification latency",
     ),
     (
         "fig8",
-        "--fig8",
         &["merkle"],
         "Merkle FS stand-in, multi-threaded read time",
     ),
-    ("vuln", "--vuln", &[], "Section 7.6 vulnerability injection"),
+    ("vuln", &[], "Section 7.6 vulnerability injection"),
     (
         "porting",
-        "--porting",
         &[],
         "porting effort (annotations + trusted interface)",
     ),
     (
         "ablation_passes",
-        "--ablation-passes",
         &[],
         "machine pass pipelines on OurMPX: PR-1 trio vs +hoist +cross-block",
     ),
     (
         "server_throughput",
-        "--server-throughput",
         &["server"],
         "serving layer: verify-then-load, VM pooling, cold vs pooled request streams (emits BENCH_server_throughput.json)",
     ),
     (
         "verify_scale",
-        "--verify-scale",
         &["verify"],
         "fleet-scale ConfVerify: parallel vs serial, content-hash cache, blue/green hot-swap (emits BENCH_verify_scale.json)",
     ),
     (
         "server_scale",
-        "--server-scale",
         &["scale"],
         "serving layer at scale: CoW session forks + backpressured virtual-time scheduler, 10^4-10^5 sessions (emits BENCH_server_scale.json)",
     ),
     (
         "interp_speed",
-        "--interp-speed",
         &["interp"],
         "block execution engine vs legacy decode-per-step interpreter: host time on SPEC stand-ins + pooled serving mix, asserts >=3x with bit-identical counters (emits BENCH_interp_speed.json)",
     ),
     (
         "profile",
-        "--profile",
         &[],
         "deterministic sampling profiler: SPEC stand-ins + serving legs, per-check-site attribution cross-checked against ablation_passes, PR-1 vs full-pipeline differential (emits BENCH_profile.json)",
     ),
@@ -104,11 +96,10 @@ fn usage() -> String {
     out.push_str("usage: repro [--section <name>[,<name>...]]... [--quick] [--usage]\n");
     out.push_str("             [--trace <out.json>] [--metrics-json <out.json>]\n");
     out.push_str("             [--metrics-series <out.jsonl>] [--profile-folded <out.folded>]\n");
-    out.push_str("       repro [--fig5] [--fig6] [--ldap] [--fig7] [--fig8] [--vuln] [--porting] [--ablation-passes] [--server-throughput] [--verify-scale]\n");
     out.push_str("       repro --diff-bench <actual.json> <golden.json>\n");
     out.push_str("       repro --check-trace <trace.json>\n\n");
     out.push_str("sections:\n");
-    for (name, _, aliases, desc) in SECTIONS {
+    for (name, aliases, desc) in SECTIONS {
         let label = if aliases.is_empty() {
             name.to_string()
         } else {
@@ -137,7 +128,7 @@ fn usage() -> String {
 fn valid_section_names() -> String {
     SECTIONS
         .iter()
-        .flat_map(|(name, _, aliases, _)| std::iter::once(*name).chain(aliases.iter().copied()))
+        .flat_map(|(name, aliases, _)| std::iter::once(*name).chain(aliases.iter().copied()))
         .collect::<Vec<_>>()
         .join(", ")
 }
@@ -158,9 +149,9 @@ fn resolve_sections(list: &str, selected: &mut Vec<&'static str>, unknown: &mut 
         any = true;
         match SECTIONS
             .iter()
-            .find(|(name, _, aliases, _)| *name == part || aliases.contains(&part))
+            .find(|(name, aliases, _)| *name == part || aliases.contains(&part))
         {
-            Some((name, _, _, _)) => selected.push(name),
+            Some((name, _, _)) => selected.push(name),
             None => unknown.push(part.to_string()),
         }
     }
@@ -171,8 +162,8 @@ fn resolve_sections(list: &str, selected: &mut Vec<&'static str>, unknown: &mut 
 
 /// CI mode: diff a freshly emitted benchmark JSON against the checked-in
 /// golden copy.  Deterministic keys must match exactly; host-timing keys
-/// only need to be positive.  Exit 0 on pass, 1 on mismatch, 2 on I/O or
-/// parse trouble.
+/// only need to be positive.  Exit 0 on pass, 1 on mismatch, 2 on I/O
+/// trouble or a file that is not a flat JSON object of scalars.
 fn diff_bench(actual_path: &str, golden_path: &str) -> ! {
     let read = |p: &str| match std::fs::read_to_string(p) {
         Ok(s) => s,
@@ -196,7 +187,7 @@ fn diff_bench(actual_path: &str, golden_path: &str) -> ! {
             std::process::exit(1);
         }
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("error: diffing `{actual_path}` against `{golden_path}`: {e}");
             std::process::exit(2);
         }
     }
@@ -320,14 +311,11 @@ fn main() {
                     _ => folded_path = Some(path.clone()),
                 }
             }
-            flag => match SECTIONS.iter().find(|(_, f, _, _)| *f == flag) {
-                Some((n, _, _, _)) => selected.push(n),
-                None => {
-                    eprintln!("error: unknown flag `{flag}`");
-                    eprint!("{}", usage());
-                    std::process::exit(2);
-                }
-            },
+            flag => {
+                eprintln!("error: unknown flag `{flag}`");
+                eprint!("{}", usage());
+                std::process::exit(2);
+            }
         }
         i += 1;
     }
@@ -384,35 +372,35 @@ fn main() {
     let merkle_blocks = if quick { 2 } else { 8 };
     let merkle_threads = 6;
 
-    // Every figure value is a simulated-cycle ratio, so each figure emits a
-    // golden-diffable BENCH_<section>.json next to its table.
-    let write_or_die = |path: &std::path::Path, res: std::io::Result<()>| match res {
-        Ok(()) => println!("   wrote {}", path.display()),
+    let write_or_die = |path: &str, res: std::io::Result<()>| match res {
+        Ok(()) => println!("   wrote {path}"),
         Err(e) => {
-            eprintln!("error: writing {}: {e}", path.display());
+            eprintln!("error: writing {path}: {e}");
             std::process::exit(1);
         }
     };
-    let emit_figure = |section: &str, fig: &Figure| {
-        println!("{}", fig.render());
-        let path = std::path::PathBuf::from(format!("BENCH_{section}.json"));
-        write_or_die(&path, fig.write_figure_json(section, quick, &path));
+    let emit = |table: String, json: BenchJson| {
+        println!("{table}");
+        let path = json.file_name();
+        write_or_die(&path, json.write(std::path::Path::new(&path)));
     };
+    let emit_figure =
+        |section: &str, fig: Figure| emit(fig.render(), fig.figure_json(section, quick));
 
     if want("fig5") {
-        emit_figure("fig5", &fig5_spec(spec_scale));
+        emit_figure("fig5", fig5_spec(spec_scale));
     }
     if want("fig6") {
-        emit_figure("fig6", &fig6_nginx(nginx_requests, nginx_sizes));
+        emit_figure("fig6", fig6_nginx(nginx_requests, nginx_sizes));
     }
     if want("ldap") {
-        emit_figure("ldap", &ldap_table(ldap_entries, ldap_queries));
+        emit_figure("ldap", ldap_table(ldap_entries, ldap_queries));
     }
     if want("fig7") {
-        emit_figure("fig7", &fig7_privado(privado_images));
+        emit_figure("fig7", fig7_privado(privado_images));
     }
     if want("fig8") {
-        emit_figure("fig8", &fig8_merkle(merkle_blocks, 1024, merkle_threads));
+        emit_figure("fig8", fig8_merkle(merkle_blocks, 1024, merkle_threads));
     }
     if want("vuln") {
         println!("{}", vuln_table());
@@ -422,86 +410,38 @@ fn main() {
     }
     if want("ablation_passes") {
         let rows = ablation_passes_rows(spec_scale);
-        println!("{}", ablation_passes_table_for(&rows));
-        let path = std::path::Path::new("BENCH_ablation_passes.json");
-        match write_ablation_passes_json(&rows, quick, path) {
-            Ok(()) => println!("   wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        emit(
+            ablation_passes_table_for(&rows),
+            ablation_passes_json(&rows, quick),
+        );
     }
     if want("server_throughput") {
         let rows = server_throughput_rows(quick);
-        println!("{}", server_throughput_table_for(&rows));
-        let path = std::path::Path::new("BENCH_server_throughput.json");
-        match write_server_throughput_json(&rows, quick, path) {
-            Ok(()) => println!("   wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        emit(
+            server_throughput_table_for(&rows),
+            server_throughput_json(&rows, quick),
+        );
     }
     if want("verify_scale") {
         let report = verify_scale_report(quick);
-        println!("{}", render_verify_scale(&report));
-        let path = std::path::Path::new("BENCH_verify_scale.json");
-        match write_verify_scale_json(&report, path) {
-            Ok(()) => println!("   wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        emit(render_verify_scale(&report), verify_scale_json(&report));
     }
     if want("server_scale") {
         let report = server_scale_report(quick);
-        println!("{}", render_server_scale(&report));
-        let path = std::path::Path::new("BENCH_server_scale.json");
-        match write_server_scale_json(&report, path) {
-            Ok(()) => println!("   wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        emit(render_server_scale(&report), server_scale_json(&report));
         if let Some(out) = &series_path {
-            match std::fs::write(out, &report.metrics_series) {
-                Ok(()) => println!("   wrote {out}"),
-                Err(e) => {
-                    eprintln!("error: writing {out}: {e}");
-                    std::process::exit(1);
-                }
-            }
+            write_or_die(out, std::fs::write(out, &report.metrics_series));
         }
     }
     if want("interp_speed") {
         let report = interp_speed_report(quick);
-        println!("{}", render_interp_speed(&report));
-        let path = std::path::Path::new("BENCH_interp_speed.json");
-        match write_interp_speed_json(&report, path) {
-            Ok(()) => println!("   wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        emit(render_interp_speed(&report), interp_speed_json(&report));
     }
     if want("profile") {
         let report = profile_report(quick);
-        println!("{}", render_profile(&report));
-        let path = std::path::Path::new("BENCH_profile.json");
-        write_or_die(path, write_profile_json(&report, path));
+        emit(render_profile(&report), profile_json(&report));
         if let Some(out) = &folded_path {
-            match std::fs::write(out, &report.folded) {
-                Ok(()) => println!("   wrote {out}"),
-                Err(e) => {
-                    eprintln!("error: writing {out}: {e}");
-                    std::process::exit(1);
-                }
-            }
+            write_or_die(out, std::fs::write(out, &report.folded));
         }
     }
     if global_profile {
@@ -511,17 +451,12 @@ fn main() {
         let out = folded_path
             .as_deref()
             .expect("global_profile implies a path");
-        match std::fs::write(out, profile.folded()) {
-            Ok(()) => println!(
-                "   wrote {out} ({} samples over {} stacks)",
-                profile.total_samples(),
-                profile.samples.len()
-            ),
-            Err(e) => {
-                eprintln!("error: writing {out}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_or_die(out, std::fs::write(out, profile.folded()));
+        println!(
+            "   ({} samples over {} stacks)",
+            profile.total_samples(),
+            profile.samples.len()
+        );
     }
 
     if recording {
@@ -529,18 +464,17 @@ fn main() {
         rec.set_enabled(false);
         let snap = rec.snapshot();
         print!("{}", confllvm_obs::summary_table(&snap));
-        let write = |path: &str, contents: String| {
-            if let Err(e) = std::fs::write(path, contents) {
-                eprintln!("error: writing {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("   wrote {path}");
-        };
         if let Some(path) = &trace_path {
-            write(path, confllvm_obs::chrome_trace_json(&snap));
+            write_or_die(
+                path,
+                std::fs::write(path, confllvm_obs::chrome_trace_json(&snap)),
+            );
         }
         if let Some(path) = &metrics_path {
-            write(path, confllvm_obs::metrics_json(&snap));
+            write_or_die(
+                path,
+                std::fs::write(path, confllvm_obs::metrics_json(&snap)),
+            );
         }
     }
 }

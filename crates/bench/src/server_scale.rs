@@ -32,7 +32,7 @@ use confllvm_server::{
 };
 use confllvm_workloads::nginx;
 
-use crate::{server_for, ServerLoad};
+use crate::{server_for, BenchJson, ServerLoad};
 
 /// One sweep point: one forked scale run at `sessions` concurrent sessions.
 #[derive(Debug, Clone)]
@@ -460,161 +460,63 @@ pub fn render_server_scale(r: &ServerScaleReport) -> String {
     out
 }
 
-/// Serialise as the flat scalar JSON the golden diff understands.  Only
-/// `*_host_micros` keys are timing-class; everything else is virtual-time
-/// or page arithmetic and diffs exactly.
-pub fn server_scale_json(r: &ServerScaleReport) -> String {
-    let mut s = String::from("{\n");
-    let mut field = |key: String, value: String, last: bool| {
-        s.push_str(&format!("  \"{key}\": {value}"));
-        s.push_str(if last { "\n" } else { ",\n" });
-    };
-    field("section".into(), "\"server_scale\"".into(), false);
-    field("quick".into(), r.quick.to_string(), false);
-    field("workload".into(), format!("\"{}\"", r.workload), false);
-    field("config".into(), format!("\"{}\"", r.config.name()), false);
-    field("points".into(), r.points.len().to_string(), false);
+/// The section's BENCH document.  Only `*_host_micros` keys are
+/// timing-class; everything else is virtual-time or page arithmetic and
+/// diffs exactly.
+pub fn server_scale_json(r: &ServerScaleReport) -> BenchJson {
+    let mut json = BenchJson::new("server_scale", r.quick);
+    json.str("workload", r.workload)
+        .str("config", r.config.name())
+        .plain("points", r.points.len());
     for p in &r.points {
         let k = format!("scale.{}", p.sessions);
-        field(format!("{k}.sessions"), p.sessions.to_string(), false);
-        field(format!("{k}.arrivals"), p.arrivals.to_string(), false);
-        field(format!("{k}.executed"), p.executed.to_string(), false);
-        field(format!("{k}.shed"), p.shed.to_string(), false);
-        field(format!("{k}.deferred"), p.deferred.to_string(), false);
-        field(format!("{k}.windows"), p.windows.to_string(), false);
-        field(
-            format!("{k}.max_queue_depth"),
-            p.max_queue_depth.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.mean_queue_depth"),
-            format!("{:.3}", p.mean_queue_depth),
-            false,
-        );
-        field(
-            format!("{k}.p99_virtual_cycles"),
-            p.p99_virtual_cycles.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.p999_virtual_cycles"),
-            p.p999_virtual_cycles.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.p999_service_cycles"),
-            p.p999_service_cycles.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.template_pages"),
-            p.template_pages.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.mean_parked_pages"),
-            format!("{:.3}", p.mean_parked_pages),
-            false,
-        );
-        field(
-            format!("{k}.max_parked_pages"),
-            p.max_parked_pages.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.mean_peak_pages"),
-            format!("{:.3}", p.mean_peak_pages),
-            false,
-        );
-        field(format!("{k}.cow_faults"), p.cow_faults.to_string(), false);
-        field(
-            format!("{k}.makespan_cycles"),
-            p.makespan_cycles.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.slo_bad_windows"),
-            p.slo_bad_windows.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.slo_fast_breaches"),
-            p.slo_fast_breaches.to_string(),
-            false,
-        );
-        field(
-            format!("{k}.slo_slow_breaches"),
-            p.slo_slow_breaches.to_string(),
-            false,
-        );
-        field(format!("{k}.host_micros"), p.host_micros.to_string(), false);
+        json.plain(format_args!("{k}.sessions"), p.sessions)
+            .plain(format_args!("{k}.arrivals"), p.arrivals)
+            .plain(format_args!("{k}.executed"), p.executed)
+            .plain(format_args!("{k}.shed"), p.shed)
+            .plain(format_args!("{k}.deferred"), p.deferred)
+            .plain(format_args!("{k}.windows"), p.windows)
+            .plain(format_args!("{k}.max_queue_depth"), p.max_queue_depth)
+            .ratio(format_args!("{k}.mean_queue_depth"), p.mean_queue_depth)
+            .plain(format_args!("{k}.p99_virtual_cycles"), p.p99_virtual_cycles)
+            .plain(
+                format_args!("{k}.p999_virtual_cycles"),
+                p.p999_virtual_cycles,
+            )
+            .plain(
+                format_args!("{k}.p999_service_cycles"),
+                p.p999_service_cycles,
+            )
+            .plain(format_args!("{k}.template_pages"), p.template_pages)
+            .ratio(format_args!("{k}.mean_parked_pages"), p.mean_parked_pages)
+            .plain(format_args!("{k}.max_parked_pages"), p.max_parked_pages)
+            .ratio(format_args!("{k}.mean_peak_pages"), p.mean_peak_pages)
+            .plain(format_args!("{k}.cow_faults"), p.cow_faults)
+            .plain(format_args!("{k}.makespan_cycles"), p.makespan_cycles)
+            .plain(format_args!("{k}.slo_bad_windows"), p.slo_bad_windows)
+            .plain(format_args!("{k}.slo_fast_breaches"), p.slo_fast_breaches)
+            .plain(format_args!("{k}.slo_slow_breaches"), p.slo_slow_breaches)
+            .plain(format_args!("{k}.host_micros"), p.host_micros);
     }
-    field("quiet.sessions".into(), r.quiet_sessions.to_string(), false);
-    field("quiet.windows".into(), r.quiet_windows.to_string(), false);
-    field("quiet.breaches".into(), r.quiet_breaches.to_string(), false);
-    field(
-        "baseline.sessions".into(),
-        r.baseline_sessions.to_string(),
-        false,
-    );
-    field(
-        "baseline.isolated_mean_parked_pages".into(),
-        format!("{:.3}", r.isolated_mean_parked_pages),
-        false,
-    );
-    field(
-        "baseline.resident_improvement".into(),
-        format!("{:.3}", r.resident_improvement),
-        false,
-    );
-    field(
-        "baseline.observables_match".into(),
-        r.observables_match.to_string(),
-        false,
-    );
+    json.plain("quiet.sessions", r.quiet_sessions)
+        .plain("quiet.windows", r.quiet_windows)
+        .plain("quiet.breaches", r.quiet_breaches)
+        .plain("baseline.sessions", r.baseline_sessions)
+        .ratio(
+            "baseline.isolated_mean_parked_pages",
+            r.isolated_mean_parked_pages,
+        )
+        .ratio("baseline.resident_improvement", r.resident_improvement)
+        .plain("baseline.observables_match", r.observables_match)
+        .plain("baseline.isolated_host_micros", r.isolated_host_micros);
     // The real-thread serve leg only runs in the full sweep; quick output
     // omits the keys entirely so the quick golden stays byte-identical.
-    field(
-        "baseline.isolated_host_micros".into(),
-        r.isolated_host_micros.to_string(),
-        r.live_serve_sessions == 0,
-    );
     if r.live_serve_sessions > 0 {
-        field(
-            "live_serve.sessions".into(),
-            r.live_serve_sessions.to_string(),
-            false,
-        );
-        field(
-            "live_serve.requests".into(),
-            r.live_serve_requests.to_string(),
-            false,
-        );
-        field(
-            "live_serve.host_micros".into(),
-            r.live_serve_host_micros.to_string(),
-            true,
-        );
+        json.plain("live_serve.sessions", r.live_serve_sessions)
+            .plain("live_serve.requests", r.live_serve_requests)
+            .plain("live_serve.host_micros", r.live_serve_host_micros);
     }
-    s.push_str("}\n");
-    s
-}
-
-/// Write the scale benchmark JSON atomically (temp file + rename).
-pub fn write_server_scale_json(
-    r: &ServerScaleReport,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let json = server_scale_json(r);
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    json
 }
 
 #[cfg(test)]
@@ -644,8 +546,8 @@ mod tests {
     #[test]
     fn scale_json_round_trips_and_diffs_cleanly_against_itself() {
         let r = server_scale_report(true);
-        let json = server_scale_json(&r);
-        let errors = crate::diff_bench_json(&json, &json).unwrap();
+        let json = server_scale_json(&r).to_string();
+        let errors = crate::bench_json::diff_bench_json(&json, &json).unwrap();
         assert!(errors.is_empty(), "{errors:?}");
         assert!(render_server_scale(&r).contains("10000"));
     }
@@ -682,13 +584,13 @@ mod tests {
             quiet_breaches: 0,
             metrics_series: String::new(),
         };
-        assert!(!server_scale_json(&r).contains("live_serve."));
+        assert!(!server_scale_json(&r).to_string().contains("live_serve."));
         r.live_serve_sessions = 10_000;
         r.live_serve_requests = 10_000;
         r.live_serve_host_micros = 1;
-        let json = server_scale_json(&r);
+        let json = server_scale_json(&r).to_string();
         assert!(json.contains("\"live_serve.sessions\": 10000"));
-        let errors = crate::diff_bench_json(&json, &json).unwrap();
+        let errors = crate::bench_json::diff_bench_json(&json, &json).unwrap();
         assert!(errors.is_empty(), "{errors:?}");
     }
 
@@ -702,7 +604,7 @@ mod tests {
         assert!(top.slo_bad_windows > 0);
         assert_eq!(r.quiet_breaches, 0);
         assert!(r.quiet_windows > 0, "the quiet run must produce windows");
-        let json = server_scale_json(&r);
+        let json = server_scale_json(&r).to_string();
         assert!(json.contains(".slo_fast_breaches"));
         assert!(json.contains("\"quiet.breaches\": 0"));
         // The top point's telemetry rides along as metrics-series JSONL.

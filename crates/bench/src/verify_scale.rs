@@ -18,11 +18,10 @@
 //! 4. **Load-vs-serve interference** — measured host p99 request latency
 //!    while concurrent verifications hammer the same machine, vs quiet.
 //!
-//! The section also emits `BENCH_verify_scale.json` (atomic write) whose
-//! deterministic keys are diffed against a golden copy in CI; see
-//! [`diff_bench_json`] for the tolerance classes.
+//! The section also emits `BENCH_verify_scale.json` whose deterministic
+//! keys are diffed against a golden copy in CI; see
+//! [`diff_bench_json`](crate::diff_bench_json) for the tolerance classes.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,6 +34,8 @@ use confllvm_server::{
 };
 use confllvm_verify::{verify_fleet, verify_with, VerifyCache, VerifyOptions};
 use confllvm_workloads::spec;
+
+use crate::BenchJson;
 
 /// Worker count the parallel measurements model.
 const FLEET_THREADS: usize = 4;
@@ -557,178 +558,37 @@ pub fn render_verify_scale(r: &VerifyScaleReport) -> String {
     out
 }
 
-/// Serialise the report as JSON.  Scalars only, keys sorted by emission
-/// order, so the golden diff can parse it with the tiny reader below.
-pub fn verify_scale_json(r: &VerifyScaleReport) -> String {
-    let mut s = String::from("{\n");
-    let mut field = |key: &str, value: String, last: bool| {
-        s.push_str(&format!("  \"{key}\": {value}"));
-        s.push_str(if last { "\n" } else { ",\n" });
-    };
-    field("section", "\"verify_scale\"".to_string(), false);
-    field("quick", r.quick.to_string(), false);
-    field("fleet.binaries", r.fleet_binaries.to_string(), false);
-    field("fleet.procedures", r.fleet_procedures.to_string(), false);
-    field("fleet.accepted", r.accepted.to_string(), false);
-    field(
-        "serial.total_task_micros",
-        r.serial_total_micros.to_string(),
-        false,
-    );
-    field("parallel.threads", r.parallel_threads.to_string(), false);
-    field(
-        "parallel.makespan_micros",
-        r.parallel_makespan_micros.to_string(),
-        false,
-    );
-    field(
-        "parallel.modeled_speedup",
-        format!("{:.3}", r.modeled_speedup),
-        false,
-    );
-    field(
-        "cache.first_micros",
-        r.cache_first_micros.to_string(),
-        false,
-    );
-    field(
-        "cache.second_micros",
-        r.cache_second_micros.to_string(),
-        false,
-    );
-    field("cache.speedup", format!("{:.3}", r.cache_speedup), false);
-    field("cache.hits", r.cache_hits.to_string(), false);
-    field("cache.misses", r.cache_misses.to_string(), false);
-    field("hot_swap.served_v1", r.swap.served_v1.to_string(), false);
-    field("hot_swap.served_v2", r.swap.served_v2.to_string(), false);
-    field(
-        "hot_swap.unverified_serves",
-        r.swap.unverified_serves.to_string(),
-        false,
-    );
-    field(
-        "hot_swap.v1_state",
-        format!("\"{}\"", r.swap.v1_state),
-        false,
-    );
-    field(
-        "hot_swap.v2_state",
-        format!("\"{}\"", r.swap.v2_state),
-        false,
-    );
-    field(
-        "hot_swap.tampered_state",
-        format!("\"{}\"", r.swap.tampered_state),
-        false,
-    );
-    field(
-        "hot_swap.observables_stable",
-        r.swap.observables_stable.to_string(),
-        false,
-    );
-    field(
-        "interference.quiet_p99_nanos",
-        r.quiet_p99_nanos.to_string(),
-        false,
-    );
-    field(
-        "interference.swap_p99_nanos",
-        r.swap_p99_nanos.to_string(),
-        true,
-    );
-    s.push_str("}\n");
-    s
-}
-
-/// Write the JSON atomically (temp file + rename) so a crashed run never
-/// leaves a half-written benchmark file behind.
-pub fn write_verify_scale_json(
-    r: &VerifyScaleReport,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    let json = verify_scale_json(r);
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-/// Parse the flat `"key": value` JSON this module emits into (key, value)
-/// pairs.  Only handles the subset we write: one scalar field per line.
-fn parse_flat_json(text: &str) -> Result<Vec<(String, String)>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line == "{" || line == "}" || line.is_empty() {
-            continue;
-        }
-        let Some((key, value)) = line.split_once(':') else {
-            return Err(format!("unparseable line: `{line}`"));
-        };
-        let key = key.trim().trim_matches('"').to_string();
-        let value = value.trim().trim_matches('"').to_string();
-        out.push((key, value));
-    }
-    if out.is_empty() {
-        return Err("no fields found".to_string());
-    }
-    Ok(out)
-}
-
-/// Is this key a host-timing measurement (machine-dependent)?
-fn is_timing_key(key: &str) -> bool {
-    key.ends_with("_micros") || key.ends_with("_nanos") || key.ends_with("speedup")
-}
-
-/// Diff a freshly emitted benchmark JSON against the golden copy.
-///
-/// Two tolerance classes:
-/// * **timing keys** (`*_micros`, `*_nanos`, `*speedup`) are machine-
-///   dependent — both sides must merely be positive numbers;
-/// * **everything else** (fleet sizes, procedure counts, cache hit counts,
-///   hot-swap session counts, lifecycle states) is deterministic and must
-///   match exactly.
-///
-/// Returns the list of mismatch descriptions (empty = pass).
-pub fn diff_bench_json(actual: &str, golden: &str) -> Result<Vec<String>, String> {
-    let actual = parse_flat_json(actual)?;
-    let golden = parse_flat_json(golden)?;
-    let mut errors = Vec::new();
-    let a_map: std::collections::BTreeMap<_, _> = actual.iter().cloned().collect();
-    let g_map: std::collections::BTreeMap<_, _> = golden.iter().cloned().collect();
-    for key in g_map.keys() {
-        if !a_map.contains_key(key) {
-            errors.push(format!("missing key `{key}`"));
-        }
-    }
-    for key in a_map.keys() {
-        if !g_map.contains_key(key) {
-            errors.push(format!("unexpected key `{key}`"));
-        }
-    }
-    for (key, a) in &a_map {
-        let Some(g) = g_map.get(key) else { continue };
-        if is_timing_key(key) {
-            let a_ok = a.parse::<f64>().map(|v| v > 0.0).unwrap_or(false);
-            let g_ok = g.parse::<f64>().map(|v| v > 0.0).unwrap_or(false);
-            if !a_ok || !g_ok {
-                errors.push(format!(
-                    "timing key `{key}` must be a positive number (actual `{a}`, golden `{g}`)"
-                ));
-            }
-        } else if a != g {
-            errors.push(format!("key `{key}`: actual `{a}` != golden `{g}`"));
-        }
-    }
-    Ok(errors)
+/// The section's BENCH document.
+pub fn verify_scale_json(r: &VerifyScaleReport) -> BenchJson {
+    let mut json = BenchJson::new("verify_scale", r.quick);
+    json.plain("fleet.binaries", r.fleet_binaries)
+        .plain("fleet.procedures", r.fleet_procedures)
+        .plain("fleet.accepted", r.accepted)
+        .plain("serial.total_task_micros", r.serial_total_micros)
+        .plain("parallel.threads", r.parallel_threads)
+        .plain("parallel.makespan_micros", r.parallel_makespan_micros)
+        .ratio("parallel.modeled_speedup", r.modeled_speedup)
+        .plain("cache.first_micros", r.cache_first_micros)
+        .plain("cache.second_micros", r.cache_second_micros)
+        .ratio("cache.speedup", r.cache_speedup)
+        .plain("cache.hits", r.cache_hits)
+        .plain("cache.misses", r.cache_misses)
+        .plain("hot_swap.served_v1", r.swap.served_v1)
+        .plain("hot_swap.served_v2", r.swap.served_v2)
+        .plain("hot_swap.unverified_serves", r.swap.unverified_serves)
+        .str("hot_swap.v1_state", &r.swap.v1_state)
+        .str("hot_swap.v2_state", &r.swap.v2_state)
+        .str("hot_swap.tampered_state", &r.swap.tampered_state)
+        .plain("hot_swap.observables_stable", r.swap.observables_stable)
+        .plain("interference.quiet_p99_nanos", r.quiet_p99_nanos)
+        .plain("interference.swap_p99_nanos", r.swap_p99_nanos);
+    json
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench_json::diff_bench_json;
 
     #[test]
     fn quick_report_satisfies_every_acceptance_bound() {
@@ -750,7 +610,7 @@ mod tests {
     #[test]
     fn json_round_trips_and_diffs_cleanly_against_itself() {
         let r = verify_scale_report(true);
-        let json = verify_scale_json(&r);
+        let json = verify_scale_json(&r).to_string();
         let errors = diff_bench_json(&json, &json).unwrap();
         assert!(errors.is_empty(), "{errors:?}");
     }
@@ -758,7 +618,7 @@ mod tests {
     #[test]
     fn diff_flags_deterministic_drift_but_not_timing_drift() {
         let r = verify_scale_report(true);
-        let json = verify_scale_json(&r);
+        let json = verify_scale_json(&r).to_string();
         // Timing drift: fine.
         let timing_drift = json.replace(
             &format!("\"cache.first_micros\": {}", r.cache_first_micros),

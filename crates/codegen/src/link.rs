@@ -15,6 +15,10 @@ use rand::SeedableRng;
 use crate::isel::{compile_function, CodegenError, MagicPatch};
 use crate::options::CodegenOptions;
 
+/// Seed of the magic-prefix search: a fixed seed makes every build of the
+/// same module emit the same prefixes, so compiled output is reproducible.
+const PREFIX_SEED: u64 = 0xC0FF_EE00;
+
 /// Statistics about the produced code, used by the evaluation harness.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CodegenReport {
@@ -186,8 +190,7 @@ pub fn compile_module_with_entry(
             is_magic[word_of[*idx] as usize] = true;
         }
     }
-    let seed = opts.prefix_seed.unwrap_or(0x5eed);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(PREFIX_SEED);
     let mut attempts = 0usize;
     let prefixes = loop {
         attempts += 1;

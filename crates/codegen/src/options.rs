@@ -44,8 +44,6 @@ pub struct CodegenOptions {
     /// Machine-level optimisation pipeline (comma-separated pass names, see
     /// [`crate::mpass`]).  Empty = no machine optimisations.
     pub passes: String,
-    /// Deterministic seed for the magic-prefix search (None = from entropy).
-    pub prefix_seed: Option<u64>,
 }
 
 impl Default for CodegenOptions {
@@ -57,7 +55,6 @@ impl Default for CodegenOptions {
             separate_trusted_memory: true,
             emit_chkstk: true,
             passes: PIPELINE_MPX_FULL.to_string(),
-            prefix_seed: Some(0xC0FF_EE00),
         }
     }
 }
@@ -72,7 +69,6 @@ impl CodegenOptions {
             separate_trusted_memory: false,
             emit_chkstk: false,
             passes: String::new(),
-            prefix_seed: Some(0xC0FF_EE00),
         }
     }
 

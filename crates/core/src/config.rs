@@ -123,7 +123,6 @@ impl Config {
                 separate_trusted_memory: false,
                 emit_chkstk: false,
                 passes: String::new(),
-                prefix_seed: Some(0xC0FF_EE00),
             }),
             Config::OurBare => named(CodegenOptions {
                 scheme: Scheme::None,
@@ -132,7 +131,6 @@ impl Config {
                 separate_trusted_memory: true,
                 emit_chkstk: true,
                 passes: String::new(),
-                prefix_seed: Some(0xC0FF_EE00),
             }),
             Config::OurCFI => named(CodegenOptions {
                 scheme: Scheme::None,
@@ -141,7 +139,6 @@ impl Config {
                 separate_trusted_memory: true,
                 emit_chkstk: true,
                 passes: String::new(),
-                prefix_seed: Some(0xC0FF_EE00),
             }),
             Config::OurMpxSep => named(CodegenOptions {
                 split_stacks: false,

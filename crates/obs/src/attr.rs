@@ -106,7 +106,7 @@ impl AttrValue {
 }
 
 /// Append `s` as a JSON string with the required escapes.
-pub(crate) fn write_json_string(s: &str, out: &mut String) {
+pub fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -2,6 +2,7 @@
 //! what the exporters emit (and what CI feeds back through
 //! `repro --check-trace`).  Full grammar — objects, arrays, strings with
 //! escapes, numbers, booleans, null — no serde, no spans, no streaming.
+//! An object that repeats a key is an error, not a silent overwrite.
 
 use std::collections::BTreeMap;
 
@@ -106,15 +107,39 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, 
     }
 }
 
+/// A number in JSON's grammar: `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`.
+/// Forms Rust's float parser would also take (`+1`, `01`, `1.`, `.5`) are
+/// errors.
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
+    let digits = |pos: &mut usize| {
+        let first = *pos;
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - first
+    };
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
+    let int_start = *pos;
+    let int_len = digits(pos);
+    let mut well_formed = int_len == 1 || (int_len > 1 && b[int_start] != b'0');
+    if well_formed && b.get(*pos) == Some(&b'.') {
         *pos += 1;
+        well_formed = digits(pos) > 0;
+    }
+    if well_formed && matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        well_formed = digits(pos) > 0;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+    if !well_formed {
+        return Err(format!("bad number `{text}` at byte {start}"));
+    }
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|e| format!("bad number `{text}` at byte {start}: {e}"))
@@ -214,6 +239,9 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         skip_ws(b, pos);
         expect(b, pos, b':')?;
         let value = parse_value(b, pos)?;
+        if map.contains_key(&key) {
+            return Err(format!("duplicate key `{key}`"));
+        }
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -233,7 +261,7 @@ mod tests {
 
     #[test]
     fn parses_the_value_grammar() {
-        let doc = r#"{"a": [1, -2.5, true, null, "x\"yA"], "b": {}}"#;
+        let doc = r#"{"a": [1, -2.5, true, null, "x\"yA", 0.5E+2], "b": {}}"#;
         let v = parse_json(doc).unwrap();
         let a = v.get("a").unwrap().as_arr().unwrap();
         assert_eq!(a[0].as_num(), Some(1.0));
@@ -241,12 +269,28 @@ mod tests {
         assert_eq!(a[2], Json::Bool(true));
         assert_eq!(a[3], Json::Null);
         assert_eq!(a[4].as_str(), Some("x\"yA"));
+        assert_eq!(a[5].as_num(), Some(50.0));
         assert!(v.get("b").unwrap().as_obj().unwrap().is_empty());
     }
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["{", "[1,]", "{\"a\" 1}", "1 2", "\"open", "tru"] {
+        for bad in [
+            "{",
+            "[1,]",
+            "{\"a\" 1}",
+            "1 2",
+            "\"open",
+            "tru",
+            "{\"a\": 1, \"a\": 1}",
+            "+1",
+            "01",
+            "1.",
+            ".5",
+            "1e",
+            "-",
+            "1-2",
+        ] {
             assert!(parse_json(bad).is_err(), "{bad:?} should fail");
         }
     }

@@ -30,7 +30,7 @@ pub mod prof;
 mod recorder;
 pub mod series;
 
-pub use attr::AttrValue;
+pub use attr::{write_json_string, AttrValue};
 pub use export::{
     chrome_trace_json, metrics_json, summary_table, validate_chrome_trace, TraceCheck,
 };

@@ -39,14 +39,6 @@ impl DataCache {
         DataCache::new(32 * 1024, 64, 8)
     }
 
-    /// Smallest possible configuration (one set, one way).  Used when the
-    /// cache model is disabled (`VmOptions::cache_model = false`): the cache
-    /// is never consulted then, and 10^4-10^5 session VMs should not each
-    /// carry a full L1's worth of tag storage.
-    pub fn minimal() -> Self {
-        DataCache::new(64, 64, 1)
-    }
-
     /// A cache with no tag storage (zero ways): the placeholder a forked VM
     /// holds until its first run copies the snapshot's cache state in with
     /// `clone_from`.  It must not be accessed — [`DataCache::access`] on it

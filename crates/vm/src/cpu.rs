@@ -163,13 +163,9 @@ impl Sampler {
 #[derive(Debug, Clone)]
 pub struct VmOptions {
     pub allocator: AllocatorKind,
-    /// Number of cores used to aggregate per-thread cycles into wall cycles.
-    pub cores: usize,
     /// Maximum number of instructions per thread before declaring a runaway.
     pub fuel: u64,
     pub cost: CostModel,
-    /// Model the data cache (adds the cache-miss penalty to loads/stores).
-    pub cache_model: bool,
     /// Which execution engine to use.  [`Engine::Block`] (the default) runs
     /// the predecoded basic-block translation shared through the image;
     /// [`Engine::Legacy`] is the decode-per-step reference interpreter kept
@@ -192,10 +188,8 @@ impl Default for VmOptions {
     fn default() -> Self {
         VmOptions {
             allocator: AllocatorKind::ConfBins,
-            cores: 4,
             fuel: 500_000_000,
             cost: CostModel::default(),
-            cache_model: true,
             engine: Engine::Block,
             profile: false,
         }
@@ -430,19 +424,12 @@ impl Vm {
     /// Load a program into a fresh VM.
     pub fn new(program: &Program, opts: VmOptions, world: World) -> Result<Vm, LoadError> {
         let loaded = load(program, opts.allocator)?;
-        let cache = if opts.cache_model {
-            DataCache::default_l1()
-        } else {
-            // The cache is never consulted with the model off; keep the
-            // footprint tiny so 10^4-10^5 idle sessions stay cheap.
-            DataCache::minimal()
-        };
         Ok(Vm {
             image: Arc::new(loaded.image),
             memory: loaded.memory,
             world,
             opts,
-            cache,
+            cache: DataCache::default_l1(),
             cache_pending: None,
             pub_heap: loaded.pub_heap,
             priv_heap: loaded.priv_heap,
@@ -649,13 +636,11 @@ impl Vm {
     /// additions, so the totals agree exactly.
     #[inline]
     fn data_access(&mut self, addr: u64) {
-        if self.opts.cache_model {
-            if self.cache.access(addr) {
-                self.stats.cache_hits += 1;
-            } else {
-                self.stats.cache_misses += 1;
-                self.charge(self.opts.cost.cache_miss);
-            }
+        if self.cache.access(addr) {
+            self.stats.cache_hits += 1;
+        } else {
+            self.stats.cache_misses += 1;
+            self.charge(self.opts.cost.cache_miss);
         }
     }
 
@@ -1294,9 +1279,6 @@ impl Vm {
         acc_cache_misses: &mut u64,
     ) -> Result<(), (usize, Fault)> {
         let rsp_slot = Reg::Rsp.index();
-        // Hoisted so each access is a flag test, not a method call that
-        // re-reads the options through `&mut self`.
-        let cache_on = self.opts.cache_model;
         let ops = &block.ops[..];
         let mut k = 0;
         while k < ops.len() {
@@ -1338,12 +1320,10 @@ impl Vm {
                 }
                 Op::Load8 { dst, mem } => {
                     let addr = mem.ea(&t.regs);
-                    if cache_on {
-                        if self.cache.access(addr) {
-                            *acc_cache_hits += 1;
-                        } else {
-                            *acc_cache_misses += 1;
-                        }
+                    if self.cache.access(addr) {
+                        *acc_cache_hits += 1;
+                    } else {
+                        *acc_cache_misses += 1;
                     }
                     match self.memory.read8(addr) {
                         Ok(v) => t.regs[*dst as usize & 15] = v,
@@ -1352,12 +1332,10 @@ impl Vm {
                 }
                 Op::Store8 { src, mem } => {
                     let addr = mem.ea(&t.regs);
-                    if cache_on {
-                        if self.cache.access(addr) {
-                            *acc_cache_hits += 1;
-                        } else {
-                            *acc_cache_misses += 1;
-                        }
+                    if self.cache.access(addr) {
+                        *acc_cache_hits += 1;
+                    } else {
+                        *acc_cache_misses += 1;
                     }
                     if let Err(e) = self.memory.write8(addr, t.regs[*src as usize & 15]) {
                         return Err((k, Fault::Memory(e)));
@@ -1365,12 +1343,10 @@ impl Vm {
                 }
                 Op::Load { dst, mem, size } => {
                     let addr = mem.ea(&t.regs);
-                    if cache_on {
-                        if self.cache.access(addr) {
-                            *acc_cache_hits += 1;
-                        } else {
-                            *acc_cache_misses += 1;
-                        }
+                    if self.cache.access(addr) {
+                        *acc_cache_hits += 1;
+                    } else {
+                        *acc_cache_misses += 1;
                     }
                     match self.memory.read(addr, *size as u64) {
                         Ok(v) => t.regs[*dst as usize & 15] = v,
@@ -1379,12 +1355,10 @@ impl Vm {
                 }
                 Op::Store { src, mem, size } => {
                     let addr = mem.ea(&t.regs);
-                    if cache_on {
-                        if self.cache.access(addr) {
-                            *acc_cache_hits += 1;
-                        } else {
-                            *acc_cache_misses += 1;
-                        }
+                    if self.cache.access(addr) {
+                        *acc_cache_hits += 1;
+                    } else {
+                        *acc_cache_misses += 1;
                     }
                     if let Err(e) =
                         self.memory
@@ -1396,12 +1370,10 @@ impl Vm {
                 Op::Push { src } => {
                     let rsp = t.regs[rsp_slot] - 8;
                     t.regs[rsp_slot] = rsp;
-                    if cache_on {
-                        if self.cache.access(rsp) {
-                            *acc_cache_hits += 1;
-                        } else {
-                            *acc_cache_misses += 1;
-                        }
+                    if self.cache.access(rsp) {
+                        *acc_cache_hits += 1;
+                    } else {
+                        *acc_cache_misses += 1;
                     }
                     if let Err(e) = self.memory.write8(rsp, t.regs[*src as usize & 15]) {
                         return Err((k, Fault::Memory(e)));
@@ -1409,12 +1381,10 @@ impl Vm {
                 }
                 Op::Pop { dst } => {
                     let rsp = t.regs[rsp_slot];
-                    if cache_on {
-                        if self.cache.access(rsp) {
-                            *acc_cache_hits += 1;
-                        } else {
-                            *acc_cache_misses += 1;
-                        }
+                    if self.cache.access(rsp) {
+                        *acc_cache_hits += 1;
+                    } else {
+                        *acc_cache_misses += 1;
                     }
                     match self.memory.read8(rsp) {
                         Ok(v) => t.regs[*dst as usize & 15] = v,
@@ -1470,12 +1440,10 @@ impl Vm {
                             },
                         ));
                     }
-                    if cache_on {
-                        if self.cache.access(addr) {
-                            *acc_cache_hits += 1;
-                        } else {
-                            *acc_cache_misses += 1;
-                        }
+                    if self.cache.access(addr) {
+                        *acc_cache_hits += 1;
+                    } else {
+                        *acc_cache_misses += 1;
                     }
                     match self.memory.read8(addr) {
                         Ok(v) => t.regs[*dst as usize & 15] = v,
@@ -1509,12 +1477,10 @@ impl Vm {
                             },
                         ));
                     }
-                    if cache_on {
-                        if self.cache.access(addr) {
-                            *acc_cache_hits += 1;
-                        } else {
-                            *acc_cache_misses += 1;
-                        }
+                    if self.cache.access(addr) {
+                        *acc_cache_hits += 1;
+                    } else {
+                        *acc_cache_misses += 1;
                     }
                     if let Err(e) = self.memory.write8(addr, t.regs[*src as usize & 15]) {
                         return Err((k + 2, Fault::Memory(e)));

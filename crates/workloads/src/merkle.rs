@@ -54,7 +54,6 @@ pub fn run(config: Config, threads: usize, blocks: usize, block_size: usize) -> 
         &compiled.program,
         VmOptions {
             allocator: config.allocator(),
-            cores: 4,
             ..Default::default()
         },
         world(block_size),
