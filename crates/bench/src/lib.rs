@@ -300,13 +300,6 @@ pub fn ablation_passes_json(rows: &[AblationPassesRow], quick: bool) -> BenchJso
     json
 }
 
-/// The `ablation_passes` section: what cross-block redundant-check
-/// elimination and loop-invariant hoisting buy on top of the Section 5.1
-/// optimisations, per workload, in executed checks and simulated cycles.
-pub fn ablation_passes_table(scale: i64) -> String {
-    ablation_passes_table_for(&ablation_passes_rows(scale))
-}
-
 /// Render the ablation table for rows the caller already computed (so one
 /// run can feed both the table and the JSON emission).
 pub fn ablation_passes_table_for(rows: &[AblationPassesRow]) -> String {
@@ -565,13 +558,6 @@ pub fn server_throughput_rows(quick: bool) -> Vec<ServerThroughputRow> {
         }
     }
     rows
-}
-
-/// The `server_throughput` section: the serving layer's cold-vs-pooled
-/// comparison (verify-then-load registry, per-session warm instances with
-/// snapshot/reset, multi-session request streams).
-pub fn server_throughput_table(quick: bool) -> String {
-    server_throughput_table_for(&server_throughput_rows(quick))
 }
 
 /// Render the table for rows the caller already computed (so one run can

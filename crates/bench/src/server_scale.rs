@@ -86,7 +86,7 @@ pub struct ServerScaleReport {
     pub observables_match: bool,
     pub isolated_host_micros: u128,
     /// Sessions actually completed through the *real-thread*
-    /// [`Server::serve`] path (work-stealing worker threads) — the full
+    /// [`Server::serve`] path (host worker threads) — the full
     /// sweep drives 10^4 live sessions through it; quick runs skip this
     /// leg (0) to stay inside CI time, where `serve` is covered by the
     /// throughput section and unit tests instead.
@@ -158,7 +158,6 @@ fn scale_plan(sessions: usize) -> ArrivalPlan {
     RequestGen::new(0x5CA1_E000 + sessions as u64).arrival_plan(&ArrivalOptions {
         sessions,
         arrivals: (sessions / 4).max(256),
-        zipf: true,
         window_cycles: 50_000,
         on_windows: 3,
         off_windows: 2,
@@ -174,7 +173,6 @@ fn quiet_plan(sessions: usize) -> ArrivalPlan {
     RequestGen::new(0x5CA1_E000 + sessions as u64).arrival_plan(&ArrivalOptions {
         sessions,
         arrivals: 128,
-        zipf: true,
         window_cycles: 50_000,
         on_windows: 3,
         off_windows: 2,
@@ -355,7 +353,7 @@ pub fn server_scale_report(quick: bool) -> ServerScaleReport {
     );
 
     // The full sweep additionally exercises the *real-thread* serve path at
-    // 10^4 live sessions — worker threads, work stealing, per-version pools
+    // 10^4 live sessions — worker threads, per-version fork templates
     // — so the scale claim is not carried by the virtual-time model alone.
     let (live_serve_sessions, live_serve_requests, live_serve_host_micros) = if quick {
         (0, 0, 0)

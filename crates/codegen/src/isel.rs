@@ -543,7 +543,7 @@ impl<'a> FnCompiler<'a> {
                 src: RegImm::Imm(self.frame.frame_size as i64),
             });
         }
-        if self.opts.emit_chkstk {
+        if self.opts.separate_trusted_memory {
             self.emit(MInst::ChkStk);
         }
         // Spill incoming arguments into their slots.

@@ -6,9 +6,7 @@ use std::collections::HashMap;
 
 use confllvm_ir::Module;
 use confllvm_machine::program::{ExternSpec, FuncSym, GlobalSpec};
-use confllvm_machine::{
-    encoded_len, find_unique_prefixes, MInst, MagicPrefixes, Program, Scheme, Taint,
-};
+use confllvm_machine::{encoded_len, find_unique_prefixes, MInst, Program};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -312,20 +310,4 @@ pub fn compile_module_with_entry(
         split_stacks: opts.split_stacks,
     };
     Ok((program, report))
-}
-
-/// Ensure the public taint type is re-exported for downstream users building
-/// expectations about magic words.
-pub fn ret_taint_of(program: &Program, function: &str) -> Option<Taint> {
-    program.function(function).map(|f| f.ret_taint)
-}
-
-/// Convenience: resolve prefixes for tests.
-pub fn prefixes_of(program: &Program) -> MagicPrefixes {
-    program.prefixes
-}
-
-/// Scheme helper for tests/reports.
-pub fn scheme_of(program: &Program) -> Scheme {
-    program.scheme
 }

@@ -786,7 +786,9 @@ impl MachinePass for CrossBlockElim {
                     // provenance.
                     let verifiable = match key.base {
                         BaseSym::Global(_) => true,
-                        BaseSym::Val(v) => cx.frame.alloca(v).is_none() || cx.opts.emit_chkstk,
+                        BaseSym::Val(v) => {
+                            cx.frame.alloca(v).is_none() || cx.opts.separate_trusted_memory
+                        }
                     };
                     if verifiable && avail.contains(&key) && linear.contains(&key) {
                         dead[site.lower] = true;

@@ -38,9 +38,9 @@ pub struct CodegenOptions {
     /// Keep public and private data on separate, lock-step stacks.
     pub split_stacks: bool,
     /// Separate T's memory from U's and switch stacks on every call into T.
+    /// Also emits the inlined `_chkstk` stack-bounds enforcement in every
+    /// prologue, which keeps `rsp` inside U's stack area (Section 5.1).
     pub separate_trusted_memory: bool,
-    /// Emit the inlined `_chkstk` stack-bounds enforcement in prologues.
-    pub emit_chkstk: bool,
     /// Machine-level optimisation pipeline (comma-separated pass names, see
     /// [`crate::mpass`]).  Empty = no machine optimisations.
     pub passes: String,
@@ -53,7 +53,6 @@ impl Default for CodegenOptions {
             cfi: true,
             split_stacks: true,
             separate_trusted_memory: true,
-            emit_chkstk: true,
             passes: PIPELINE_MPX_FULL.to_string(),
         }
     }
@@ -67,7 +66,6 @@ impl CodegenOptions {
             cfi: false,
             split_stacks: false,
             separate_trusted_memory: false,
-            emit_chkstk: false,
             passes: String::new(),
         }
     }

@@ -121,7 +121,6 @@ impl Config {
                 cfi: false,
                 split_stacks: false,
                 separate_trusted_memory: false,
-                emit_chkstk: false,
                 passes: String::new(),
             }),
             Config::OurBare => named(CodegenOptions {
@@ -129,7 +128,6 @@ impl Config {
                 cfi: false,
                 split_stacks: false,
                 separate_trusted_memory: true,
-                emit_chkstk: true,
                 passes: String::new(),
             }),
             Config::OurCFI => named(CodegenOptions {
@@ -137,7 +135,6 @@ impl Config {
                 cfi: true,
                 split_stacks: false,
                 separate_trusted_memory: true,
-                emit_chkstk: true,
                 passes: String::new(),
             }),
             Config::OurMpxSep => named(CodegenOptions {

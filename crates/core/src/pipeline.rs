@@ -51,20 +51,17 @@ impl From<FrontendError> for CompileError {
     }
 }
 
-/// Options for one compilation.
+/// Options for one compilation.  Qualifier inference always runs with
+/// [`InferOptions::default`]: strict mode, rejecting branches on private data
+/// (implicit flows) as all the paper's experiments do (Section 2), and not
+/// all-private.  Call [`infer`] directly for the other modes.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
     /// Paper configuration (decides instrumentation and allocator).
     pub config: Config,
-    /// Strict mode: reject branches on private data (implicit flows).  All
-    /// the paper's experiments run in this mode (Section 2).
-    pub strict: bool,
-    /// All-private mode (Section 5.1, used for the SGX deployment).
-    pub all_private: bool,
-    /// Run the standard IR clean-up passes.
-    pub optimize: bool,
     /// `-Zpasses=...` override of the IR pipeline (comma-separated pass
-    /// names); `None` uses the configuration's named pipeline.
+    /// names); `None` uses the configuration's named pipeline and
+    /// `Some(String::new())` runs no IR passes.
     pub ir_passes: Option<String>,
     /// Override of the machine-level pipeline; `None` uses the
     /// configuration's named pipeline.
@@ -77,9 +74,6 @@ impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             config: Config::OurSeg,
-            strict: true,
-            all_private: false,
-            optimize: true,
             ir_passes: None,
             machine_passes: None,
             entry: "main".to_string(),
@@ -104,8 +98,6 @@ pub struct Compiled {
     /// Number of values / memory accesses inferred private.
     pub private_values: usize,
     pub private_accesses: usize,
-    /// Implicit-flow warnings (non-strict mode only).
-    pub warnings: usize,
     pub config: Config,
 }
 
@@ -121,21 +113,13 @@ pub fn compile(source: &str, opts: &CompileOptions) -> Result<Compiled, CompileE
     let ast = parse(source)?;
     let sema = Sema::analyze(&ast)?;
     let mut module = lower(&ast, &sema, "u_module")?;
-    let ir_pipeline = match &opts.ir_passes {
-        Some(text) => text.clone(),
-        None if opts.optimize => opts.config.ir_pipeline().to_string(),
-        None => String::new(),
-    };
-    let pm = PassManager::parse(&ir_pipeline).map_err(CompileError::Pipeline)?;
+    let ir_pipeline = opts
+        .ir_passes
+        .as_deref()
+        .unwrap_or(opts.config.ir_pipeline());
+    let pm = PassManager::parse(ir_pipeline).map_err(CompileError::Pipeline)?;
     pm.run(&mut module);
-    let report = infer(
-        &mut module,
-        InferOptions {
-            strict: opts.strict,
-            all_private: opts.all_private,
-        },
-    )
-    .map_err(CompileError::Taint)?;
+    let report = infer(&mut module, InferOptions::default()).map_err(CompileError::Taint)?;
     let mut cg_opts = opts.config.codegen_options();
     if let Some(mp) = &opts.machine_passes {
         cg_opts.passes = mp.clone();
@@ -147,7 +131,6 @@ pub fn compile(source: &str, opts: &CompileOptions) -> Result<Compiled, CompileE
         report: cg_report,
         private_values: report.private_values,
         private_accesses: report.private_accesses,
-        warnings: report.warnings.len(),
         config: opts.config,
     })
 }

@@ -76,10 +76,6 @@ impl FunctionBuilder {
         self.params[i]
     }
 
-    pub fn param_count(&self) -> usize {
-        self.params.len()
-    }
-
     /// Mutable access to a value's metadata (for setting declared-taint pins
     /// during lowering).
     pub fn value_info_mut(&mut self, v: ValueId) -> &mut ValueInfo {
@@ -113,10 +109,6 @@ impl FunctionBuilder {
 
     pub fn switch_to(&mut self, block: BlockId) {
         self.current = block;
-    }
-
-    pub fn current_block(&self) -> BlockId {
-        self.current
     }
 
     /// Append an instruction to the current block.

@@ -65,10 +65,6 @@ impl Function {
         &self.blocks[id.0 as usize]
     }
 
-    pub fn block_mut(&mut self, id: BlockId) -> &mut Block {
-        &mut self.blocks[id.0 as usize]
-    }
-
     pub fn entry(&self) -> BlockId {
         BlockId(0)
     }
@@ -87,14 +83,6 @@ impl Function {
         match op {
             Operand::Const(_) => Taint::Public,
             Operand::Value(v) => self.value_info(v).taint,
-        }
-    }
-
-    /// Pointee taint of an operand (public for constants).
-    pub fn operand_pointee_taint(&self, op: Operand) -> Taint {
-        match op {
-            Operand::Const(_) => Taint::Public,
-            Operand::Value(v) => self.value_info(v).pointee_taint,
         }
     }
 
@@ -160,10 +148,6 @@ pub struct Module {
 impl Module {
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().find(|f| f.name == name)
-    }
-
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
     }
 
     pub fn global(&self, name: &str) -> Option<&Global> {

@@ -78,11 +78,6 @@ impl Reg {
         }
     }
 
-    /// True for registers the callee must preserve.
-    pub fn is_callee_saved(self) -> bool {
-        CALLEE_SAVED.contains(&self)
-    }
-
     /// True for registers a call may clobber.
     pub fn is_caller_saved(self) -> bool {
         CALLER_SAVED.contains(&self)

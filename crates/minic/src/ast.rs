@@ -291,24 +291,9 @@ impl Expr {
 }
 
 impl Program {
-    /// Look up a struct definition by name.
-    pub fn find_struct(&self, name: &str) -> Option<&StructDef> {
-        self.structs.iter().find(|s| s.name == name)
-    }
-
     /// Look up a function defined in U.
     pub fn find_function(&self, name: &str) -> Option<&FunctionDef> {
         self.functions.iter().find(|f| f.name == name)
-    }
-
-    /// Look up a trusted (extern) declaration.
-    pub fn find_extern(&self, name: &str) -> Option<&ExternDecl> {
-        self.externs.iter().find(|e| e.name == name)
-    }
-
-    /// Look up a global definition.
-    pub fn find_global(&self, name: &str) -> Option<&GlobalDef> {
-        self.globals.iter().find(|g| g.name == name)
     }
 
     /// Count of annotations (occurrences of `private`) across all top-level

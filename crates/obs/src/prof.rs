@@ -317,46 +317,6 @@ impl Profile {
         rows
     }
 
-    /// Render the self/total table.
-    pub fn proc_table(&self) -> String {
-        let total = self.total_samples().max(1);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<24}{:>10}{:>10}{:>8}{:>16}\n",
-            "procedure", "self", "total", "self%", "~self cycles"
-        ));
-        for r in self.proc_rows() {
-            out.push_str(&format!(
-                "{:<24}{:>10}{:>10}{:>7.1}%{:>16}\n",
-                r.name,
-                r.self_samples,
-                r.total_samples,
-                r.self_samples as f64 / total as f64 * 100.0,
-                r.self_samples * self.interval,
-            ));
-        }
-        out
-    }
-
-    /// Render the check-site table.
-    pub fn check_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<14}{:>10}{:>12}  candidate pass\n",
-            "check site", "samples", "~cycles"
-        ));
-        for r in self.check_rows() {
-            out.push_str(&format!(
-                "{:<14}{:>10}{:>12}  {}\n",
-                format!("check_{:#x}", r.check_word),
-                r.samples,
-                r.samples * self.interval,
-                r.candidate(),
-            ));
-        }
-        out
-    }
-
     /// Diff against another profile of the *same workload* under a
     /// different configuration: where did the cycles go?
     pub fn diff(&self, other: &Profile, label_a: &str, label_b: &str) -> ProfileDiff {

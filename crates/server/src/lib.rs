@@ -28,10 +28,9 @@
 //!   keeps for its stream.  Between requests it is rewound to its snapshot
 //!   in O(dirty pages) instead of paying compile + load + setup; parked, it
 //!   keeps only its CoW-faulted pages resident.
-//! * [`sched`] — the event-driven scheduler: per-worker run queues with
-//!   work stealing for the real threads, and a deterministic virtual-time
-//!   run loop (bounded admission windows, shed/defer backpressure, EDF
-//!   dispatch) for the 10^4–10^5-session scale experiments.
+//! * [`sched`] — the deterministic virtual-time run loop (bounded
+//!   admission windows, shed/defer backpressure, EDF dispatch) for the
+//!   10^4–10^5-session scale experiments.
 //! * [`session`] — requests and per-session state.  Every session carries its
 //!   own [`World`](confllvm_vm::World) (its private passwords / secret
 //!   files), so confidentiality can be tested end-to-end: identical request
@@ -43,8 +42,8 @@
 //!   latency percentiles, executed checks, the split between application
 //!   cycles and U↔T crossing cycles, and measured host time for the
 //!   load-vs-serve interference figures.
-//! * [`runtime`] — the [`Server`]: registry + snapshot store + work-stealing
-//!   worker threads driving many concurrent sessions, in either
+//! * [`runtime`] — the [`Server`]: registry + snapshot store + worker
+//!   threads claiming sessions from one shared cursor, in either
 //!   [`ExecMode::Cold`] (fresh VM + setup per request) or
 //!   [`ExecMode::Pooled`] (fork + snapshot/reset) mode, plus
 //!   [`Server::serve_scaled`] for backpressured virtual-time runs.  Every
@@ -79,7 +78,6 @@ pub use runtime::{
 };
 pub use sched::{
     Arrival, ArrivalPlan, Backpressure, Completion, ExecCost, SchedResult, SchedulerConfig,
-    WorkQueues,
 };
 pub use session::{Request, SessionSpec};
 pub use store::{SessionTemplate, SnapshotStore};

@@ -94,7 +94,7 @@ impl RequestGen {
     /// experiments.  Time advances in admission windows; `on_windows`
     /// windows at `on_per_window` arrivals alternate with `off_windows`
     /// windows at `off_per_window` (the classic on/off burst model), and
-    /// each arrival picks its session zipfian-skewed (s = 1) or uniformly.
+    /// each arrival picks its session zipfian-skewed (s = 1).
     /// Request indices are per-session occurrence counters, so a session's
     /// requests arrive in order and
     /// [`ArrivalPlan::per_session_counts`] tells the caller exactly how many
@@ -102,7 +102,7 @@ impl RequestGen {
     pub fn arrival_plan(&mut self, opts: &ArrivalOptions) -> ArrivalPlan {
         let sessions = opts.sessions.max(1);
         let window = opts.window_cycles.max(1);
-        let zipf = opts.zipf.then(|| ZipfCdf::new(sessions));
+        let zipf = ZipfCdf::new(sessions);
         let period = (opts.on_windows + opts.off_windows).max(1);
         let mut counts = vec![0usize; sessions];
         let mut arrivals = Vec::with_capacity(opts.arrivals);
@@ -122,10 +122,7 @@ impl RequestGen {
                 if arrivals.len() >= opts.arrivals {
                     break;
                 }
-                let session = match &zipf {
-                    Some(z) => z.sample(self.next_f64()),
-                    None => self.below(sessions),
-                };
+                let session = zipf.sample(self.next_f64());
                 let request = counts[session];
                 counts[session] += 1;
                 arrivals.push(Arrival {
@@ -148,8 +145,6 @@ pub struct ArrivalOptions {
     pub sessions: usize,
     /// Total arrivals to generate.
     pub arrivals: usize,
-    /// Zipfian (s = 1) session popularity instead of uniform.
-    pub zipf: bool,
     /// Admission-window width in simulated cycles (match the scheduler's).
     pub window_cycles: u64,
     /// Burst shape: `on_windows` windows at `on_per_window` arrivals each,
@@ -165,7 +160,6 @@ impl Default for ArrivalOptions {
         ArrivalOptions {
             sessions: 64,
             arrivals: 256,
-            zipf: true,
             window_cycles: 50_000,
             on_windows: 2,
             off_windows: 2,

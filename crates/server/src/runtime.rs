@@ -2,14 +2,13 @@
 //!
 //! [`Server::serve`] drives many concurrent sessions' request streams
 //! against one registered binary, addressed by its [`BinaryId`] handle.
-//! Sessions go into per-worker run queues with work stealing
-//! ([`WorkQueues`]): a worker drains its own queue front-first and, when
-//! empty, steals from a sibling's back — a slow session no longer strands
-//! the sessions queued behind it the way the old static round-robin shards
-//! did.  A session's VM lives on the worker running it, for the length of
-//! its stream (VMs are plain `Send` state, nothing is shared mutably across
-//! workers), so the simulation stays deterministic per session while the
-//! host-side work is genuinely parallel.
+//! Worker threads claim sessions one at a time from a shared cursor over
+//! the session list, so a slow session never strands the sessions behind
+//! it: whichever worker frees up first takes the next one.  A session's VM
+//! lives on the worker running it, for the length of its stream (VMs are
+//! plain `Send` state, nothing is shared mutably across workers), so the
+//! simulation stays deterministic per session while the host-side work is
+//! genuinely parallel.
 //!
 //! Per-session VMs are copy-on-write forks of a per-version
 //! [`SessionTemplate`] kept in the server's [`SnapshotStore`] — the binary
@@ -45,7 +44,7 @@
 //! span, measured host time and cycle accounting.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,7 +54,7 @@ use crate::handles::{BinaryId, SessionId, VersionId};
 use crate::metrics::{RequestMetrics, StreamMetrics};
 use crate::pool::{PoolOptions, PooledInstance, SpawnError};
 use crate::registry::{Registry, ServiceBinary};
-use crate::sched::{run_virtual, ArrivalPlan, ExecCost, SchedulerConfig, WorkQueues};
+use crate::sched::{run_virtual, ArrivalPlan, ExecCost, SchedulerConfig};
 use crate::session::{Request, SessionSpec};
 use crate::store::{SessionTemplate, SnapshotStore};
 
@@ -380,7 +379,7 @@ impl Server {
     }
 
     /// Serve every session's request stream against `binary`'s active
-    /// version, spreading sessions over work-stealing worker threads.  Each
+    /// version, handing sessions to worker threads as they free up.  Each
     /// session pins the version active *when it starts* and keeps it for
     /// its whole stream.
     pub fn serve(
@@ -410,28 +409,27 @@ impl Server {
         }
 
         let workers = self.config.workers.max(1).min(sessions.len().max(1));
-        let queues = WorkQueues::new(workers, 0..sessions.len());
+        let cursor = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
 
-        // Each worker pops (or steals) session indices until the queues
-        // drain or a sibling's failure aborts the run, and hands back
-        // `(session index, outcome)` pairs in the order it ran them.
+        // Each worker claims the next unserved session index from the shared
+        // cursor until the list runs out or a sibling's failure aborts the
+        // run, and hands back `(session index, outcome)` pairs in the order
+        // it ran them.  The cursor publishes nothing but the index itself,
+        // so `Relaxed` suffices.
         type Ran = Vec<(usize, Result<SessionOutcome, ServeError>)>;
         let ran: Vec<Ran> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let (queues, abort) = (&queues, &abort);
+                .map(|_| {
+                    let (cursor, abort) = (&cursor, &abort);
                     scope.spawn(move || {
                         let mut ran = Ran::new();
                         while !abort.load(Ordering::Relaxed) {
-                            let Some((index, stolen)) = queues.pop(w) else {
+                            let index = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(session) = sessions.get(index) else {
                                 break;
                             };
-                            if stolen {
-                                rec.count("server.steal", 1);
-                            }
-                            let result =
-                                self.serve_session(binary, &sessions[index], mode, started);
+                            let result = self.serve_session(binary, session, mode, started);
                             if result.is_err() {
                                 abort.store(true, Ordering::Relaxed);
                             }
@@ -1051,6 +1049,31 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_request_aborts_serve_naming_it_and_leaks_no_pin() {
+        for workers in [1, 4] {
+            let (mut server, binary) = ldap_server(Config::OurMpx, 32);
+            server.config = ServerConfig::new().workers(workers);
+            let version = server.registry.active_version(binary).unwrap();
+            let mut sessions = ldap_sessions(6, 3, 32);
+            server.serve(binary, &sessions, ExecMode::Pooled).unwrap();
+            let pins = server.registry.version_info(version).unwrap().pins;
+
+            sessions[3].requests[1] = Request::new("no_such_entry", &[]);
+            match server.serve(binary, &sessions, ExecMode::Pooled) {
+                Err(ServeError::Request { session, index, .. }) => {
+                    assert_eq!((session, index), (sessions[3].id, 1), "{workers} workers");
+                }
+                other => panic!("{workers} workers: expected a request error, got {other:?}"),
+            }
+            assert_eq!(
+                server.registry.version_info(version).unwrap().pins,
+                pins,
+                "{workers} workers: the failed serve must release every session's pin"
+            );
+        }
+    }
+
+    #[test]
     fn promotion_between_serves_moves_new_sessions_to_the_new_version() {
         let (server, binary) = ldap_server(Config::OurMpx, 32);
         let v1 = server.registry.active_version(binary).unwrap();
@@ -1094,7 +1117,6 @@ mod tests {
         let plan = RequestGen::new(9).arrival_plan(&ArrivalOptions {
             sessions,
             arrivals,
-            zipf: true,
             window_cycles: 50_000,
             on_windows: 2,
             off_windows: 1,

@@ -22,7 +22,8 @@
 //! The cache is safe to share across threads and across concurrent
 //! registrations; all lookups and stores go through one mutex (the guarded
 //! work is a hash-map probe, orders of magnitude cheaper than the
-//! verification it saves).
+//! verification it saves).  It lives in memory only: a process starts cold,
+//! so no cache file is ever read back as input to the gate.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -296,173 +297,6 @@ impl VerifyCache {
             .expect("verify cache poisoned")
             .insert(key, CacheEntry::Proc(entry));
     }
-
-    /// Serialise every entry to `path` (atomically: temp file + rename), so
-    /// a warm cache survives a service restart.  The format is versioned and
-    /// ends in a checksum of everything before it; [`VerifyCache::load`]
-    /// ignores files that fail either test.  Runtime hit/miss statistics are
-    /// not persisted — a loaded cache starts cold on stats, warm on content.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let bytes = self.serialize();
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Load a cache previously written by [`VerifyCache::save`].  Any
-    /// problem — missing file, unknown magic, stale format version,
-    /// truncation, checksum mismatch, malformed entry — yields an empty
-    /// (cold) cache: persistence is an optimisation, never a correctness
-    /// dependency, so a bad file must not take the service down.
-    pub fn load(path: &std::path::Path) -> Self {
-        let cache = Self::new();
-        if let Ok(bytes) = std::fs::read(path) {
-            if let Some(map) = Self::deserialize(&bytes) {
-                *cache.map.lock().expect("verify cache poisoned") = map;
-            }
-        }
-        cache
-    }
-
-    const MAGIC: &'static [u8; 8] = b"CFLVCACH";
-    const FORMAT_VERSION: u32 = 1;
-
-    fn serialize(&self) -> Vec<u8> {
-        let map = self.map.lock().expect("verify cache poisoned");
-        let mut out = Vec::new();
-        out.extend_from_slice(Self::MAGIC);
-        out.extend_from_slice(&Self::FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(map.len() as u64).to_le_bytes());
-        // BTreeMap ordering makes the file content deterministic for a
-        // given cache state (HashMap iteration order is not).
-        let ordered: std::collections::BTreeMap<_, _> = map.iter().collect();
-        for (key, entry) in ordered {
-            out.extend_from_slice(&key.to_le_bytes());
-            let (tag, report, errors): (u8, Option<&VerifyReport>, &[VerifyError]) = match entry {
-                CacheEntry::Binary(Ok(r)) => (0, Some(r), &[]),
-                CacheEntry::Binary(Err(errs)) => (1, None, errs),
-                CacheEntry::Proc(p) => (2, Some(&p.report), &p.rel_errors),
-            };
-            out.push(tag);
-            if let Some(r) = report {
-                for v in [
-                    r.procedures,
-                    r.instructions_checked,
-                    r.stores_checked,
-                    r.calls_checked,
-                    r.returns_checked,
-                    r.indirect_calls_checked,
-                    r.cached_procedures,
-                ] {
-                    out.extend_from_slice(&(v as u64).to_le_bytes());
-                }
-            }
-            out.extend_from_slice(&(errors.len() as u64).to_le_bytes());
-            for e in errors {
-                out.extend_from_slice(&e.word.to_le_bytes());
-                out.extend_from_slice(&(e.message.len() as u64).to_le_bytes());
-                out.extend_from_slice(e.message.as_bytes());
-            }
-        }
-        let mut h = Fnv::new();
-        for &b in &out {
-            h.u8(b);
-        }
-        out.extend_from_slice(&h.finish().to_le_bytes());
-        out
-    }
-
-    fn deserialize(bytes: &[u8]) -> Option<HashMap<u64, CacheEntry>> {
-        // Checksum first: the trailer must hash-match everything before it,
-        // so a flipped bit anywhere in the file is rejected before any
-        // length field is trusted.
-        let payload_len = bytes.len().checked_sub(8)?;
-        let (payload, trailer) = bytes.split_at(payload_len);
-        let mut h = Fnv::new();
-        for &b in payload {
-            h.u8(b);
-        }
-        if h.finish().to_le_bytes() != trailer {
-            return None;
-        }
-        let mut r = Reader(payload);
-        if r.take(8)? != Self::MAGIC {
-            return None;
-        }
-        if u32::from_le_bytes(r.take(4)?.try_into().ok()?) != Self::FORMAT_VERSION {
-            return None;
-        }
-        let count = r.u64()?;
-        let mut map = HashMap::new();
-        for _ in 0..count {
-            let key = r.u64()?;
-            let tag = r.take(1)?[0];
-            let report = if tag == 0 || tag == 2 {
-                let mut vals = [0u64; 7];
-                for v in &mut vals {
-                    *v = r.u64()?;
-                }
-                Some(VerifyReport {
-                    procedures: vals[0] as usize,
-                    instructions_checked: vals[1] as usize,
-                    stores_checked: vals[2] as usize,
-                    calls_checked: vals[3] as usize,
-                    returns_checked: vals[4] as usize,
-                    indirect_calls_checked: vals[5] as usize,
-                    cached_procedures: vals[6] as usize,
-                })
-            } else if tag == 1 {
-                None
-            } else {
-                return None;
-            };
-            let n_errors = r.u64()?;
-            let mut errors = Vec::new();
-            for _ in 0..n_errors {
-                let word = u32::from_le_bytes(r.take(4)?.try_into().ok()?);
-                let len = r.u64()? as usize;
-                let message = String::from_utf8(r.take(len)?.to_vec()).ok()?;
-                errors.push(VerifyError { word, message });
-            }
-            let entry = match (tag, report) {
-                (0, Some(rep)) => CacheEntry::Binary(Ok(rep)),
-                (1, None) => CacheEntry::Binary(Err(errors)),
-                (2, Some(rep)) => CacheEntry::Proc(ProcEntry {
-                    rel_errors: errors,
-                    report: rep,
-                }),
-                _ => return None,
-            };
-            map.insert(key, entry);
-        }
-        if !r.0.is_empty() {
-            return None; // trailing garbage under a valid checksum
-        }
-        Some(map)
-    }
-}
-
-/// Bounds-checked cursor over the serialised payload.
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.0.len() < n {
-            return None;
-        }
-        let (head, rest) = self.0.split_at(n);
-        self.0 = rest;
-        Some(head)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
 }
 
 #[cfg(test)]
@@ -488,97 +322,22 @@ mod tests {
         assert_eq!(a.finish(), c.finish());
     }
 
-    fn populated_cache() -> VerifyCache {
-        let cache = VerifyCache::new();
-        let report = VerifyReport {
-            procedures: 3,
-            instructions_checked: 120,
-            stores_checked: 14,
-            calls_checked: 5,
-            returns_checked: 3,
-            indirect_calls_checked: 1,
-            cached_procedures: 0,
-        };
-        cache.store_binary(0xAAAA, &Ok(report.clone()));
-        cache.store_binary(
-            0xBBBB,
-            &Err(vec![VerifyError {
-                word: 17,
-                message: "tainted store through public pointer".into(),
-            }]),
-        );
-        cache.store_proc(
-            0xCCCC,
-            100,
-            &ProcOutcome {
-                errors: vec![VerifyError {
-                    word: 108,
-                    message: "missing lower-bound check".into(),
-                }],
-                report,
-            },
-        );
-        cache
-    }
-
-    fn tmp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("confllvm-cache-{tag}-{}", std::process::id()))
-    }
-
     #[test]
-    fn cache_round_trips_through_disk() {
-        let cache = populated_cache();
-        let path = tmp_path("roundtrip");
-        cache.save(&path).unwrap();
-        let loaded = VerifyCache::load(&path);
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.stats().entries, 3);
-        // Deterministic serialisation: identical content, byte for byte.
-        assert_eq!(cache.serialize(), loaded.serialize());
-        // The loaded entries behave like the originals, including the
-        // magic-word rebase on procedure hits.
-        assert!(loaded.lookup_binary(0xAAAA).unwrap().is_ok());
-        let errs = loaded.lookup_binary(0xBBBB).unwrap().unwrap_err();
-        assert_eq!(errs[0].word, 17);
-        let outcome = loaded.lookup_proc(0xCCCC, 200).unwrap();
+    fn cached_procedure_errors_rebase_onto_the_new_magic_word() {
+        let cache = VerifyCache::new();
+        let outcome = ProcOutcome {
+            errors: vec![VerifyError {
+                word: 108,
+                message: "missing lower-bound check".into(),
+            }],
+            report: VerifyReport::default(),
+        };
+        cache.store_proc(0xCCCC, 100, &outcome);
+        let hit = cache.lookup_proc(0xCCCC, 200).unwrap();
         assert_eq!(
-            outcome.errors[0].word, 208,
+            hit.errors[0].word, 208,
             "relative offsets must rebase onto the new magic word"
         );
-        assert_eq!(loaded.stats().hits, 3, "stats start cold after a load");
-    }
-
-    #[test]
-    fn tampered_stale_or_truncated_files_fall_back_cold() {
-        let cache = populated_cache();
-        let path = tmp_path("tamper");
-        cache.save(&path).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        // Flip one payload byte: checksum mismatch.
-        let mut bad = good.clone();
-        bad[good.len() / 2] ^= 0x40;
-        std::fs::write(&path, &bad).unwrap();
-        assert_eq!(VerifyCache::load(&path).stats().entries, 0);
-
-        // Stale format version (checksum recomputed so only the version
-        // check can reject it).
-        let mut stale = good.clone();
-        stale[8] = 0xFF;
-        let body_len = stale.len() - 8;
-        let mut h = Fnv::new();
-        for &b in &stale[..body_len] {
-            h.u8(b);
-        }
-        stale.splice(body_len.., h.finish().to_le_bytes());
-        std::fs::write(&path, &stale).unwrap();
-        assert_eq!(VerifyCache::load(&path).stats().entries, 0);
-
-        // Truncation, and a missing file altogether.
-        std::fs::write(&path, &good[..good.len() / 3]).unwrap();
-        assert_eq!(VerifyCache::load(&path).stats().entries, 0);
-        std::fs::remove_file(&path).ok();
-        assert_eq!(VerifyCache::load(&path).stats().entries, 0);
     }
 
     #[test]

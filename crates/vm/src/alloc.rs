@@ -128,11 +128,6 @@ impl Heap {
     pub fn contains(&self, addr: u64) -> bool {
         addr >= self.base && addr < self.base + self.size
     }
-
-    /// Bytes handed out so far (high-water mark).
-    pub fn high_water(&self) -> u64 {
-        self.cursor - self.base
-    }
 }
 
 #[cfg(test)]

@@ -142,23 +142,14 @@ fn run_two(
     queries: usize,
     hit: bool,
 ) -> WorkloadRun {
-    use confllvm_core::{compile, CompileOptions};
-    use confllvm_vm::{Vm, VmOptions};
+    use confllvm_core::{compile, vm_for, CompileOptions};
     let opts = CompileOptions {
         config,
         entry: "populate".to_string(),
         ..Default::default()
     };
     let compiled = compile(src, &opts).expect("ldap workload compiles");
-    let mut vm = Vm::new(
-        &compiled.program,
-        VmOptions {
-            allocator: config.allocator(),
-            ..Default::default()
-        },
-        world,
-    )
-    .expect("load");
+    let mut vm = vm_for(&compiled, world).expect("load");
     let pop = vm.run_function("populate", &[entries as i64]);
     assert!(
         !pop.outcome.is_fault(),

@@ -3,8 +3,8 @@
 //! ConfLLVM's checks protect it from being clobbered by private data) over a
 //! private memory-mapped file.
 
-use confllvm_core::{compile, CompileOptions, Config};
-use confllvm_vm::{Vm, VmOptions, World};
+use confllvm_core::{compile, vm_for, CompileOptions, Config};
+use confllvm_vm::World;
 
 use crate::WorkloadRun;
 
@@ -50,15 +50,7 @@ pub fn run(config: Config, threads: usize, blocks: usize, block_size: usize) -> 
         ..Default::default()
     };
     let compiled = compile(SOURCE, &opts).expect("merkle workload compiles");
-    let mut vm = Vm::new(
-        &compiled.program,
-        VmOptions {
-            allocator: config.allocator(),
-            ..Default::default()
-        },
-        world(block_size),
-    )
-    .expect("load");
+    let mut vm = vm_for(&compiled, world(block_size)).expect("load");
     let per_thread: Vec<Vec<i64>> = (0..threads)
         .map(|_| vec![blocks as i64, block_size as i64])
         .collect();

@@ -5,8 +5,8 @@
 //! Unlike the other workloads these drivers tolerate faults: a fault *is* the
 //! expected outcome when the instrumentation stops an exploit.
 
-use confllvm_core::{compile, CompileError, CompileOptions, Config};
-use confllvm_vm::{Outcome, Vm, VmOptions, World};
+use confllvm_core::{compile, vm_for, CompileError, CompileOptions, Config};
+use confllvm_vm::{Outcome, World};
 
 /// Outcome of driving one vulnerable application.
 #[derive(Debug, Clone)]
@@ -137,15 +137,7 @@ pub fn drive(
     let mut world = World::new();
     world.set_password("z", secret);
     world.add_secret_file("private.html", secret);
-    let mut vm = Vm::new(
-        &compiled.program,
-        VmOptions {
-            allocator: config.allocator(),
-            ..Default::default()
-        },
-        world,
-    )
-    .expect("load");
+    let mut vm = vm_for(&compiled, world).expect("load");
     let result = vm.run_function(entry, args);
     let observable = vm.world.observable();
     let leaked = secret.len() >= 8 && observable.windows(8).any(|w| w == &secret[..8]);

@@ -23,9 +23,8 @@ fn unopt_opts(entry: &str) -> CompileOptions {
     CompileOptions {
         config: Config::OurMpx,
         entry: entry.to_string(),
-        optimize: false,
+        ir_passes: Some(String::new()),
         machine_passes: Some(String::new()),
-        ..Default::default()
     }
 }
 
