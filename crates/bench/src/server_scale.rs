@@ -101,6 +101,14 @@ pub struct ServerScaleReport {
     pub quiet_sessions: usize,
     pub quiet_windows: u64,
     pub quiet_breaches: u64,
+    /// Host scaling with threads: the largest point re-run on one owner
+    /// thread and at the default worker count (`scaling_workers` owner
+    /// threads), host microseconds each.  Printed only: host time is not
+    /// golden-diffed exactly, and the simulated results of both runs are
+    /// asserted identical.
+    pub scaling_workers: usize,
+    pub one_worker_host_micros: u128,
+    pub default_workers_host_micros: u128,
     /// The largest point's per-window telemetry as metrics-series JSONL
     /// (schema `confllvm.metrics-series.v1`), for `--metrics-series <out>`.
     pub metrics_series: String,
@@ -352,6 +360,37 @@ pub fn server_scale_report(quick: bool) -> ServerScaleReport {
         quiet.slo.windows
     );
 
+    // Host scaling: the largest point again on one owner thread, then at
+    // the default worker count.  Only host time may differ.
+    let (scaling_workers, one_worker_host_micros, default_workers_host_micros) = {
+        let plan = scale_plan(top.sessions);
+        let specs = scale_sessions(&plan, top.sessions);
+        let one_worker = Server::new(
+            std::sync::Arc::clone(&server.registry),
+            server.config.clone().workers(1),
+        );
+        let run = |server: &Server| {
+            server
+                .serve_scaled(binary, &specs, &plan, &sched)
+                .unwrap_or_else(|e| panic!("host scaling run: {e}"))
+        };
+        let (one, default) = (run(&one_worker), run(&server));
+        assert_eq!(
+            (one.executed, one.makespan_cycles, one.observable()),
+            (
+                default.executed,
+                default.makespan_cycles,
+                default.observable()
+            ),
+            "the worker count must not change a scale run's results"
+        );
+        (
+            default.workers,
+            one.host_micros.max(1),
+            default.host_micros.max(1),
+        )
+    };
+
     // The full sweep additionally exercises the *real-thread* serve path at
     // 10^4 live sessions — worker threads, per-version fork templates
     // — so the scale claim is not carried by the virtual-time model alone.
@@ -382,6 +421,9 @@ pub fn server_scale_report(quick: bool) -> ServerScaleReport {
         quiet_sessions: baseline_sessions,
         quiet_windows: quiet.slo.windows,
         quiet_breaches: quiet.slo.total_breaches(),
+        scaling_workers,
+        one_worker_host_micros,
+        default_workers_host_micros,
         metrics_series,
     }
 }
@@ -445,6 +487,16 @@ pub fn render_server_scale(r: &ServerScaleReport) -> String {
             r.quiet_sessions,
             r.quiet_windows,
             r.quiet_breaches
+        ));
+    }
+    if let Some(top) = r.points.last() {
+        out.push_str(&format!(
+            "   host scaling           {} sessions: {} ms on 1 owner thread, {} ms on {} ({:.2}x)\n",
+            top.sessions,
+            r.one_worker_host_micros / 1000,
+            r.default_workers_host_micros / 1000,
+            r.scaling_workers,
+            r.one_worker_host_micros as f64 / r.default_workers_host_micros.max(1) as f64
         ));
     }
     if r.live_serve_sessions > 0 {
@@ -580,6 +632,9 @@ mod tests {
             quiet_sessions: 0,
             quiet_windows: 0,
             quiet_breaches: 0,
+            scaling_workers: 1,
+            one_worker_host_micros: 1,
+            default_workers_host_micros: 1,
             metrics_series: String::new(),
         };
         assert!(!server_scale_json(&r).to_string().contains("live_serve."));

@@ -13,7 +13,6 @@
 //! lattice to Z3; for a two-point lattice a union-find plus a reachability
 //! fixpoint is an exact solver, so no SMT solver is needed.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use confllvm_minic::{Span, Taint};
@@ -156,12 +155,65 @@ enum Level {
 struct Var(u32);
 
 #[derive(Debug, Clone)]
-struct Constraint {
+struct Constraint<'a> {
     kind: ConstraintKind,
     span: Span,
-    /// Why the constraint exists, for diagnostics.  Most reasons are fixed
-    /// text and borrowed; only those naming a symbol are formatted.
-    why: Cow<'static, str>,
+    why: Why<'a>,
+}
+
+/// Why a constraint exists, for diagnostics.  A reason is read only when
+/// inference fails, so one that names a symbol or a qualifier keeps its
+/// parts, borrowed from the function, and is formatted by [`Why::text`] on
+/// that path alone.
+#[derive(Debug, Clone, Copy)]
+enum Why<'a> {
+    Fixed(&'static str),
+    /// Parameter `i`'s declared value taint.
+    Param(usize, Taint),
+    /// Parameter `i`'s declared pointee taint.
+    ParamPointee(usize, Taint),
+    /// A value's declared taint.
+    Declared(ValueId, Taint),
+    /// A value's declared pointee taint.
+    DeclaredPointee(ValueId, Taint),
+    /// The function's declared return taint.
+    Return(Taint),
+    /// The region a global lives in.
+    Global(&'a str, Taint),
+    /// Argument `i` of a call to the named callee, and its expected taint.
+    Arg(usize, &'a str, Taint),
+    /// Argument `i` of a call to the named callee, and its required region.
+    ArgRegion(usize, &'a str, Taint),
+    /// The named callee returns private data.
+    PrivateReturn(&'a str),
+}
+
+impl Why<'_> {
+    /// The reason's text; `fname` names the function being inferred.
+    fn text(self, fname: &str) -> String {
+        match self {
+            Why::Fixed(why) => why.to_string(),
+            Why::Param(i, t) => format!("parameter {i} of `{fname}` is declared {t}"),
+            Why::ParamPointee(i, t) => format!("parameter {i} of `{fname}` points to {t} data"),
+            Why::Declared(v, t) => format!("value {v} is declared {t}"),
+            Why::DeclaredPointee(v, t) => format!("value {v} is declared to point to {t} data"),
+            Why::Return(t) => format!("return value of `{fname}` is declared {t}"),
+            Why::Global(name, t) => format!("global `{name}` lives in the {t} region"),
+            Why::Arg(i, callee, t) => {
+                format!("argument {i} of call to `{callee}` expects {t} data")
+            }
+            Why::ArgRegion(i, callee, t) => {
+                format!("argument {i} of call to `{callee}` must point to the {t} region")
+            }
+            Why::PrivateReturn(callee) => format!("`{callee}` returns private data"),
+        }
+    }
+}
+
+impl From<&'static str> for Why<'_> {
+    fn from(why: &'static str) -> Self {
+        Why::Fixed(why)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -178,12 +230,22 @@ enum ConstraintKind {
     Pin(Var, Taint),
 }
 
-struct ConstraintSet {
-    nvalues: usize,
-    constraints: Vec<Constraint>,
+/// The qualifier variable of `v` at `level`.
+fn var(v: ValueId, level: Level) -> Var {
+    let l = match level {
+        Level::Value => 0,
+        Level::Pointee => 1,
+        Level::Pointee2 => 2,
+    };
+    Var(v.0 * 3 + l)
 }
 
-impl ConstraintSet {
+struct ConstraintSet<'a> {
+    nvalues: usize,
+    constraints: Vec<Constraint<'a>>,
+}
+
+impl<'a> ConstraintSet<'a> {
     fn new(nvalues: usize) -> Self {
         ConstraintSet {
             nvalues,
@@ -191,20 +253,11 @@ impl ConstraintSet {
         }
     }
 
-    fn var(&self, v: ValueId, level: Level) -> Var {
-        let l = match level {
-            Level::Value => 0,
-            Level::Pointee => 1,
-            Level::Pointee2 => 2,
-        };
-        Var(v.0 * 3 + l)
-    }
-
     fn var_count(&self) -> usize {
         self.nvalues * 3
     }
 
-    fn push(&mut self, kind: ConstraintKind, span: Span, why: impl Into<Cow<'static, str>>) {
+    fn push(&mut self, kind: ConstraintKind, span: Span, why: impl Into<Why<'a>>) {
         self.constraints.push(Constraint {
             kind,
             span,
@@ -216,28 +269,20 @@ impl ConstraintSet {
     fn flow_operand_into(&mut self, op: Operand, hi: Var, span: Span, why: &'static str) {
         match op {
             Operand::Const(_) => {} // public ⊑ anything, vacuous
-            Operand::Value(v) => self.push(
-                ConstraintKind::Flow(self.var(v, Level::Value), hi),
-                span,
-                why,
-            ),
+            Operand::Value(v) => {
+                self.push(ConstraintKind::Flow(var(v, Level::Value), hi), span, why)
+            }
         }
     }
 
     /// Constrain an operand's value taint to flow into a fixed taint bound.
-    fn operand_at_most(
-        &mut self,
-        op: Operand,
-        bound: Taint,
-        span: Span,
-        why: impl Into<Cow<'static, str>>,
-    ) {
+    fn operand_at_most(&mut self, op: Operand, bound: Taint, span: Span, why: impl Into<Why<'a>>) {
         if bound == Taint::Private {
             return; // anything ⊑ private
         }
         if let Operand::Value(v) = op {
             self.push(
-                ConstraintKind::AtMostPublic(self.var(v, Level::Value)),
+                ConstraintKind::AtMostPublic(var(v, Level::Value)),
                 span,
                 why,
             );
@@ -246,19 +291,9 @@ impl ConstraintSet {
 
     /// Pin an operand's pointee taint to exactly `t` (pointer invariance at
     /// call boundaries).
-    fn operand_pointee_eq(
-        &mut self,
-        op: Operand,
-        t: Taint,
-        span: Span,
-        why: impl Into<Cow<'static, str>>,
-    ) {
+    fn operand_pointee_eq(&mut self, op: Operand, t: Taint, span: Span, why: impl Into<Why<'a>>) {
         if let Operand::Value(v) = op {
-            self.push(
-                ConstraintKind::Pin(self.var(v, Level::Pointee), t),
-                span,
-                why,
-            );
+            self.push(ConstraintKind::Pin(var(v, Level::Pointee), t), span, why);
         }
     }
 }
@@ -292,14 +327,14 @@ fn infer_function(
             func.param_pointee_taints[i]
         };
         cs.push(
-            ConstraintKind::Pin(cs.var(*p, Level::Value), t),
+            ConstraintKind::Pin(var(*p, Level::Value), t),
             func.span,
-            format!("parameter {i} of `{fname}` is declared {t}"),
+            Why::Param(i, t),
         );
         cs.push(
-            ConstraintKind::Pin(cs.var(*p, Level::Pointee), pt),
+            ConstraintKind::Pin(var(*p, Level::Pointee), pt),
             func.span,
-            format!("parameter {i} of `{fname}` points to {pt} data"),
+            Why::ParamPointee(i, pt),
         );
     }
 
@@ -309,17 +344,17 @@ fn infer_function(
         let v = ValueId(i as u32);
         if let Some(t) = info.declared_taint {
             cs.push(
-                ConstraintKind::Pin(cs.var(v, Level::Value), t),
+                ConstraintKind::Pin(var(v, Level::Value), t),
                 func.span,
-                format!("value {v} is declared {t}"),
+                Why::Declared(v, t),
             );
         }
         if let Some(t) = info.declared_pointee {
             let t = if opts.all_private { Taint::Private } else { t };
             cs.push(
-                ConstraintKind::Pin(cs.var(v, Level::Pointee), t),
+                ConstraintKind::Pin(var(v, Level::Pointee), t),
                 func.span,
-                format!("value {v} is declared to point to {t} data"),
+                Why::DeclaredPointee(v, t),
             );
         }
     }
@@ -328,15 +363,7 @@ fn infer_function(
 
     for block in &func.blocks {
         for inst in &block.insts {
-            gen_inst_constraints(
-                &mut cs,
-                &fname,
-                inst,
-                fn_sigs,
-                extern_sigs,
-                global_taints,
-                opts,
-            );
+            gen_inst_constraints(&mut cs, inst, fn_sigs, extern_sigs, global_taints, opts);
         }
         match &block.term {
             Terminator::Ret {
@@ -348,12 +375,7 @@ fn infer_function(
                 } else {
                     func.ret_taint
                 };
-                cs.operand_at_most(
-                    *v,
-                    bound,
-                    *span,
-                    format!("return value of `{fname}` is declared {bound}"),
-                );
+                cs.operand_at_most(*v, bound, *span, Why::Return(bound));
             }
             Terminator::CondBr { cond, span, .. } => {
                 if opts.strict {
@@ -379,8 +401,8 @@ fn infer_function(
     let mut private_values = 0;
     for (i, info) in func.values.iter_mut().enumerate() {
         let v = ValueId(i as u32);
-        info.taint = solution.taint_of(cs.var(v, Level::Value));
-        info.pointee_taint = solution.taint_of(cs.var(v, Level::Pointee));
+        info.taint = solution.taint_of(var(v, Level::Value));
+        info.pointee_taint = solution.taint_of(var(v, Level::Pointee));
         if info.taint == Taint::Private {
             private_values += 1;
         }
@@ -393,7 +415,7 @@ fn infer_function(
                 Inst::Load { addr, region, .. } | Inst::Store { addr, region, .. } => {
                     let r = match addr {
                         Operand::Const(_) => Taint::Public,
-                        Operand::Value(v) => solution.taint_of(cs.var(*v, Level::Pointee)),
+                        Operand::Value(v) => solution.taint_of(var(*v, Level::Pointee)),
                     };
                     let r = if opts.all_private { Taint::Private } else { r };
                     *region = r;
@@ -414,7 +436,7 @@ fn infer_function(
                 ..
             } = &block.term
             {
-                if solution.taint_of(cs.var(*v, Level::Value)) == Taint::Private {
+                if solution.taint_of(var(*v, Level::Value)) == Taint::Private {
                     warnings.push(TaintError {
                         function: fname.clone(),
                         message:
@@ -436,10 +458,9 @@ fn infer_function(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn gen_inst_constraints(
-    cs: &mut ConstraintSet,
-    fname: &str,
-    inst: &Inst,
+fn gen_inst_constraints<'a>(
+    cs: &mut ConstraintSet<'a>,
+    inst: &'a Inst,
     fn_sigs: &HashMap<String, Sig>,
     extern_sigs: &HashMap<String, Sig>,
     global_taints: &HashMap<String, Taint>,
@@ -448,13 +469,13 @@ fn gen_inst_constraints(
     match inst {
         Inst::Alloca { dst, .. } => {
             cs.push(
-                ConstraintKind::Pin(cs.var(*dst, Level::Value), Taint::Public),
+                ConstraintKind::Pin(var(*dst, Level::Value), Taint::Public),
                 Span::default(),
                 "stack addresses are public values",
             );
             if opts.all_private {
                 cs.push(
-                    ConstraintKind::Pin(cs.var(*dst, Level::Pointee), Taint::Private),
+                    ConstraintKind::Pin(var(*dst, Level::Pointee), Taint::Private),
                     Span::default(),
                     "all-private mode: every slot is private",
                 );
@@ -465,12 +486,12 @@ fn gen_inst_constraints(
         } => {
             if let Operand::Value(a) = addr {
                 cs.push(
-                    ConstraintKind::Flow(cs.var(*a, Level::Pointee), cs.var(*dst, Level::Value)),
+                    ConstraintKind::Flow(var(*a, Level::Pointee), var(*dst, Level::Value)),
                     *span,
                     "loaded value carries the taint of the memory it was read from",
                 );
                 cs.push(
-                    ConstraintKind::Eq(cs.var(*a, Level::Pointee2), cs.var(*dst, Level::Pointee)),
+                    ConstraintKind::Eq(var(*a, Level::Pointee2), var(*dst, Level::Pointee)),
                     *span,
                     "loading a pointer preserves what it points to",
                 );
@@ -482,13 +503,13 @@ fn gen_inst_constraints(
             if let Operand::Value(a) = addr {
                 cs.flow_operand_into(
                     *value,
-                    cs.var(*a, Level::Pointee),
+                    var(*a, Level::Pointee),
                     *span,
                     "stored value must not exceed the taint of the destination memory",
                 );
                 if let Operand::Value(v) = value {
                     cs.push(
-                        ConstraintKind::Eq(cs.var(*v, Level::Pointee), cs.var(*a, Level::Pointee2)),
+                        ConstraintKind::Eq(var(*v, Level::Pointee), var(*a, Level::Pointee2)),
                         *span,
                         "storing a pointer records what it points to",
                     );
@@ -498,13 +519,13 @@ fn gen_inst_constraints(
         Inst::Bin { dst, lhs, rhs, .. } => {
             cs.flow_operand_into(
                 *lhs,
-                cs.var(*dst, Level::Value),
+                var(*dst, Level::Value),
                 Span::default(),
                 "arithmetic result derives from its operands",
             );
             cs.flow_operand_into(
                 *rhs,
-                cs.var(*dst, Level::Value),
+                var(*dst, Level::Value),
                 Span::default(),
                 "arithmetic result derives from its operands",
             );
@@ -521,12 +542,12 @@ fn gen_inst_constraints(
             };
             if let Some(v) = ptr_operand {
                 cs.push(
-                    ConstraintKind::Eq(cs.var(v, Level::Pointee), cs.var(*dst, Level::Pointee)),
+                    ConstraintKind::Eq(var(v, Level::Pointee), var(*dst, Level::Pointee)),
                     Span::default(),
                     "pointer arithmetic stays within the pointed-to region",
                 );
                 cs.push(
-                    ConstraintKind::Eq(cs.var(v, Level::Pointee2), cs.var(*dst, Level::Pointee2)),
+                    ConstraintKind::Eq(var(v, Level::Pointee2), var(*dst, Level::Pointee2)),
                     Span::default(),
                     "pointer arithmetic preserves indirect pointees",
                 );
@@ -535,13 +556,13 @@ fn gen_inst_constraints(
         Inst::Cmp { dst, lhs, rhs, .. } => {
             cs.flow_operand_into(
                 *lhs,
-                cs.var(*dst, Level::Value),
+                var(*dst, Level::Value),
                 Span::default(),
                 "comparison result derives from its operands",
             );
             cs.flow_operand_into(
                 *rhs,
-                cs.var(*dst, Level::Value),
+                var(*dst, Level::Value),
                 Span::default(),
                 "comparison result derives from its operands",
             );
@@ -554,14 +575,14 @@ fn gen_inst_constraints(
             // 7.6) that only the runtime checks can close.
             cs.flow_operand_into(
                 *src,
-                cs.var(*dst, Level::Value),
+                var(*dst, Level::Value),
                 Span::default(),
                 "copy propagates taint",
             );
         }
         Inst::GlobalAddr { dst, name } => {
             cs.push(
-                ConstraintKind::Pin(cs.var(*dst, Level::Value), Taint::Public),
+                ConstraintKind::Pin(var(*dst, Level::Value), Taint::Public),
                 Span::default(),
                 "global addresses are public values",
             );
@@ -571,14 +592,14 @@ fn gen_inst_constraints(
                 global_taints.get(name).copied().unwrap_or(Taint::Public)
             };
             cs.push(
-                ConstraintKind::Pin(cs.var(*dst, Level::Pointee), t),
+                ConstraintKind::Pin(var(*dst, Level::Pointee), t),
                 Span::default(),
-                format!("global `{name}` lives in the {t} region"),
+                Why::Global(name, t),
             );
         }
         Inst::FuncAddr { dst, .. } => {
             cs.push(
-                ConstraintKind::Pin(cs.var(*dst, Level::Value), Taint::Public),
+                ConstraintKind::Pin(var(*dst, Level::Value), Taint::Public),
                 Span::default(),
                 "function addresses are public values",
             );
@@ -592,7 +613,6 @@ fn gen_inst_constraints(
             if let Some((param_taints, param_pointees, ret_taint)) = fn_sigs.get(callee) {
                 gen_call_constraints(
                     cs,
-                    fname,
                     callee,
                     args,
                     *dst,
@@ -615,7 +635,6 @@ fn gen_inst_constraints(
                 // mode; they are the declassification boundary.
                 gen_call_constraints(
                     cs,
-                    fname,
                     callee,
                     args,
                     *dst,
@@ -647,7 +666,6 @@ fn gen_inst_constraints(
             let pointees: Vec<Taint> = param_taints.clone();
             gen_call_constraints(
                 cs,
-                fname,
                 "<indirect>",
                 args,
                 *dst,
@@ -662,10 +680,9 @@ fn gen_inst_constraints(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn gen_call_constraints(
-    cs: &mut ConstraintSet,
-    _fname: &str,
-    callee: &str,
+fn gen_call_constraints<'a>(
+    cs: &mut ConstraintSet<'a>,
+    callee: &'a str,
     args: &[Operand],
     dst: Option<ValueId>,
     param_taints: &[Taint],
@@ -686,25 +703,15 @@ fn gen_call_constraints(
         } else {
             (pt, pp)
         };
-        cs.operand_at_most(
-            *arg,
-            pt,
-            span,
-            format!("argument {i} of call to `{callee}` expects {pt} data"),
-        );
-        cs.operand_pointee_eq(
-            *arg,
-            pp,
-            span,
-            format!("argument {i} of call to `{callee}` must point to the {pp} region"),
-        );
+        cs.operand_at_most(*arg, pt, span, Why::Arg(i, callee, pt));
+        cs.operand_pointee_eq(*arg, pp, span, Why::ArgRegion(i, callee, pp));
     }
     if let Some(d) = dst {
         if ret_taint == Taint::Private || opts.all_private {
             cs.push(
-                ConstraintKind::AtLeastPrivate(cs.var(d, Level::Value)),
+                ConstraintKind::AtLeastPrivate(var(d, Level::Value)),
                 span,
-                format!("`{callee}` returns private data"),
+                Why::PrivateReturn(callee),
             );
         }
     }
@@ -776,9 +783,9 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
 
     // Phase 2: collect pins and bounds per class.
     let mut pinned: Vec<Option<Taint>> = vec![None; n];
-    let mut pin_why: Vec<Option<(Span, &str)>> = vec![None; n];
-    let mut at_most_public: Vec<Option<(Span, &str)>> = vec![None; n];
-    let mut at_least_private: Vec<Option<(Span, &str)>> = vec![None; n];
+    let mut pin_why: Vec<Option<(Span, Why)>> = vec![None; n];
+    let mut at_most_public: Vec<Option<(Span, Why)>> = vec![None; n];
+    let mut at_least_private: Vec<Option<(Span, Why)>> = vec![None; n];
     for c in &cs.constraints {
         match &c.kind {
             ConstraintKind::Pin(v, t) => {
@@ -786,15 +793,16 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
                 match pinned[r] {
                     None => {
                         pinned[r] = Some(*t);
-                        pin_why[r] = Some((c.span, &c.why));
+                        pin_why[r] = Some((c.span, c.why));
                     }
                     Some(existing) if existing != *t => {
-                        let prev = pin_why[r].map(|(_, w)| w).unwrap_or_default();
+                        let prev = pin_why[r].map(|(_, w)| w.text(fname)).unwrap_or_default();
                         errors.push(TaintError {
                             function: fname.to_string(),
                             message: format!(
                                 "conflicting qualifier requirements: {} vs {}",
-                                c.why, prev
+                                c.why.text(fname),
+                                prev
                             ),
                             span: c.span,
                         });
@@ -805,13 +813,13 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
             ConstraintKind::AtMostPublic(v) => {
                 let r = uf.find(v.0 as usize);
                 if at_most_public[r].is_none() {
-                    at_most_public[r] = Some((c.span, &c.why));
+                    at_most_public[r] = Some((c.span, c.why));
                 }
             }
             ConstraintKind::AtLeastPrivate(v) => {
                 let r = uf.find(v.0 as usize);
                 if at_least_private[r].is_none() {
-                    at_least_private[r] = Some((c.span, &c.why));
+                    at_least_private[r] = Some((c.span, c.why));
                 }
             }
             _ => {}
@@ -819,13 +827,13 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
     }
 
     // Phase 3: propagate "private" along flow edges.
-    let mut edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (target, constraint idx)
-    for (ci, c) in cs.constraints.iter().enumerate() {
+    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for c in &cs.constraints {
         if let ConstraintKind::Flow(lo, hi) = &c.kind {
             let a = uf.find(lo.0 as usize);
             let b = uf.find(hi.0 as usize);
             if a != b {
-                edges[a].push((b, ci));
+                edges[a].push(b);
             }
         }
     }
@@ -843,14 +851,12 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
         }
     }
     while let Some(r) = worklist.pop() {
-        let outgoing = edges[r].clone();
-        for (target, ci) in outgoing {
+        for &target in &edges[r] {
             if taints[target] == Taint::Private {
                 continue;
             }
             taints[target] = Taint::Private;
             worklist.push(target);
-            let _ = ci;
         }
     }
 
@@ -861,7 +867,8 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
         }
         if taints[r] == Taint::Private {
             if pinned[r] == Some(Taint::Public) {
-                let (span, why) = pin_why[r].unwrap_or_default();
+                let (span, why) =
+                    pin_why[r].map_or_else(Default::default, |(span, why)| (span, why.text(fname)));
                 errors.push(TaintError {
                     function: fname.to_string(),
                     message: format!(
@@ -873,7 +880,7 @@ fn solve(cs: &ConstraintSet, fname: &str) -> Result<Solution, Vec<TaintError>> {
             if let Some((span, why)) = at_most_public[r] {
                 errors.push(TaintError {
                     function: fname.to_string(),
-                    message: format!("private data flows into a public sink: {why}"),
+                    message: format!("private data flows into a public sink: {}", why.text(fname)),
                     span,
                 });
             }
@@ -980,6 +987,36 @@ mod tests {
         assert!(
             errs.iter().any(|e| e.message.contains("send")),
             "expected an error mentioning the call to send, got: {errs:?}"
+        );
+    }
+
+    #[test]
+    fn error_texts_name_the_violated_constraint() {
+        let src = "
+            extern void read_passwd(char *uname, private char *pass, int size);
+            extern int send(int fd, char *buf, int n);
+            int counter;
+            int handle(char *uname) {
+                char passwd[64];
+                read_passwd(uname, passwd, 64);
+                send(1, passwd, 64);
+                counter = passwd[1];
+                return passwd[0];
+            }
+        ";
+        let errs = infer_src(src).unwrap_err();
+        let texts: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
+        assert_eq!(
+            texts,
+            [
+                "taint error in `handle` at 8:21: conflicting qualifier requirements: \
+                 argument 1 of call to `send` must point to the public region vs \
+                 argument 1 of call to `read_passwd` must point to the private region",
+                "taint error in `handle` at 0:0: private data reaches a location required \
+                 to be public (global `counter` lives in the public region)",
+                "taint error in `handle` at 10:17: private data flows into a public sink: \
+                 return value of `handle` is declared public",
+            ]
         );
     }
 

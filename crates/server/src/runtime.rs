@@ -32,10 +32,19 @@
 //!
 //! [`Server::serve_scaled`] is the other entry point: it runs an
 //! [`ArrivalPlan`] through the deterministic virtual-time scheduler
-//! ([`run_virtual`]) over forked instances — bounded admission,
-//! backpressure (shed/defer), EDF dispatch — and reports queueing-aware
-//! latency tails plus per-session resident-page statistics, the 10^4–10^5
-//! session experiment.
+//! ([`run_virtual`](crate::sched::run_virtual)'s loop) over forked
+//! instances — bounded admission, backpressure (shed/defer), EDF dispatch —
+//! and reports queueing-aware latency tails plus per-session resident-page
+//! statistics, the 10^4–10^5 session experiment.  Its sessions are split
+//! among owner threads (session `i` belongs to owner `i % owners`), and
+//! each owner forks, runs, parks and drops only its own sessions, so a
+//! session's pages are allocated and freed on one thread.  The scheduler
+//! stays on the calling thread: it hands each request to its session's
+//! owner when the request is admitted, and commits the result when it
+//! dispatches the request, in dispatch order.  The schedule depends only on
+//! simulated costs, and an owner runs each session's requests in admission
+//! order, which for a non-decreasing plan is dispatch order, so every
+//! simulated number is the same at any worker count.
 //!
 //! Both entry points serve every request through one function,
 //! `execute_request`: the modes differ only in where the request's VM comes
@@ -43,8 +52,9 @@
 //! request — pooled, cold or scheduled — gets the same `server.request`
 //! span, measured host time and cycle accounting.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,7 +64,7 @@ use crate::handles::{BinaryId, SessionId, VersionId};
 use crate::metrics::{RequestMetrics, StreamMetrics};
 use crate::pool::{PoolOptions, PooledInstance, SpawnError};
 use crate::registry::{Registry, ServiceBinary};
-use crate::sched::{run_virtual, ArrivalPlan, ExecCost, SchedulerConfig};
+use crate::sched::{run_windows, Arrival, ArrivalPlan, ExecCost, SchedResult, SchedulerConfig};
 use crate::session::{Request, SessionSpec};
 use crate::store::{SessionTemplate, SnapshotStore};
 
@@ -82,6 +92,7 @@ impl ExecMode {
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads driving sessions (host-side parallelism).
+    /// [`Server::serve_scaled`] caps it at the host's available parallelism.
     pub workers: usize,
     /// Options for every VM the runtime spawns.
     pub vm: VmOptions,
@@ -234,6 +245,24 @@ impl SessionOutcome {
             metrics: StreamMetrics::default(),
         }
     }
+
+    /// Charge one served request to the session: its exit code, its bytes
+    /// on both observable channels and its metrics.
+    fn commit(&mut self, ran: Ran) {
+        self.exit_codes.push(ran.exit_code);
+        self.metrics.add(&ran.metrics);
+        self.sent.extend_from_slice(&ran.sent);
+        self.log.extend_from_slice(&ran.log);
+    }
+}
+
+/// One served request, not yet charged to its session.
+struct Ran {
+    exit_code: i64,
+    /// What the request sent on the network and appended to the log.
+    sent: Vec<u8>,
+    log: Vec<u8>,
+    metrics: RequestMetrics,
 }
 
 /// The result of serving a set of streams.
@@ -309,6 +338,9 @@ pub struct ScaleReport {
     pub name: String,
     /// The version the whole run was pinned to.
     pub version: VersionId,
+    /// Owner threads that ran the sessions: [`ServerConfig::workers`],
+    /// capped at the host's available parallelism and the session count.
+    pub workers: usize,
     /// Per-session outcomes, sorted by session id.
     pub sessions: Vec<SessionOutcome>,
     /// All sessions' metrics merged, including the scheduler's shed/defer
@@ -492,9 +524,21 @@ impl Server {
     /// baseline), and the report carries queueing-aware latency tails plus
     /// resident-page statistics.
     ///
+    /// Requests run on real threads: [`ServerConfig::workers`] owner
+    /// threads, capped at the host's available parallelism, each fork, run,
+    /// park and drop their own sessions (session `i` belongs to owner
+    /// `i % owners`).  The scheduler runs on the calling thread; it hands
+    /// each admitted request to its session's owner at admission, and
+    /// commits the result (exit code, output, metrics, peak pages, CoW
+    /// faults) when it dispatches that request, in dispatch order.  Every
+    /// simulated number is therefore the same at any worker count (see the
+    /// `sched` module docs for why running a request before its dispatch is
+    /// legal); only `host_micros` and the per-request host times move.
+    ///
     /// `sessions[i]` must have at least as many requests as the plan sends
     /// to session `i` (build the specs from
-    /// [`ArrivalPlan::per_session_counts`]).
+    /// [`ArrivalPlan::per_session_counts`]).  A failing request aborts the
+    /// run with the first failure in dispatch order.
     pub fn serve_scaled(
         &self,
         binary: BinaryId,
@@ -507,93 +551,29 @@ impl Server {
         let cache_hits_before = self.registry.cache_stats().hits;
         let (version, service) = checkout(&self.registry, binary)?;
         let mut span = rec.span("server", "server.scale");
-        let finish = || {
-            self.registry.release(version);
-            self.store.sweep();
-        };
-
-        // Fork (or isolate) every session's instance up front — the run
-        // models already-admitted sessions, and admission cost is visible
-        // separately via the fork spans.
-        let forked = self.template(version, &service).and_then(|template| {
-            let mut instances = Vec::with_capacity(sessions.len());
-            for s in sessions {
-                instances.push(self.session_instance(&template, &s.world)?);
-            }
-            Ok((template, instances))
-        });
-        let (template, mut instances) = match forked {
-            Ok(forked) => forked,
-            Err(e) => {
-                finish();
-                return Err(e.into());
-            }
-        };
-        let pool_opts = self.config.pool;
-
-        let mut outcomes: Vec<SessionOutcome> = sessions
-            .iter()
-            .map(|s| SessionOutcome::new(s, version))
-            .collect();
-        let mut peak_pages = vec![0usize; sessions.len()];
-        let mut first_error: Option<ServeError> = None;
-
-        let drain = ExecCost {
-            cycles: 1,
-            cow_faults: 0,
-        };
-        let mut sched_result = run_virtual(sched, plan, |si, ri| {
-            if first_error.is_some() {
-                return drain; // drain the plan cheaply once the run has failed
-            }
-            let Some(req) = sessions[si].requests.get(ri) else {
-                first_error = Some(ServeError::PlanMismatch {
-                    session: sessions[si].id,
-                    index: ri,
-                });
-                return drain;
-            };
-            let cow_before = instances[si].vm.cow_faults();
-            let instance = Instance::Warm(&mut instances[si], &pool_opts);
-            match execute_request(instance, req, ri, &mut outcomes[si]) {
-                Ok(m) => {
-                    let vm = &instances[si].vm;
-                    peak_pages[si] = peak_pages[si].max(vm.resident_private_pages());
-                    ExecCost {
-                        cycles: m.cycles,
-                        cow_faults: vm.cow_faults() - cow_before,
-                    }
-                }
-                Err(e) => {
-                    first_error = Some(e);
-                    drain
-                }
-            }
-        });
-
-        if let Some(e) = first_error {
-            finish();
-            return Err(e);
-        }
-
-        // Park every session (rewind to its snapshot) and measure what an
-        // idle session actually keeps resident.
-        let mut parked: Vec<usize> = Vec::with_capacity(instances.len());
-        let mut cow_faults = 0u64;
-        for inst in &mut instances {
-            inst.reset(&pool_opts);
-            parked.push(inst.resident_private_pages());
-            cow_faults += inst.vm.cow_faults();
-        }
-        let n = parked.len().max(1);
-        let resident = ResidentStats {
-            template_pages: template.shared_pages(),
-            mean_parked_pages: parked.iter().sum::<usize>() as f64 / n as f64,
-            max_parked_pages: parked.iter().copied().max().unwrap_or(0),
-            total_parked_pages: parked.iter().sum(),
-            mean_peak_pages: peak_pages.iter().sum::<usize>() as f64 / n as f64,
-            cow_faults,
-        };
+        let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = self
+            .config
+            .workers
+            .clamp(1, host_threads)
+            .min(sessions.len().max(1));
+        let run = self
+            .template(version, &service)
+            .map_err(ServeError::from)
+            .and_then(|template| {
+                let run = ScaleRun {
+                    server: self,
+                    template: &template,
+                    sessions,
+                    plan,
+                    owners: workers,
+                    abort: AtomicBool::new(false),
+                };
+                run.run(version, sched)
+            });
+        self.registry.release(version);
+        self.store.sweep();
+        let (mut outcomes, mut sched_result, resident) = run?;
 
         let mut metrics = StreamMetrics::default();
         outcomes.sort_by_key(|s| s.id);
@@ -622,10 +602,11 @@ impl Server {
 
         if span.active() {
             span.attr("sessions", sessions.len());
+            span.attr("workers", workers);
             span.attr("executed", sched_result.executed);
             span.attr("shed", sched_result.shed);
             span.attr("windows", sched_result.windows);
-            span.attr("forked", !pool_opts.isolate_sessions);
+            span.attr("forked", !self.config.pool.isolate_sessions);
             span.attr("template_pages", resident.template_pages);
             span.attr("total_parked_pages", resident.total_parked_pages);
             span.attr("slo_fast_breaches", slo.fast_breaches);
@@ -633,12 +614,12 @@ impl Server {
             span.cycles(sched_result.makespan_cycles);
         }
         drop(span);
-        finish();
 
         Ok(ScaleReport {
             binary,
             name: service.name.clone(),
             version,
+            workers,
             sessions: outcomes,
             metrics,
             executed: sched_result.executed,
@@ -729,9 +710,233 @@ impl Server {
                 Some(inst) => Instance::Warm(inst, &self.config.pool),
                 None => Instance::Cold(&template, &session.world),
             };
-            execute_request(instance, req, index, &mut out)?;
+            out.commit(execute_request(instance, req, index, session.id)?);
         }
         Ok(out)
+    }
+}
+
+/// One `serve_scaled` run: what its scheduler thread and its owner threads
+/// share.
+struct ScaleRun<'a> {
+    server: &'a Server,
+    template: &'a SessionTemplate,
+    sessions: &'a [SessionSpec],
+    plan: &'a ArrivalPlan,
+    /// Owner threads; session `i` belongs to owner `i % owners`.
+    owners: usize,
+    /// Set once the run has failed: the scheduler stops handing out work
+    /// and the owners skip what they still hold.  It publishes no data, so
+    /// `Relaxed` suffices: an owner that reads it late runs a request whose
+    /// result nobody collects.
+    abort: AtomicBool,
+}
+
+/// An owner's answer for one request, keyed by the arrival's plan index.
+type Reply = (usize, Result<Executed, ServeError>);
+
+/// A request an owner thread ran, waiting for its dispatch.
+struct Executed {
+    ran: Ran,
+    /// Copy-on-write faults the session took during the request.
+    cow_faults: u64,
+    /// The session's private pages right after the request.
+    resident_pages: usize,
+}
+
+/// What an owner's sessions keep resident once parked.
+#[derive(Default)]
+struct Parked {
+    pages: usize,
+    max_pages: usize,
+    cow_faults: u64,
+}
+
+impl ScaleRun<'_> {
+    /// Start the owner threads, run the scheduler on this thread, then let
+    /// the owners park and drop their sessions.  Returns the per-session
+    /// outcomes in session-list order, the scheduler's result and the
+    /// resident-page statistics.
+    fn run(
+        &self,
+        version: VersionId,
+        sched: &SchedulerConfig,
+    ) -> Result<(Vec<SessionOutcome>, SchedResult, ResidentStats), ServeError> {
+        // What the scheduler charges a dispatch once the run has failed, so
+        // the rest of the plan drains cheaply.
+        const DRAIN: ExecCost = ExecCost {
+            cycles: 1,
+            cow_faults: 0,
+        };
+        let (sessions, plan) = (self.sessions, self.plan);
+        let mut outcomes: Vec<SessionOutcome> = sessions
+            .iter()
+            .map(|s| SessionOutcome::new(s, version))
+            .collect();
+        let mut peak_pages = vec![0usize; sessions.len()];
+        let mut first_error = None;
+        let (sched_result, owned) = std::thread::scope(|scope| {
+            let mut jobs = Vec::with_capacity(self.owners);
+            let mut replies = Vec::with_capacity(self.owners);
+            let mut owners = Vec::with_capacity(self.owners);
+            for owner in 0..self.owners {
+                let (job_tx, job_rx) = mpsc::channel();
+                let (reply_tx, reply_rx) = mpsc::channel();
+                owners.push(scope.spawn(move || self.own(owner, job_rx, reply_tx)));
+                jobs.push(job_tx);
+                replies.push(reply_rx);
+            }
+            // Replies that came back before their dispatch asked for them
+            // (only a plan whose times go backwards dispatches out of
+            // admission order).
+            let mut early: HashMap<usize, Result<Executed, ServeError>> = HashMap::new();
+            let sched_result = run_windows(
+                sched,
+                plan,
+                |admitted| {
+                    if self.abort.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    for &seq in admitted {
+                        // Fails only if the owner stopped; its dispatch
+                        // notices.
+                        let _ = jobs[plan.arrivals[seq].session % self.owners].send(seq);
+                    }
+                },
+                |seq| {
+                    if self.abort.load(Ordering::Relaxed) {
+                        return DRAIN;
+                    }
+                    let si = plan.arrivals[seq].session;
+                    let reply = early.remove(&seq).or_else(|| loop {
+                        match replies[si % self.owners].recv() {
+                            Ok((s, reply)) if s == seq => break Some(reply),
+                            Ok((s, reply)) => {
+                                early.insert(s, reply);
+                            }
+                            // The owner stopped: a fork failed or it panicked.
+                            Err(_) => break None,
+                        }
+                    });
+                    match reply {
+                        Some(Ok(done)) => {
+                            peak_pages[si] = peak_pages[si].max(done.resident_pages);
+                            let cost = ExecCost {
+                                cycles: done.ran.metrics.cycles,
+                                cow_faults: done.cow_faults,
+                            };
+                            outcomes[si].commit(done.ran);
+                            cost
+                        }
+                        failed => {
+                            if let Some(Err(e)) = failed {
+                                first_error = Some(e);
+                            }
+                            self.abort.store(true, Ordering::Relaxed);
+                            DRAIN
+                        }
+                    }
+                },
+            );
+            // Closing the job queues tells each owner to park and drop its
+            // sessions.
+            drop(jobs);
+            let owned: Vec<_> = owners
+                .into_iter()
+                .map(|h| h.join().expect("session owner thread panicked"))
+                .collect();
+            (sched_result, owned)
+        });
+
+        let mut parked = Parked::default();
+        let mut fork_errors = Vec::new();
+        for owned in owned {
+            match owned {
+                Ok(p) => {
+                    parked.pages += p.pages;
+                    parked.max_pages = parked.max_pages.max(p.max_pages);
+                    parked.cow_faults += p.cow_faults;
+                }
+                Err(e) => fork_errors.push(e),
+            }
+        }
+        // Report the failed fork of the lowest session, as a serial fork
+        // pass would.
+        if let Some((_, e)) = fork_errors.into_iter().min_by_key(|(si, _)| *si) {
+            return Err(e.into());
+        }
+        if let Some(e) = first_error {
+            return Err(e);
+        }
+        let n = sessions.len().max(1) as f64;
+        let resident = ResidentStats {
+            template_pages: self.template.shared_pages(),
+            mean_parked_pages: parked.pages as f64 / n,
+            max_parked_pages: parked.max_pages,
+            total_parked_pages: parked.pages,
+            mean_peak_pages: peak_pages.iter().sum::<usize>() as f64 / n,
+            cow_faults: parked.cow_faults,
+        };
+        Ok((outcomes, sched_result, resident))
+    }
+
+    /// Owner thread `owner`: fork its sessions, run each request the
+    /// scheduler hands it, in the order handed, and reply with the result;
+    /// once the scheduler closes `jobs`, park its sessions (rewind each to
+    /// its snapshot and measure what it keeps) and drop them.  A session's
+    /// pages are thus allocated and freed on one thread.  A failed fork
+    /// stops the owner, naming the session.
+    fn own(
+        &self,
+        owner: usize,
+        jobs: Receiver<usize>,
+        replies: Sender<Reply>,
+    ) -> Result<Parked, (usize, SpawnError)> {
+        let pool = &self.server.config.pool;
+        let mut instances = Vec::with_capacity(self.sessions.len() / self.owners + 1);
+        for si in (owner..self.sessions.len()).step_by(self.owners) {
+            let world = &self.sessions[si].world;
+            let instance = self.server.session_instance(self.template, world);
+            instances.push(instance.map_err(|e| (si, e))?);
+        }
+        for seq in jobs {
+            if self.abort.load(Ordering::Relaxed) {
+                continue;
+            }
+            let Arrival {
+                session: si,
+                request: ri,
+                ..
+            } = self.plan.arrivals[seq];
+            let session = &self.sessions[si];
+            let instance = &mut instances[si / self.owners];
+            let done = match session.requests.get(ri) {
+                None => Err(ServeError::PlanMismatch {
+                    session: session.id,
+                    index: ri,
+                }),
+                Some(req) => {
+                    let cow_before = instance.vm.cow_faults();
+                    let ran = execute_request(Instance::Warm(instance, pool), req, ri, session.id);
+                    ran.map(|ran| Executed {
+                        ran,
+                        cow_faults: instance.vm.cow_faults() - cow_before,
+                        resident_pages: instance.resident_private_pages(),
+                    })
+                }
+            };
+            // The scheduler keeps every reply queue until the owners return.
+            let _ = replies.send((seq, done));
+        }
+        let mut parked = Parked::default();
+        for instance in &mut instances {
+            instance.reset(pool);
+            let pages = instance.resident_private_pages();
+            parked.pages += pages;
+            parked.max_pages = parked.max_pages.max(pages);
+            parked.cow_faults += instance.vm.cow_faults();
+        }
+        Ok(parked)
     }
 }
 
@@ -762,18 +967,18 @@ enum Instance<'a> {
     Cold(&'a SessionTemplate, &'a World),
 }
 
-/// Serve one request and charge it to `out`: take the VM from `instance`,
-/// run the entry under `server.execute`, then record the exit code, the
-/// observable output and the request's metrics — its restore or setup
-/// cycles and measured host time — under one `server.request` span.  Every
-/// served request comes through here, whether `serve` runs it pooled or
-/// cold or `serve_scaled`'s scheduler dispatches it.
+/// Serve request `index` of `session`: take the VM from `instance`, run the
+/// entry under `server.execute`, and return the exit code, the observable
+/// output and the request's metrics — its restore or setup cycles and
+/// measured host time — all under one `server.request` span.  Every served
+/// request comes through here, whether `serve` runs it pooled or cold or a
+/// `serve_scaled` owner thread runs it for the scheduler.
 fn execute_request(
     instance: Instance<'_>,
     req: &Request,
     index: usize,
-    out: &mut SessionOutcome,
-) -> Result<RequestMetrics, ServeError> {
+    session: SessionId,
+) -> Result<Ran, ServeError> {
     let rec = confllvm_obs::recorder();
     let mut req_span = rec.span("server", "server.request");
     let host_t0 = Instant::now();
@@ -820,16 +1025,16 @@ fn execute_request(
         let _exec_span = rec.span("server", "server.execute");
         vm.run_function(&req.entry, &req.args)
     };
-    match result.outcome {
-        Outcome::Exit(code) => out.exit_codes.push(code),
+    let exit_code = match result.outcome {
+        Outcome::Exit(code) => code,
         outcome => {
             return Err(ServeError::Request {
-                session: out.id,
+                session,
                 index,
                 outcome,
             })
         }
-    }
+    };
     let ran = RequestMetrics::from_stats_delta(&before, &vm.stats);
     let m = RequestMetrics {
         cycles: ran.cycles + charged.cycles,
@@ -849,10 +1054,12 @@ fn execute_request(
         req_span.cycles(m.cycles);
     }
     drop(req_span);
-    out.metrics.add(&m);
-    out.sent.extend_from_slice(&vm.world.sent[sent_baseline..]);
-    out.log.extend_from_slice(&vm.world.log[log_baseline..]);
-    Ok(m)
+    Ok(Ran {
+        exit_code,
+        sent: vm.world.sent[sent_baseline..].to_vec(),
+        log: vm.world.log[log_baseline..].to_vec(),
+        metrics: m,
+    })
 }
 
 #[cfg(test)]
@@ -1242,6 +1449,191 @@ mod tests {
         assert_eq!(r.makespan_cycles, r2.makespan_cycles);
         assert_eq!(r.observable(), r2.observable());
         assert_eq!(r.slo.total_breaches(), r2.slo.total_breaches());
+    }
+
+    /// `scale_inputs`' plan with ldap sessions: each gets the plan's count
+    /// of hit/miss queries, and runs `populate` against its own passwords
+    /// when it forks.
+    fn ldap_scale_inputs(sessions: usize, arrivals: usize) -> (Vec<SessionSpec>, ArrivalPlan) {
+        let (_, plan) = scale_inputs(sessions, arrivals);
+        let counts = plan.per_session_counts(sessions);
+        let longest = counts.iter().copied().max().unwrap_or(0);
+        let mut specs = ldap_sessions(sessions, longest, 32);
+        for (spec, &count) in specs.iter_mut().zip(&counts) {
+            spec.requests.truncate(count);
+        }
+        (specs, plan)
+    }
+
+    /// A stream's simulated figures: everything but measured host time.
+    fn simulated(m: &StreamMetrics) -> [u64; 16] {
+        [
+            m.requests,
+            m.total_cycles,
+            m.setup_cycles,
+            m.restore_cycles,
+            m.dirty_pages,
+            m.instructions,
+            m.bound_checks,
+            m.check_cycles,
+            m.extern_calls,
+            m.stack_switches,
+            m.extern_cycles,
+            m.shed,
+            m.deferred,
+            m.max_queue_depth(),
+            m.percentile_milli(999),
+            m.virtual_percentile_milli(999),
+        ]
+    }
+
+    /// The serial reference for `serve_scaled`: one fork per session, and
+    /// each request run on this thread when `run_virtual` dispatches it.
+    fn serial_scale_run(
+        server: &Server,
+        binary: BinaryId,
+        sessions: &[SessionSpec],
+        plan: &ArrivalPlan,
+        sched: &SchedulerConfig,
+    ) -> (SchedResult, Vec<SessionOutcome>) {
+        let (version, service) = checkout(&server.registry, binary).unwrap();
+        let template = server.template(version, &service).unwrap();
+        let mut instances: Vec<PooledInstance> = sessions
+            .iter()
+            .map(|s| server.session_instance(&template, &s.world).unwrap())
+            .collect();
+        let mut outcomes: Vec<SessionOutcome> = sessions
+            .iter()
+            .map(|s| SessionOutcome::new(s, version))
+            .collect();
+        let result = crate::sched::run_virtual(sched, plan, |si, ri| {
+            let instance = &mut instances[si];
+            let cow_before = instance.vm.cow_faults();
+            let warm = Instance::Warm(instance, &server.config.pool);
+            let session = &sessions[si];
+            let ran = execute_request(warm, &session.requests[ri], ri, session.id).unwrap();
+            let cost = ExecCost {
+                cycles: ran.metrics.cycles,
+                cow_faults: instance.vm.cow_faults() - cow_before,
+            };
+            outcomes[si].commit(ran);
+            cost
+        });
+        server.registry.release(version);
+        (result, outcomes)
+    }
+
+    #[test]
+    fn scaled_runs_match_the_serial_loop_at_every_worker_count() {
+        // One modelled worker and a short queue: the bursts shed.
+        let sched = SchedulerConfig {
+            model_workers: 1,
+            queue_capacity: 4,
+            ..SchedulerConfig::default()
+        };
+        let (nginx, nginx_binary) = nginx_server();
+        let (ldap, ldap_binary) = ldap_server(Config::OurMpx, 32);
+        let runs = [
+            ("nginx", nginx, nginx_binary, scale_inputs(48, 192)),
+            ("ldap", ldap, ldap_binary, ldap_scale_inputs(24, 96)),
+        ];
+        for (name, mut server, binary, (sessions, plan)) in runs {
+            let (serial, serial_outcomes) =
+                serial_scale_run(&server, binary, &sessions, &plan, &sched);
+            assert!(serial.shed > 0, "{name}: the plan must shed");
+            let mut one_worker: Option<ScaleReport> = None;
+            for workers in [1, 2, 4] {
+                server.config = ServerConfig::new().workers(workers);
+                let r = server
+                    .serve_scaled(binary, &sessions, &plan, &sched)
+                    .unwrap();
+                let at = format!("{name}, {workers} workers");
+                assert!((1..=workers).contains(&r.workers), "{at}: {}", r.workers);
+                // Exactly the dispatched requests commit, with the serial
+                // reference's results, output and simulated metrics.
+                assert_eq!(
+                    (r.executed, r.metrics.shed, r.windows, r.makespan_cycles),
+                    (
+                        serial.executed,
+                        serial.shed,
+                        serial.windows,
+                        serial.makespan_cycles
+                    ),
+                    "{at}"
+                );
+                let committed: usize = r.sessions.iter().map(|s| s.exit_codes.len()).sum();
+                assert_eq!(committed as u64, r.executed, "{at}");
+                assert_eq!(r.metrics.requests, r.executed, "{at}");
+                for (o, want) in r.sessions.iter().zip(&serial_outcomes) {
+                    assert_eq!(o.id, want.id, "{at}");
+                    assert_eq!(o.exit_codes, want.exit_codes, "{at}: {}", o.id);
+                    assert_eq!((&o.sent, &o.log), (&want.sent, &want.log), "{at}: {}", o.id);
+                    assert_eq!(
+                        simulated(&o.metrics),
+                        simulated(&want.metrics),
+                        "{at}: {}",
+                        o.id
+                    );
+                }
+                // Everything a report derives from simulated state repeats
+                // at every worker count.
+                match &one_worker {
+                    None => one_worker = Some(r),
+                    Some(one) => {
+                        assert_eq!(r.observable(), one.observable(), "{at}");
+                        assert_eq!(simulated(&r.metrics), simulated(&one.metrics), "{at}");
+                        assert_eq!(
+                            format!("{:?}", r.resident),
+                            format!("{:?}", one.resident),
+                            "{at}"
+                        );
+                        assert_eq!(r.series.jsonl(&[], &[]), one.series.jsonl(&[], &[]), "{at}");
+                        assert_eq!(r.slo, one.slo, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_scaled_request_aborts_naming_the_first_dispatched_and_leaks_no_pin() {
+        let (mut server, binary) = nginx_server();
+        let version = server.registry.active_version(binary).unwrap();
+        let sched = SchedulerConfig::default();
+        let (mut sessions, plan) = scale_inputs(16, 64);
+        server
+            .serve_scaled(binary, &sessions, &plan, &sched)
+            .unwrap();
+        let pins = server.registry.version_info(version).unwrap().pins;
+
+        // Break two requests mid-plan, in sessions different owners hold:
+        // the error names the one dispatched first, whichever owner fails
+        // first.
+        let first = plan.arrivals[plan.len() / 2];
+        let second = plan.arrivals[plan.len() / 2 + 1..]
+            .iter()
+            .find(|a| a.session % 2 != first.session % 2)
+            .copied()
+            .unwrap();
+        for a in [first, second] {
+            sessions[a.session].requests[a.request] = Request::new("no_such_entry", &[]);
+        }
+        for workers in [1, 2, 4] {
+            server.config = ServerConfig::new().workers(workers);
+            match server.serve_scaled(binary, &sessions, &plan, &sched) {
+                Err(ServeError::Request { session, index, .. }) => assert_eq!(
+                    (session, index),
+                    (sessions[first.session].id, first.request),
+                    "{workers} workers"
+                ),
+                other => panic!("{workers} workers: expected a request error, got {other:?}"),
+            }
+            assert_eq!(
+                server.registry.version_info(version).unwrap().pins,
+                pins,
+                "{workers} workers: the failed run must release its pin"
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,24 @@
 //!
 //! Virtual time is sound here because every request is served from a
 //! snapshot-reset instance: its simulated cost does not depend on when the
-//! scheduler runs it, only on *which* (session, request) it is.  The
-//! executor callback returns that cost and the loop does the bookkeeping.
+//! scheduler runs it, only on *which* (session, request) it is and on the
+//! session's requests before it (a restore rewinds the pages the previous
+//! request dirtied).  The executor callback returns that cost and the loop
+//! does the bookkeeping.
+//!
+//! The same fact lets the serving layer run a request *before* the loop
+//! dispatches it.  `run_windows`, the loop behind [`run_virtual`], reports
+//! each window's newly admitted arrivals before it dispatches any of them,
+//! so [`Server::serve_scaled`](crate::Server::serve_scaled) hands them to
+//! worker threads at admission and only collects each result at dispatch.
+//! That is legal for three reasons.  The queue loses items only to dispatch,
+//! so every reported arrival is dispatched exactly once, and shed or
+//! aged-out arrivals are never reported.  The cost the loop needs at
+//! dispatch is the one the early run measured.  And admission runs in plan
+//! order: the deferred list stays sorted and everything admitted precedes
+//! everything deferred, so with a non-decreasing plan, EDF dispatches in
+//! admission order too, and each session's requests run in the order the
+//! loop dispatches them.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -193,6 +209,33 @@ where
     F: FnMut(usize, usize) -> C,
     C: Into<ExecCost>,
 {
+    run_windows(
+        cfg,
+        plan,
+        |_| {},
+        |seq| {
+            let a = plan.arrivals[seq];
+            execute(a.session, a.request)
+        },
+    )
+}
+
+/// The loop behind [`run_virtual`], naming arrivals by their index in
+/// `plan.arrivals`.  After each window's admission, `admitted` receives the
+/// indices that window admitted, in admission order, before any of them is
+/// dispatched; `execute(index)` runs at dispatch.  Every reported index is
+/// dispatched exactly once, and no shed or aged-out arrival is reported.
+pub(crate) fn run_windows<A, F, C>(
+    cfg: &SchedulerConfig,
+    plan: &ArrivalPlan,
+    mut admitted: A,
+    mut execute: F,
+) -> SchedResult
+where
+    A: FnMut(&[usize]),
+    F: FnMut(usize) -> C,
+    C: Into<ExecCost>,
+{
     let rec = confllvm_obs::recorder();
     let window = cfg.window_cycles.max(1);
     let capacity = cfg.queue_capacity.max(1);
@@ -202,8 +245,9 @@ where
     // the aging bound.
     let mut deferred: VecDeque<(QueueItem, u64)> = VecDeque::new();
     let mut result = SchedResult::default();
-    // This window's completion latencies, for the per-window percentiles
-    // (cleared every window; the buffer is reused).
+    // This window's admissions (reported before dispatch) and completion
+    // latencies (for the per-window percentiles); both buffers are reused.
+    let mut window_admitted: Vec<usize> = Vec::new();
     let mut window_lat: Vec<u64> = Vec::new();
 
     // Arrivals are admitted in plan order; the seq doubles as the EDF
@@ -224,10 +268,12 @@ where
 
         // Admit: deferred retries first (they arrived earliest), then new
         // arrivals landing inside this window.
+        window_admitted.clear();
         let mut retries = std::mem::take(&mut deferred);
         while let Some((item, defers)) = retries.pop_front() {
             if queue.len() < capacity {
                 queue.push(Reverse(item));
+                window_admitted.push(item.seq);
                 wstat.admitted += 1;
             } else if defers >= cfg.defer_age_windows {
                 // Aged out: sustained overload has deferred this arrival
@@ -256,6 +302,7 @@ where
             wstat.arrivals += 1;
             if queue.len() < capacity {
                 queue.push(Reverse(item));
+                window_admitted.push(item.seq);
                 wstat.admitted += 1;
             } else {
                 match cfg.backpressure {
@@ -278,6 +325,7 @@ where
         result.queue_depth_samples.push(depth);
         wstat.queue_depth = depth;
         rec.record_hist("server.queue_depth", depth);
+        admitted(&window_admitted);
 
         // Dispatch: any worker whose clock is inside the window picks the
         // most urgent queued request; service may run past the window edge
@@ -293,7 +341,7 @@ where
                 break;
             };
             let start = vclock.max(item.vtime);
-            let cost: ExecCost = execute(item.session, item.request).into();
+            let cost: ExecCost = execute(item.seq).into();
             let done = start + cost.cycles;
             workers[widx] = done;
             result.executed += 1;
@@ -480,5 +528,118 @@ mod tests {
         );
         assert_eq!(r.executed, 0);
         assert_eq!(r.windows, 0);
+    }
+
+    /// One seeded draw below `bound` (splitmix64).
+    fn draw(state: &mut u64, bound: u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % bound
+    }
+
+    #[test]
+    fn hooked_loop_reports_each_admission_once_before_its_dispatch() {
+        let mut rng = 0x5EED_u64;
+        // Cases that shed at admission, deferred, and aged a deferral out.
+        let mut covered = [0u32; 3];
+        for case in 0..400 {
+            let cfg = SchedulerConfig {
+                model_workers: 1 + draw(&mut rng, 4) as usize,
+                queue_capacity: 1 + draw(&mut rng, 8) as usize,
+                backpressure: if draw(&mut rng, 2) == 0 {
+                    Backpressure::Shed
+                } else {
+                    Backpressure::Defer
+                },
+                slo_cycles: 50 + draw(&mut rng, 400),
+                window_cycles: 50 + draw(&mut rng, 200),
+                defer_age_windows: if draw(&mut rng, 2) == 0 {
+                    u64::MAX
+                } else {
+                    draw(&mut rng, 4)
+                },
+            };
+            // Each arrival is its session's next request, with a random
+            // cost; every fourth plan breaks the non-decreasing order.
+            let monotone = case % 4 != 0;
+            let mut costs: Vec<Vec<u64>> = vec![Vec::new(); 5];
+            let mut vtime = 0;
+            let arrivals = (0..1 + draw(&mut rng, 60))
+                .map(|_| {
+                    vtime += draw(&mut rng, 3) * draw(&mut rng, 60);
+                    let session = draw(&mut rng, 5) as usize;
+                    costs[session].push(1 + draw(&mut rng, 300));
+                    Arrival {
+                        vtime: if monotone { vtime } else { draw(&mut rng, 500) },
+                        session,
+                        request: costs[session].len() - 1,
+                    }
+                })
+                .collect();
+            let plan = ArrivalPlan { arrivals };
+            let n = plan.len();
+            let reference = run_virtual(&cfg, &plan, |s, r| costs[s][r]);
+
+            // (reported, index) events in the order the loop makes them.
+            let events = std::cell::RefCell::new(Vec::new());
+            let hooked = run_windows(
+                &cfg,
+                &plan,
+                |admitted| {
+                    let mut events = events.borrow_mut();
+                    events.extend(admitted.iter().map(|&i| (true, i)));
+                },
+                |i| {
+                    events.borrow_mut().push((false, i));
+                    let a = plan.arrivals[i];
+                    costs[a.session][a.request]
+                },
+            );
+            assert_eq!(
+                format!("{hooked:?}"),
+                format!("{reference:?}"),
+                "case {case}: the hook must not change the run ({cfg:?})"
+            );
+
+            let events = events.into_inner();
+            let mut reported = vec![0u32; n];
+            let mut dispatched = vec![0u32; n];
+            for &(report, i) in &events {
+                if report {
+                    assert_eq!(dispatched[i], 0, "case {case}: {i} reported after dispatch");
+                    reported[i] += 1;
+                } else {
+                    assert_eq!(reported[i], 1, "case {case}: {i} dispatched unreported");
+                    dispatched[i] += 1;
+                }
+            }
+            // Every reported arrival dispatches exactly once, and the
+            // reported set is the executed set: no shed or aged-out arrival
+            // is ever reported.
+            assert_eq!(reported, dispatched, "case {case}: {cfg:?}");
+            assert!(reported.iter().all(|&c| c <= 1), "case {case}");
+            let reports = reported.iter().filter(|&&c| c == 1).count() as u64;
+            assert_eq!(reports, hooked.executed, "case {case}");
+            assert_eq!(hooked.executed + hooked.shed, n as u64, "case {case}");
+            covered[0] += u32::from(hooked.shed > hooked.defer_aged_shed);
+            covered[1] += u32::from(hooked.deferred > 0);
+            covered[2] += u32::from(hooked.defer_aged_shed > 0);
+            if monotone {
+                // A non-decreasing plan dispatches in admission order, so
+                // work run at admission runs each session's requests in
+                // dispatch order.
+                let order = |report: bool| -> Vec<usize> {
+                    events
+                        .iter()
+                        .filter(|e| e.0 == report)
+                        .map(|e| e.1)
+                        .collect()
+                };
+                assert_eq!(order(true), order(false), "case {case}: {cfg:?}");
+            }
+        }
+        assert!(covered.iter().all(|&c| c > 20), "{covered:?}");
     }
 }
