@@ -192,15 +192,18 @@ pub struct VerifyScaleReport {
     pub parallel_makespan_micros: u128,
     /// Work/makespan speedup of the parallel schedule over serial.
     pub modeled_speedup: f64,
-    /// Host time for the first (cold-cache) verification sweep.
+    /// Host time for the first (cold-cache) verification sweep, best of
+    /// three fresh caches.
     pub cache_first_micros: u128,
-    /// Host time re-verifying the identical fleet through the warm cache.
+    /// Host time re-verifying the identical fleet through the warm cache,
+    /// best of three.
     pub cache_second_micros: u128,
     /// `cache_first_micros / cache_second_micros`.
     pub cache_speedup: f64,
-    /// Cache hits after both sweeps (one per binary on the second).
+    /// Cache hits after both sweeps of one attempt (one per binary on the
+    /// second); every attempt counts the same.
     pub cache_hits: u64,
-    /// Cache misses after both sweeps.
+    /// Cache misses after both sweeps of one attempt.
     pub cache_misses: u64,
     /// The hot-swap harness results.
     pub swap: HotSwapReport,
@@ -256,27 +259,40 @@ fn fleet_measurements(quick: bool, report: &mut VerifyScaleReport) {
 
     // The cache sweeps call verify_with directly (no work-queue threads):
     // what is being compared is re-registration cost, and the fleet
-    // scaffolding would otherwise dominate the O(1) warm path.
-    let cache = VerifyCache::new();
-    let t0 = Instant::now();
-    let first: Vec<_> = refs
-        .iter()
-        .map(|b| verify_with(b, &VerifyOptions::serial(), Some(&cache)))
-        .collect();
-    report.cache_first_micros = t0.elapsed().as_micros().max(1);
-    assert!(first.iter().all(|r| r.is_ok()));
-    let t1 = Instant::now();
-    let second: Vec<_> = refs
-        .iter()
-        .map(|b| verify_with(b, &VerifyOptions::serial(), Some(&cache)))
-        .collect();
-    report.cache_second_micros = t1.elapsed().as_micros().max(1);
-    for r in &second {
-        let r = r.as_ref().expect("accepted");
-        assert_eq!(
-            r.cached_procedures, r.procedures,
-            "an unchanged binary must re-verify as a pure cache hit"
-        );
+    // scaffolding would otherwise dominate the O(1) warm path.  The warm
+    // sweep takes tens of microseconds, so one host hiccup can swamp a
+    // single timing: each side is the best of three fresh-cache attempts.
+    report.cache_first_micros = u128::MAX;
+    report.cache_second_micros = u128::MAX;
+    for _ in 0..3 {
+        let cache = VerifyCache::new();
+        let t0 = Instant::now();
+        let first: Vec<_> = refs
+            .iter()
+            .map(|b| verify_with(b, &VerifyOptions::serial(), Some(&cache)))
+            .collect();
+        let first_micros = t0.elapsed().as_micros().max(1);
+        assert!(first.iter().all(|r| r.is_ok()));
+        let t1 = Instant::now();
+        let second: Vec<_> = refs
+            .iter()
+            .map(|b| verify_with(b, &VerifyOptions::serial(), Some(&cache)))
+            .collect();
+        let second_micros = t1.elapsed().as_micros().max(1);
+        for r in &second {
+            let r = r.as_ref().expect("accepted");
+            assert_eq!(
+                r.cached_procedures, r.procedures,
+                "an unchanged binary must re-verify as a pure cache hit"
+            );
+        }
+        report.cache_first_micros = report.cache_first_micros.min(first_micros);
+        report.cache_second_micros = report.cache_second_micros.min(second_micros);
+        // Every attempt starts from an empty cache, so each one counts the
+        // same hits and misses.
+        let stats = cache.stats();
+        report.cache_hits = stats.hits;
+        report.cache_misses = stats.misses;
     }
     report.cache_speedup = report.cache_first_micros as f64 / report.cache_second_micros as f64;
     assert!(
@@ -287,9 +303,6 @@ fn fleet_measurements(quick: bool, report: &mut VerifyScaleReport) {
         report.cache_first_micros,
         report.cache_second_micros
     );
-    let stats = cache.stats();
-    report.cache_hits = stats.hits;
-    report.cache_misses = stats.misses;
 }
 
 /// The request streams the hot-swap harness serves in every phase.

@@ -2,13 +2,15 @@
 //!
 //! [`Server::serve`] drives many concurrent sessions' request streams
 //! against one registered binary, addressed by its [`BinaryId`] handle.
-//! Worker threads claim sessions one at a time from a shared cursor over
-//! the session list, so a slow session never strands the sessions behind
-//! it: whichever worker frees up first takes the next one.  A session's VM
-//! lives on the worker running it, for the length of its stream (VMs are
-//! plain `Send` state, nothing is shared mutably across workers), so the
-//! simulation stays deterministic per session while the host-side work is
-//! genuinely parallel.
+//! Workers claim sessions one at a time from a shared cursor over the
+//! session list, so a slow session never strands the sessions behind it:
+//! whichever worker frees up first takes the next one.  The calling thread
+//! is one of the workers and spawns the others, at most one fewer than
+//! there are sessions, so a call that serves one session starts no thread.
+//! A session's VM lives on the worker running it, for the length of its
+//! stream (VMs are plain `Send` state, nothing is shared mutably across
+//! workers), so the simulation stays deterministic per session while the
+//! host-side work is genuinely parallel.
 //!
 //! Per-session VMs are copy-on-write forks of a per-version
 //! [`SessionTemplate`] kept in the server's [`SnapshotStore`] — the binary
@@ -91,8 +93,9 @@ impl ExecMode {
 /// `ServerConfig::new().workers(8)`.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads driving sessions (host-side parallelism).
-    /// [`Server::serve_scaled`] caps it at the host's available parallelism.
+    /// Workers driving sessions (host-side parallelism); [`Server::serve`]'s
+    /// calling thread is one of them.  [`Server::serve_scaled`] caps it at
+    /// the host's available parallelism.
     pub workers: usize,
     /// Options for every VM the runtime spawns.
     pub vm: VmOptions,
@@ -448,33 +451,34 @@ impl Server {
         // cursor until the list runs out or a sibling's failure aborts the
         // run, and hands back `(session index, outcome)` pairs in the order
         // it ran them.  The cursor publishes nothing but the index itself,
-        // so `Relaxed` suffices.
+        // so `Relaxed` suffices.  The calling thread is one of the workers,
+        // so a one-worker call (one session, or `workers(1)`) spawns no
+        // thread.
         type Ran = Vec<(usize, Result<SessionOutcome, ServeError>)>;
+        let work = || {
+            let mut ran = Ran::new();
+            while !abort.load(Ordering::Relaxed) {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(session) = sessions.get(index) else {
+                    break;
+                };
+                let result = self.serve_session(binary, session, mode, started);
+                if result.is_err() {
+                    abort.store(true, Ordering::Relaxed);
+                }
+                ran.push((index, result));
+            }
+            ran
+        };
         let ran: Vec<Ran> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (cursor, abort) = (&cursor, &abort);
-                    scope.spawn(move || {
-                        let mut ran = Ran::new();
-                        while !abort.load(Ordering::Relaxed) {
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(session) = sessions.get(index) else {
-                                break;
-                            };
-                            let result = self.serve_session(binary, session, mode, started);
-                            if result.is_err() {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            ran.push((index, result));
-                        }
-                        ran
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut ran = vec![work()];
+            ran.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker thread panicked")),
+            );
+            ran
         });
 
         let mut outcomes = Vec::with_capacity(sessions.len());

@@ -457,7 +457,9 @@ impl Vm {
             memory: Memory::fork(&snap.mem),
             world,
             opts: self.opts.clone(),
-            cache: DataCache::unallocated(),
+            // SAFETY: `cache_pending` is set, so `run_thread` copies the
+            // snapshot's cache in before an engine can access this one.
+            cache: unsafe { DataCache::unallocated() },
             cache_pending: Some(Arc::clone(&snap.cache)),
             pub_heap: snap.pub_heap.clone(),
             priv_heap: snap.priv_heap.clone(),
@@ -631,9 +633,8 @@ impl Vm {
     /// Model one data access with per-step statistics — the reference
     /// accounting used by the legacy engine and the block engine's precise
     /// paths (fall-back stepping, call pushes).  The block engine's
-    /// straight-line loop accounts the same outcomes in register
-    /// accumulators instead ([`Vm::exec_block_ops`]); both are pure
-    /// additions, so the totals agree exactly.
+    /// straight-line loop counts the same outcomes in locals instead
+    /// ([`run_ops`]); both are pure additions, so the totals agree exactly.
     #[inline]
     fn data_access(&mut self, addr: u64) {
         if self.cache.access(addr) {
@@ -1024,9 +1025,15 @@ impl Vm {
             } else {
                 0
             };
-            if let Err((k, fault)) =
-                self.exec_block_ops(&image, t, block, &mut acc_cache_hits, &mut acc_cache_misses)
-            {
+            if let Err((k, fault)) = run_ops(
+                &block.ops,
+                t,
+                &mut self.cache,
+                &mut self.memory,
+                &image,
+                &mut acc_cache_hits,
+                &mut acc_cache_misses,
+            ) {
                 self.account_block_prefix(&image, block, k, prev_was_muldiv, &cost);
                 break 'dispatch Outcome::Fault(fault);
             }
@@ -1259,280 +1266,6 @@ impl Vm {
         }
     }
 
-    /// Execute a block's predecoded straight-line ops with live semantics but
-    /// deferred static accounting.  Dynamic cache effects ([`Vm::data_access`])
-    /// are applied in exact program order, so the simulated data cache ends in
-    /// the same state as under the legacy engine.  On a fault, returns the op
-    /// offset so the caller can re-sum the executed prefix per instruction.
-    ///
-    /// `inline(always)`: the dispatch loop is monomorphised twice (profiled
-    /// and unprofiled), and the inliner's cost model would otherwise outline
-    /// this into a shared call — a measurable hit on the straight-line path.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn exec_block_ops(
-        &mut self,
-        image: &Image,
-        t: &mut ThreadState,
-        block: &Block,
-        acc_cache_hits: &mut u64,
-        acc_cache_misses: &mut u64,
-    ) -> Result<(), (usize, Fault)> {
-        let rsp_slot = Reg::Rsp.index();
-        let ops = &block.ops[..];
-        let mut k = 0;
-        while k < ops.len() {
-            // SAFETY: `k < ops.len()` is the loop condition; fused arms only
-            // advance `k` past the shadowed slots the translator gave them.
-            let op = unsafe { ops.get_unchecked(k) };
-            match op {
-                Op::Nop => {}
-                Op::MovImm { dst, imm } => t.regs[*dst as usize & 15] = *imm,
-                Op::MovReg { dst, src } => t.regs[*dst as usize & 15] = t.regs[*src as usize & 15],
-                Op::MovConst { dst, value } => t.regs[*dst as usize & 15] = *value,
-                Op::Lea { dst, mem } => t.regs[*dst as usize & 15] = mem.ea(&t.regs),
-                Op::AluReg { op, dst, src } => {
-                    let rhs = t.regs[*src as usize & 15] as i64;
-                    if matches!(op, AluOp::Div | AluOp::Rem) && rhs == 0 {
-                        return Err((k, Fault::DivZero));
-                    }
-                    let lhs = t.regs[*dst as usize & 15] as i64;
-                    t.regs[*dst as usize & 15] = op.eval(lhs, rhs) as u64;
-                }
-                Op::AluImm { op, dst, imm } => {
-                    if matches!(op, AluOp::Div | AluOp::Rem) && *imm == 0 {
-                        return Err((k, Fault::DivZero));
-                    }
-                    let lhs = t.regs[*dst as usize & 15] as i64;
-                    t.regs[*dst as usize & 15] = op.eval(lhs, *imm) as u64;
-                }
-                Op::CmpReg { lhs, rhs } => {
-                    t.last_cmp = (
-                        t.regs[*lhs as usize & 15] as i64,
-                        t.regs[*rhs as usize & 15] as i64,
-                    );
-                }
-                Op::CmpImm { lhs, imm } => {
-                    t.last_cmp = (t.regs[*lhs as usize & 15] as i64, *imm);
-                }
-                Op::SetCond { dst, cond } => {
-                    t.regs[*dst as usize & 15] = cond.eval(t.last_cmp.0, t.last_cmp.1) as u64;
-                }
-                Op::Load8 { dst, mem } => {
-                    let addr = mem.ea(&t.regs);
-                    if self.cache.access(addr) {
-                        *acc_cache_hits += 1;
-                    } else {
-                        *acc_cache_misses += 1;
-                    }
-                    match self.memory.read8(addr) {
-                        Ok(v) => t.regs[*dst as usize & 15] = v,
-                        Err(e) => return Err((k, Fault::Memory(e))),
-                    }
-                }
-                Op::Store8 { src, mem } => {
-                    let addr = mem.ea(&t.regs);
-                    if self.cache.access(addr) {
-                        *acc_cache_hits += 1;
-                    } else {
-                        *acc_cache_misses += 1;
-                    }
-                    if let Err(e) = self.memory.write8(addr, t.regs[*src as usize & 15]) {
-                        return Err((k, Fault::Memory(e)));
-                    }
-                }
-                Op::Load { dst, mem, size } => {
-                    let addr = mem.ea(&t.regs);
-                    if self.cache.access(addr) {
-                        *acc_cache_hits += 1;
-                    } else {
-                        *acc_cache_misses += 1;
-                    }
-                    match self.memory.read(addr, *size as u64) {
-                        Ok(v) => t.regs[*dst as usize & 15] = v,
-                        Err(e) => return Err((k, Fault::Memory(e))),
-                    }
-                }
-                Op::Store { src, mem, size } => {
-                    let addr = mem.ea(&t.regs);
-                    if self.cache.access(addr) {
-                        *acc_cache_hits += 1;
-                    } else {
-                        *acc_cache_misses += 1;
-                    }
-                    if let Err(e) =
-                        self.memory
-                            .write(addr, *size as u64, t.regs[*src as usize & 15])
-                    {
-                        return Err((k, Fault::Memory(e)));
-                    }
-                }
-                Op::Push { src } => {
-                    let rsp = t.regs[rsp_slot] - 8;
-                    t.regs[rsp_slot] = rsp;
-                    if self.cache.access(rsp) {
-                        *acc_cache_hits += 1;
-                    } else {
-                        *acc_cache_misses += 1;
-                    }
-                    if let Err(e) = self.memory.write8(rsp, t.regs[*src as usize & 15]) {
-                        return Err((k, Fault::Memory(e)));
-                    }
-                }
-                Op::Pop { dst } => {
-                    let rsp = t.regs[rsp_slot];
-                    if self.cache.access(rsp) {
-                        *acc_cache_hits += 1;
-                    } else {
-                        *acc_cache_misses += 1;
-                    }
-                    match self.memory.read8(rsp) {
-                        Ok(v) => t.regs[*dst as usize & 15] = v,
-                        Err(e) => return Err((k, Fault::Memory(e))),
-                    }
-                    t.regs[rsp_slot] = rsp + 8;
-                }
-                Op::BndCheck {
-                    mem,
-                    bound,
-                    upper,
-                    region,
-                } => {
-                    let addr = mem.ea(&t.regs);
-                    let violated = if *upper {
-                        addr >= *bound
-                    } else {
-                        addr < *bound
-                    };
-                    if violated {
-                        return Err((
-                            k,
-                            Fault::Bounds {
-                                addr,
-                                region: *region,
-                            },
-                        ));
-                    }
-                }
-                Op::CheckedLoad8 {
-                    dst,
-                    mem,
-                    lo,
-                    hi,
-                    region,
-                } => {
-                    let addr = mem.ea(&t.regs);
-                    if addr < *lo {
-                        return Err((
-                            k,
-                            Fault::Bounds {
-                                addr,
-                                region: *region,
-                            },
-                        ));
-                    }
-                    if addr >= *hi {
-                        return Err((
-                            k + 1,
-                            Fault::Bounds {
-                                addr,
-                                region: *region,
-                            },
-                        ));
-                    }
-                    if self.cache.access(addr) {
-                        *acc_cache_hits += 1;
-                    } else {
-                        *acc_cache_misses += 1;
-                    }
-                    match self.memory.read8(addr) {
-                        Ok(v) => t.regs[*dst as usize & 15] = v,
-                        Err(e) => return Err((k + 2, Fault::Memory(e))),
-                    }
-                    k += 2;
-                }
-                Op::CheckedStore8 {
-                    src,
-                    mem,
-                    lo,
-                    hi,
-                    region,
-                } => {
-                    let addr = mem.ea(&t.regs);
-                    if addr < *lo {
-                        return Err((
-                            k,
-                            Fault::Bounds {
-                                addr,
-                                region: *region,
-                            },
-                        ));
-                    }
-                    if addr >= *hi {
-                        return Err((
-                            k + 1,
-                            Fault::Bounds {
-                                addr,
-                                region: *region,
-                            },
-                        ));
-                    }
-                    if self.cache.access(addr) {
-                        *acc_cache_hits += 1;
-                    } else {
-                        *acc_cache_misses += 1;
-                    }
-                    if let Err(e) = self.memory.write8(addr, t.regs[*src as usize & 15]) {
-                        return Err((k + 2, Fault::Memory(e)));
-                    }
-                    k += 2;
-                }
-                Op::CheckPair {
-                    mem,
-                    lo,
-                    hi,
-                    region,
-                } => {
-                    let addr = mem.ea(&t.regs);
-                    if addr < *lo {
-                        return Err((
-                            k,
-                            Fault::Bounds {
-                                addr,
-                                region: *region,
-                            },
-                        ));
-                    }
-                    if addr >= *hi {
-                        return Err((
-                            k + 1,
-                            Fault::Bounds {
-                                addr,
-                                region: *region,
-                            },
-                        ));
-                    }
-                    k += 1;
-                }
-                Op::LoadCode { dst, addr } => {
-                    let w = t.regs[*addr as usize & 15];
-                    t.regs[*dst as usize & 15] =
-                        image.code_words.get(w as usize).copied().unwrap_or(0);
-                }
-                Op::ChkStk => {
-                    let rsp = t.regs[rsp_slot];
-                    let base = image.layout.thread_stack_base(t.tid);
-                    let top = base + image.layout.thread_stack_size;
-                    if rsp < base || rsp > top {
-                        return Err((k, Fault::StackCheck { rsp }));
-                    }
-                }
-            }
-            k += 1;
-        }
-        Ok(())
-    }
-
     /// Legacy-identical accounting for a block that faulted at straight-line
     /// offset `k`: the completed prefix contributes its static costs; the
     /// faulting instruction counts as executed but charges nothing (the
@@ -1616,6 +1349,257 @@ impl Vm {
             Err(e) => Err(Fault::Trusted(e)),
         }
     }
+}
+
+/// Execute a block's predecoded straight-line ops with live semantics but
+/// deferred static accounting.  Data-cache accesses happen in exact program
+/// order, so the simulated cache ends in the same state as under the legacy
+/// engine; their outcomes are counted in locals and added to `hits` and
+/// `misses` once, on every exit.  On a fault, returns the op offset so the
+/// caller can re-sum the executed prefix per instruction.
+///
+/// A function over exactly what the ops touch rather than a `&mut Vm`
+/// method: each borrow is its own parameter the compiler may assume
+/// nothing else aliases, so a guest store through the TLB's raw page
+/// pointer does not make it reload the cache's tags, the TLB pointer or
+/// the register file's address through the VM, and both instantiations of
+/// the dispatch loop (profiled and unprofiled) call one copy of it.
+fn run_ops(
+    ops: &[Op],
+    t: &mut ThreadState,
+    cache: &mut DataCache,
+    memory: &mut Memory,
+    image: &Image,
+    hits: &mut u64,
+    misses: &mut u64,
+) -> Result<(), (usize, Fault)> {
+    let rsp_slot = Reg::Rsp.index();
+    let (mut hit_count, mut miss_count) = (0u64, 0u64);
+    let mut access = |addr: u64| {
+        if cache.access(addr) {
+            hit_count += 1;
+        } else {
+            miss_count += 1;
+        }
+    };
+    let bounds = |addr: u64, region: Taint| Fault::Bounds { addr, region };
+    let regs = &mut t.regs;
+    let result = 'run: {
+        let mut k = 0;
+        while k < ops.len() {
+            // SAFETY: `k < ops.len()` is the loop condition; fused arms only
+            // advance `k` past the shadowed slots the translator gave them.
+            let op = unsafe { ops.get_unchecked(k) };
+            match *op {
+                Op::Nop => {}
+                Op::MovImm { dst, imm } => regs[dst as usize & 15] = imm,
+                Op::MovReg { dst, src } => regs[dst as usize & 15] = regs[src as usize & 15],
+                Op::MovConst { dst, value } => regs[dst as usize & 15] = value,
+                Op::Lea { dst, mem } => regs[dst as usize & 15] = mem.ea(regs),
+                Op::AluReg { op, dst, src } => {
+                    let rhs = regs[src as usize & 15] as i64;
+                    if matches!(op, AluOp::Div | AluOp::Rem) && rhs == 0 {
+                        break 'run Err((k, Fault::DivZero));
+                    }
+                    let lhs = regs[dst as usize & 15] as i64;
+                    regs[dst as usize & 15] = op.eval(lhs, rhs) as u64;
+                }
+                Op::AluImm { op, dst, imm } => {
+                    if matches!(op, AluOp::Div | AluOp::Rem) && imm == 0 {
+                        break 'run Err((k, Fault::DivZero));
+                    }
+                    let lhs = regs[dst as usize & 15] as i64;
+                    regs[dst as usize & 15] = op.eval(lhs, imm) as u64;
+                }
+                Op::CmpReg { lhs, rhs } => {
+                    t.last_cmp = (
+                        regs[lhs as usize & 15] as i64,
+                        regs[rhs as usize & 15] as i64,
+                    );
+                }
+                Op::CmpImm { lhs, imm } => t.last_cmp = (regs[lhs as usize & 15] as i64, imm),
+                Op::SetCond { dst, cond } => {
+                    regs[dst as usize & 15] = cond.eval(t.last_cmp.0, t.last_cmp.1) as u64;
+                }
+                Op::Load8 { dst, mem } => {
+                    let addr = mem.ea(regs);
+                    access(addr);
+                    match memory.read8(addr) {
+                        Ok(v) => regs[dst as usize & 15] = v,
+                        Err(e) => break 'run Err((k, Fault::Memory(e))),
+                    }
+                }
+                Op::Store8 { src, mem } => {
+                    let addr = mem.ea(regs);
+                    access(addr);
+                    if let Err(e) = memory.write8(addr, regs[src as usize & 15]) {
+                        break 'run Err((k, Fault::Memory(e)));
+                    }
+                }
+                Op::Load8Sp { dst, off } => {
+                    let addr = regs[rsp_slot].wrapping_add(off);
+                    access(addr);
+                    match memory.read8(addr) {
+                        Ok(v) => regs[dst as usize & 15] = v,
+                        Err(e) => break 'run Err((k, Fault::Memory(e))),
+                    }
+                }
+                Op::Store8Sp { src, off } => {
+                    let addr = regs[rsp_slot].wrapping_add(off);
+                    access(addr);
+                    if let Err(e) = memory.write8(addr, regs[src as usize & 15]) {
+                        break 'run Err((k, Fault::Memory(e)));
+                    }
+                }
+                Op::StoreLoad8Sp {
+                    src,
+                    store_off,
+                    dst,
+                    load_off,
+                } => {
+                    let addr = regs[rsp_slot].wrapping_add(store_off);
+                    access(addr);
+                    if let Err(e) = memory.write8(addr, regs[src as usize & 15]) {
+                        break 'run Err((k, Fault::Memory(e)));
+                    }
+                    let addr = regs[rsp_slot].wrapping_add(load_off);
+                    access(addr);
+                    match memory.read8(addr) {
+                        Ok(v) => regs[dst as usize & 15] = v,
+                        Err(e) => break 'run Err((k + 1, Fault::Memory(e))),
+                    }
+                    k += 1;
+                }
+                Op::MovAluImm { op, dst, src, imm } => {
+                    regs[dst as usize & 15] = regs[src as usize & 15];
+                    if matches!(op, AluOp::Div | AluOp::Rem) && imm == 0 {
+                        break 'run Err((k + 1, Fault::DivZero));
+                    }
+                    let lhs = regs[dst as usize & 15] as i64;
+                    regs[dst as usize & 15] = op.eval(lhs, imm) as u64;
+                    k += 1;
+                }
+                Op::Load { dst, mem, size } => {
+                    let addr = mem.ea(regs);
+                    access(addr);
+                    match memory.read(addr, size as u64) {
+                        Ok(v) => regs[dst as usize & 15] = v,
+                        Err(e) => break 'run Err((k, Fault::Memory(e))),
+                    }
+                }
+                Op::Store { src, mem, size } => {
+                    let addr = mem.ea(regs);
+                    access(addr);
+                    if let Err(e) = memory.write(addr, size as u64, regs[src as usize & 15]) {
+                        break 'run Err((k, Fault::Memory(e)));
+                    }
+                }
+                Op::Push { src } => {
+                    let rsp = regs[rsp_slot] - 8;
+                    regs[rsp_slot] = rsp;
+                    access(rsp);
+                    if let Err(e) = memory.write8(rsp, regs[src as usize & 15]) {
+                        break 'run Err((k, Fault::Memory(e)));
+                    }
+                }
+                Op::Pop { dst } => {
+                    let rsp = regs[rsp_slot];
+                    access(rsp);
+                    match memory.read8(rsp) {
+                        Ok(v) => regs[dst as usize & 15] = v,
+                        Err(e) => break 'run Err((k, Fault::Memory(e))),
+                    }
+                    regs[rsp_slot] = rsp + 8;
+                }
+                Op::BndCheck {
+                    mem,
+                    bound,
+                    upper,
+                    region,
+                } => {
+                    let addr = mem.ea(regs);
+                    let violated = if upper { addr >= bound } else { addr < bound };
+                    if violated {
+                        break 'run Err((k, bounds(addr, region)));
+                    }
+                }
+                Op::CheckedLoad8 {
+                    dst,
+                    mem,
+                    lo,
+                    hi,
+                    region,
+                } => {
+                    let addr = mem.ea(regs);
+                    if addr < lo {
+                        break 'run Err((k, bounds(addr, region)));
+                    }
+                    if addr >= hi {
+                        break 'run Err((k + 1, bounds(addr, region)));
+                    }
+                    access(addr);
+                    match memory.read8(addr) {
+                        Ok(v) => regs[dst as usize & 15] = v,
+                        Err(e) => break 'run Err((k + 2, Fault::Memory(e))),
+                    }
+                    k += 2;
+                }
+                Op::CheckedStore8 {
+                    src,
+                    mem,
+                    lo,
+                    hi,
+                    region,
+                } => {
+                    let addr = mem.ea(regs);
+                    if addr < lo {
+                        break 'run Err((k, bounds(addr, region)));
+                    }
+                    if addr >= hi {
+                        break 'run Err((k + 1, bounds(addr, region)));
+                    }
+                    access(addr);
+                    if let Err(e) = memory.write8(addr, regs[src as usize & 15]) {
+                        break 'run Err((k + 2, Fault::Memory(e)));
+                    }
+                    k += 2;
+                }
+                Op::CheckPair {
+                    mem,
+                    lo,
+                    hi,
+                    region,
+                } => {
+                    let addr = mem.ea(regs);
+                    if addr < lo {
+                        break 'run Err((k, bounds(addr, region)));
+                    }
+                    if addr >= hi {
+                        break 'run Err((k + 1, bounds(addr, region)));
+                    }
+                    k += 1;
+                }
+                Op::LoadCode { dst, addr } => {
+                    let w = regs[addr as usize & 15];
+                    regs[dst as usize & 15] =
+                        image.code_words.get(w as usize).copied().unwrap_or(0);
+                }
+                Op::ChkStk => {
+                    let rsp = regs[rsp_slot];
+                    let base = image.layout.thread_stack_base(t.tid);
+                    let top = base + image.layout.thread_stack_size;
+                    if rsp < base || rsp > top {
+                        break 'run Err((k, Fault::StackCheck { rsp }));
+                    }
+                }
+            }
+            k += 1;
+        }
+        Ok(())
+    };
+    *hits += hit_count;
+    *misses += miss_count;
+    result
 }
 
 /// Convenience: compile-free helper for tests that already have a program.

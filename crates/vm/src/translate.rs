@@ -86,6 +86,14 @@ impl MemRef {
         }
         addr
     }
+
+    /// The displacement of a stack-slot access: `Some(off)` when this
+    /// recipe is `rsp + off` (rsp base, no index, no low-32 mask; a
+    /// segment base is already folded into `off`).
+    fn stack_slot(&self) -> Option<u64> {
+        let rsp = reg_slot(Reg::Rsp);
+        (self.base == rsp && self.index == NO_REG && !self.low32).then_some(self.off)
+    }
 }
 
 /// A predecoded straight-line instruction.  Semantically identical to the
@@ -154,6 +162,17 @@ pub(crate) enum Op {
         mem: MemRef,
         size: u8,
     },
+    /// `Load8`/`Store8` at a stack slot, `[rsp + off]`: frame traffic, the
+    /// largest class of executed ops, with the effective address reduced
+    /// to one add.
+    Load8Sp {
+        dst: u8,
+        off: u64,
+    },
+    Store8Sp {
+        src: u8,
+        off: u64,
+    },
     Push {
         src: u8,
     },
@@ -194,6 +213,27 @@ pub(crate) enum Op {
         lo: u64,
         hi: u64,
         region: Taint,
+    },
+    /// `Store8Sp; Load8Sp` — a spill and the next slot reload, one of the
+    /// two most frequent adjacent pairs.  Slot-preserving like
+    /// `CheckedLoad8`: it
+    /// sits in the store's slot `k`, shadows the load's slot `k+1`, and a
+    /// fault reports `k` for the store and `k+1` for the load.  Both halves
+    /// access the data cache, in order.
+    StoreLoad8Sp {
+        src: u8,
+        store_off: u64,
+        dst: u8,
+        load_off: u64,
+    },
+    /// `MovReg dst, src; AluImm op dst, imm` — a copy and the immediate
+    /// operation on it, fused the same way; a `Div`/`Rem` by zero faults
+    /// at `k+1`, after the copy.
+    MovAluImm {
+        op: AluOp,
+        dst: u8,
+        src: u8,
+        imm: i64,
     },
     LoadCode {
         dst: u8,
@@ -467,19 +507,25 @@ fn lower_op(inst: &MInst, image: &Image) -> Op {
             dst: reg_slot(*dst),
             cond: *cond,
         },
-        MInst::Load { dst, mem, size: 8 } => Op::Load8 {
-            dst: reg_slot(*dst),
-            mem: memref(mem, image),
-        },
+        MInst::Load { dst, mem, size: 8 } => {
+            let (dst, mem) = (reg_slot(*dst), memref(mem, image));
+            match mem.stack_slot() {
+                Some(off) => Op::Load8Sp { dst, off },
+                None => Op::Load8 { dst, mem },
+            }
+        }
         MInst::Load { dst, mem, size } => Op::Load {
             dst: reg_slot(*dst),
             mem: memref(mem, image),
             size: *size,
         },
-        MInst::Store { mem, src, size: 8 } => Op::Store8 {
-            src: reg_slot(*src),
-            mem: memref(mem, image),
-        },
+        MInst::Store { mem, src, size: 8 } => {
+            let (src, mem) = (reg_slot(*src), memref(mem, image));
+            match mem.stack_slot() {
+                Some(off) => Op::Store8Sp { src, off },
+                None => Op::Store8 { src, mem },
+            }
+        }
         MInst::Store { mem, src, size } => Op::Store {
             src: reg_slot(*src),
             mem: memref(mem, image),
@@ -517,14 +563,17 @@ fn lower_op(inst: &MInst, image: &Image) -> Op {
 
 /// Peephole over a block's lowered ops: fuse the codegen's canonical
 /// `BndCheck lo; BndCheck hi[; Load8/Store8]` sequences on one address
-/// recipe into a single superinstruction.  The fused op replaces the first
-/// slot and the shadowed slots keep their (now dead) originals, so op slots
-/// stay 1:1 with instruction offsets — the fault fall-back's per-instruction
-/// prefix re-summing and fault indices are untouched.
-fn fuse_checked_ops(ops: &mut [Op]) {
+/// recipe into a single superinstruction, and the two most frequent
+/// adjacent pairs, `Store8Sp; Load8Sp` and `MovReg d, s; AluImm d`, into
+/// one op each.  The fused op replaces the first slot and the shadowed
+/// slots keep their (now dead) originals, so op slots stay 1:1 with
+/// instruction offsets — the fault fall-back's per-instruction prefix
+/// re-summing and fault indices are untouched.  A shadowed slot never
+/// starts another fusion.
+fn fuse_ops(ops: &mut [Op]) {
     let mut k = 0;
     while k + 1 < ops.len() {
-        let fused = match (&ops[k], &ops[k + 1]) {
+        let (op, width) = match (&ops[k], &ops[k + 1]) {
             (
                 Op::BndCheck {
                     mem: m1,
@@ -541,27 +590,47 @@ fn fuse_checked_ops(ops: &mut [Op]) {
             ) if m1 == m2 && r1 == r2 => {
                 let (mem, lo, hi, region) = (*m1, *lo, *hi, *r1);
                 match ops.get(k + 2) {
-                    Some(Op::Load8 { dst, mem: m3 }) if *m3 == mem => Some((
+                    Some(&Op::Load8 { dst, mem: m3 }) if m3 == mem => (
                         Op::CheckedLoad8 {
-                            dst: *dst,
+                            dst,
                             mem,
                             lo,
                             hi,
                             region,
                         },
                         3,
-                    )),
-                    Some(Op::Store8 { src, mem: m3 }) if *m3 == mem => Some((
+                    ),
+                    Some(&Op::Load8Sp { dst, off }) if mem.stack_slot() == Some(off) => (
+                        Op::CheckedLoad8 {
+                            dst,
+                            mem,
+                            lo,
+                            hi,
+                            region,
+                        },
+                        3,
+                    ),
+                    Some(&Op::Store8 { src, mem: m3 }) if m3 == mem => (
                         Op::CheckedStore8 {
-                            src: *src,
+                            src,
                             mem,
                             lo,
                             hi,
                             region,
                         },
                         3,
-                    )),
-                    _ => Some((
+                    ),
+                    Some(&Op::Store8Sp { src, off }) if mem.stack_slot() == Some(off) => (
+                        Op::CheckedStore8 {
+                            src,
+                            mem,
+                            lo,
+                            hi,
+                            region,
+                        },
+                        3,
+                    ),
+                    _ => (
                         Op::CheckPair {
                             mem,
                             lo,
@@ -569,18 +638,34 @@ fn fuse_checked_ops(ops: &mut [Op]) {
                             region,
                         },
                         2,
-                    )),
+                    ),
                 }
             }
-            _ => None,
-        };
-        match fused {
-            Some((op, width)) => {
-                ops[k] = op;
-                k += width;
+            (
+                &Op::Store8Sp {
+                    src,
+                    off: store_off,
+                },
+                &Op::Load8Sp { dst, off: load_off },
+            ) => (
+                Op::StoreLoad8Sp {
+                    src,
+                    store_off,
+                    dst,
+                    load_off,
+                },
+                2,
+            ),
+            (&Op::MovReg { dst, src }, &Op::AluImm { op, dst: d2, imm }) if d2 == dst => {
+                (Op::MovAluImm { op, dst, src, imm }, 2)
             }
-            None => k += 1,
-        }
+            _ => {
+                k += 1;
+                continue;
+            }
+        };
+        ops[k] = op;
+        k += width;
     }
 }
 
@@ -673,7 +758,7 @@ pub(crate) fn translate(image: &Image, cost: CostModel) -> BlockCache {
             prev_md = accumulate_static(inst, &cost, prev_md, &mut acc);
             ops.push(lower_op(inst, image));
         }
-        fuse_checked_ops(&mut ops);
+        fuse_ops(&mut ops);
         let terminator = match term {
             None if straight_end >= n => Terminator::OffEnd,
             None => Terminator::FallThrough {
@@ -940,6 +1025,97 @@ mod tests {
         assert!(!b.first_is_bndcheck);
         assert!(!b.ends_muldiv, "the checks follow the mul");
         assert_eq!(b.steps, 4);
+    }
+
+    #[test]
+    fn stack_slots_lower_to_sp_ops_and_adjacent_pairs_fuse() {
+        let sp = |disp| MemOperand::base_disp(Reg::Rsp, disp);
+        let p = program(vec![
+            MInst::Store {
+                mem: sp(-8),
+                src: Reg::Rax,
+                size: 8,
+            },
+            MInst::Load {
+                dst: Reg::Rcx,
+                mem: sp(-16),
+                size: 8,
+            },
+            MInst::MovReg {
+                dst: Reg::Rdx,
+                src: Reg::Rcx,
+            },
+            MInst::Alu {
+                op: AluOp::Div,
+                dst: Reg::Rdx,
+                src: RegImm::Imm(0),
+            },
+            // Not stack slots: a 4-byte width, an index, a low-32 mask.
+            MInst::Load {
+                dst: Reg::Rsi,
+                mem: sp(8),
+                size: 4,
+            },
+            MInst::Load {
+                dst: Reg::Rsi,
+                mem: MemOperand {
+                    index: Some((Reg::Rax, 8)),
+                    ..sp(0)
+                },
+                size: 8,
+            },
+            MInst::Store {
+                mem: MemOperand {
+                    use_low32: true,
+                    ..sp(0)
+                },
+                src: Reg::Rsi,
+                size: 8,
+            },
+            // A lone stack store, and a copy into a register the next
+            // operation does not write: neither fuses.
+            MInst::Store {
+                mem: sp(24),
+                src: Reg::Rsi,
+                size: 8,
+            },
+            MInst::MovReg {
+                dst: Reg::Rdi,
+                src: Reg::Rcx,
+            },
+            MInst::Alu {
+                op: AluOp::Add,
+                dst: Reg::Rsi,
+                src: RegImm::Imm(1),
+            },
+            MInst::Ret,
+        ]);
+        let image = load(&p, AllocatorKind::ConfBins).unwrap().image;
+        let bc = translate(&image, CostModel::default());
+        let ops = &bc.blocks[0].ops;
+        assert_eq!(ops.len(), 10, "slots stay 1:1 with instructions");
+        assert!(matches!(
+            ops[0],
+            Op::StoreLoad8Sp { src: 0, store_off, dst: 1, load_off }
+                if store_off == -8i64 as u64 && load_off == -16i64 as u64
+        ));
+        assert!(matches!(ops[1], Op::Load8Sp { .. }), "the shadowed slot");
+        assert!(matches!(
+            ops[2],
+            Op::MovAluImm {
+                op: AluOp::Div,
+                dst: 2,
+                src: 1,
+                imm: 0
+            }
+        ));
+        assert!(matches!(ops[3], Op::AluImm { .. }), "the shadowed slot");
+        assert!(matches!(ops[4], Op::Load { size: 4, .. }));
+        assert!(matches!(ops[5], Op::Load8 { .. }));
+        assert!(matches!(ops[6], Op::Store8 { .. }));
+        assert!(matches!(ops[7], Op::Store8Sp { off: 24, .. }));
+        assert!(matches!(ops[8], Op::MovReg { .. }));
+        assert!(matches!(ops[9], Op::AluImm { .. }));
     }
 
     #[test]

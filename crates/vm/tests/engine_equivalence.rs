@@ -17,7 +17,7 @@ use confllvm_machine::{
     Scheme, Taint,
 };
 use confllvm_vm::cpu::VmOptions;
-use confllvm_vm::{Engine, ExecStats, Outcome, Vm, World};
+use confllvm_vm::{CostModel, Engine, ExecStats, Fault, Outcome, Vm, World};
 use proptest::prelude::*;
 
 /// Registers the generator may freely clobber (never Rsp: push/pop and
@@ -56,6 +56,26 @@ impl Rng {
     fn chance(&mut self, one_in: u64) -> bool {
         self.below(one_in) == 0
     }
+
+    /// A displacement for an 8-byte `[rsp + disp]` access: mostly a slot
+    /// below rsp inside the thread's stack, sometimes an unaligned one
+    /// around rsp (which may clobber the return slot), and sometimes
+    /// [`FAR_STACK_DISP`], so the access faults.
+    fn stack_disp(&mut self) -> i32 {
+        match self.below(16) {
+            0 => FAR_STACK_DISP,
+            1 => self.below(64) as i32 - 32,
+            _ => -8 * (1 + self.below(64) as i32),
+        }
+    }
+}
+
+/// A displacement that takes `[rsp + disp]` 2 GiB below the stack, where
+/// no scheme maps anything: the access faults.
+const FAR_STACK_DISP: i32 = i32::MIN + 8;
+
+fn stack_slot(disp: i32) -> MemOperand {
+    MemOperand::base_disp(Reg::Rsp, disp)
 }
 
 fn base_program(insts: Vec<MInst>, scheme: Scheme, cfi: bool) -> Program {
@@ -97,7 +117,12 @@ fn base_program(insts: Vec<MInst>, scheme: Scheme, cfi: bool) -> Program {
 /// hazard the block engine has to get right is reachable: backward jumps
 /// (loops → fuel exhaustion), jumps to invalid words, indirect jumps with
 /// garbage targets, faulting loads/stores/bound-checks mid-block, div-by-zero
-/// and the dual-issue mul/div→check pairing.
+/// and the dual-issue mul/div→check pairing.  So are the translator's
+/// stack-slot ops and its pair fusions: 8-byte `[rsp + disp]` accesses
+/// (some faulting), store→reload pairs on the same or another slot, and
+/// `MovReg d, s; Alu d, imm` pairs (some dividing by zero).  A pair's
+/// second instruction is never a jump target, so the pair stays in one
+/// block.
 fn gen_program(seed: u64) -> (Program, u64) {
     let mut rng = Rng(seed);
     let scheme = match rng.below(3) {
@@ -115,7 +140,8 @@ fn gen_program(seed: u64) -> (Program, u64) {
     let n = 4 + rng.below(32);
     for _ in 0..n {
         word_starts.push(w);
-        let inst = match rng.below(16) {
+        let mut second = None;
+        let inst = match rng.below(19) {
             0 => MInst::MovImm {
                 dst: rng.reg(),
                 imm: rng.below(1024) as i64 - 512,
@@ -208,10 +234,61 @@ fn gen_program(seed: u64) -> (Program, u64) {
                 dst: rng.reg(),
                 addr: rng.reg(),
             },
+            16 => {
+                let mem = stack_slot(rng.stack_disp());
+                if rng.chance(2) {
+                    MInst::Load {
+                        dst: rng.reg(),
+                        mem,
+                        size: 8,
+                    }
+                } else {
+                    MInst::Store {
+                        mem,
+                        src: rng.reg(),
+                        size: 8,
+                    }
+                }
+            }
+            17 => {
+                // A spill and a reload of the same slot half the time.
+                let store_disp = rng.stack_disp();
+                let load_disp = if rng.chance(2) {
+                    store_disp
+                } else {
+                    rng.stack_disp()
+                };
+                second = Some(MInst::Load {
+                    dst: rng.reg(),
+                    mem: stack_slot(load_disp),
+                    size: 8,
+                });
+                MInst::Store {
+                    mem: stack_slot(store_disp),
+                    src: rng.reg(),
+                    size: 8,
+                }
+            }
+            18 => {
+                let dst = rng.reg();
+                // Imm 0 is reachable: Div/Rem by zero faults in the second
+                // slot.
+                second = Some(MInst::Alu {
+                    op: AluOp::ALL[rng.below(10) as usize],
+                    dst,
+                    src: RegImm::Imm(rng.below(16) as i64 - 8),
+                });
+                MInst::MovReg {
+                    dst,
+                    src: rng.reg(),
+                }
+            }
             _ => MInst::Nop,
         };
-        w += encoded_len(&inst);
-        insts.push(inst);
+        for inst in std::iter::once(inst).chain(second) {
+            w += encoded_len(&inst);
+            insts.push(inst);
+        }
     }
     insts.push(MInst::MovImm {
         dst: Reg::Rax,
@@ -573,4 +650,159 @@ fn forked_sessions_share_translation_and_agree() {
     assert_eq!(legacy.2, block.2);
     assert_eq!(fresh.0, block.0, "fork diverged from fresh load");
     assert_eq!(fresh.1, block.1);
+}
+
+/// `main` runs `body`, then returns 0.  Rcx and Rdx hold values worth
+/// storing; Rsp is the thread's stack pointer as `run` set it up.
+fn straight_line(body: Vec<MInst>) -> Program {
+    let mut insts = vec![
+        MInst::MovImm {
+            dst: Reg::Rcx,
+            imm: 0x1234,
+        },
+        MInst::MovImm {
+            dst: Reg::Rdx,
+            imm: -77,
+        },
+    ];
+    insts.extend(body);
+    insts.push(MInst::MovImm {
+        dst: Reg::Rax,
+        imm: 0,
+    });
+    insts.push(MInst::Ret);
+    base_program(insts, Scheme::None, false)
+}
+
+fn store8(disp: i32, src: Reg) -> MInst {
+    MInst::Store {
+        mem: stack_slot(disp),
+        src,
+        size: 8,
+    }
+}
+
+fn load8(dst: Reg, disp: i32) -> MInst {
+    MInst::Load {
+        dst,
+        mem: stack_slot(disp),
+        size: 8,
+    }
+}
+
+/// Both engines agree on `body`, and the legacy run ends as `expect` says
+/// after exactly `instructions` steps — so a fault reported one slot early
+/// or late shows even where both engines would agree on its kind.
+fn assert_stack_case(body: Vec<MInst>, expect: fn(&Outcome) -> bool, ctx: &str) -> ExecStats {
+    let p = straight_line(body);
+    assert_equivalent(&p, 10_000, ctx);
+    let (outcome, stats, _) = run_engine(&p, Engine::Legacy, 10_000);
+    assert!(expect(&outcome), "{ctx}: {outcome:?}");
+    stats
+}
+
+fn exits(o: &Outcome) -> bool {
+    matches!(o, Outcome::Exit(0))
+}
+
+fn memory_fault(o: &Outcome) -> bool {
+    matches!(o, Outcome::Fault(Fault::Memory(_)))
+}
+
+/// 8-byte accesses at `[rsp + disp]` — the translator's `Load8Sp` and
+/// `Store8Sp` — inside the stack, and at a displacement that faults.
+#[test]
+fn stack_slot_accesses_match_in_and_outside_the_stack() {
+    let ok = assert_stack_case(
+        vec![
+            store8(-8, Reg::Rcx),
+            MInst::Nop,
+            load8(Reg::Rsi, -8),
+            MInst::Nop,
+            store8(-4100, Reg::Rdx), // another page, unaligned
+            MInst::Nop,
+            load8(Reg::Rdi, -4100),
+            MInst::Alu {
+                op: AluOp::Sub,
+                dst: Reg::Rsi,
+                src: RegImm::Reg(Reg::Rdi),
+            },
+        ],
+        exits,
+        "in the stack",
+    );
+    assert_eq!((ok.loads, ok.stores), (2, 2));
+    for (body, ctx) in [
+        (vec![load8(Reg::Rsi, FAR_STACK_DISP)], "far load"),
+        (vec![store8(FAR_STACK_DISP, Reg::Rcx)], "far store"),
+    ] {
+        let stats = assert_stack_case(body, memory_fault, ctx);
+        // Two set-up moves, then the faulting access.
+        assert_eq!(stats.instructions, 3, "{ctx}");
+    }
+}
+
+/// The fused store→reload pair on one slot and on two, and with either
+/// half faulting: the fault reports the half that faulted.
+#[test]
+fn store_reload_pairs_match_and_fault_in_the_right_half() {
+    let same = assert_stack_case(
+        vec![store8(-16, Reg::Rcx), load8(Reg::Rax, -16)],
+        exits,
+        "same slot",
+    );
+    let other = assert_stack_case(
+        vec![store8(-16, Reg::Rcx), load8(Reg::Rax, -4096)],
+        exits,
+        "different slots",
+    );
+    // The second half accesses the cache as well: a hit on the slot it
+    // just stored, a miss on a line nothing touched.
+    assert_eq!(same.cache_misses + 1, other.cache_misses);
+    assert_eq!(same.cache_hits, other.cache_hits + 1);
+    let load_faults = assert_stack_case(
+        vec![store8(-16, Reg::Rcx), load8(Reg::Rax, FAR_STACK_DISP)],
+        memory_fault,
+        "load half faults",
+    );
+    assert_eq!(load_faults.instructions, 4, "faults in the second slot");
+    assert_eq!(load_faults.stores, 1, "the store half completed");
+    let store_faults = assert_stack_case(
+        vec![store8(FAR_STACK_DISP, Reg::Rcx), load8(Reg::Rax, -16)],
+        memory_fault,
+        "store half faults",
+    );
+    assert_eq!(store_faults.instructions, 3, "faults in the first slot");
+}
+
+/// The fused `MovReg d, s; Alu d, imm` pair: its result, and a `Div` or
+/// `Rem` by zero faulting in the second slot after the copy completed.
+#[test]
+fn mov_then_alu_imm_pairs_match_and_divide_by_zero_in_the_second_slot() {
+    let pair = |op: AluOp, imm: i64| {
+        vec![
+            MInst::MovReg {
+                dst: Reg::Rsi,
+                src: Reg::Rdx,
+            },
+            MInst::Alu {
+                op,
+                dst: Reg::Rsi,
+                src: RegImm::Imm(imm),
+            },
+        ]
+    };
+    for op in AluOp::ALL {
+        assert_stack_case(pair(op, 3), exits, &format!("{op:?} by 3"));
+    }
+    for op in [AluOp::Div, AluOp::Rem] {
+        let stats = assert_stack_case(
+            pair(op, 0),
+            |o| matches!(o, Outcome::Fault(Fault::DivZero)),
+            &format!("{op:?} by 0"),
+        );
+        assert_eq!(stats.instructions, 4, "{op:?}: faults in the second slot");
+        let mov_cost = CostModel::default().mov;
+        assert_eq!(stats.cycles, 3 * mov_cost, "{op:?}: the copy was charged");
+    }
 }
