@@ -19,7 +19,7 @@
 //!   constant per mode by construction, so the baseline measured at the
 //!   small point is the honest per-session denominator at 10^4 too.
 //!
-//! Everything the scheduler reports — executed/shed/deferred counts, queue
+//! Everything the scheduler reports — executed/shed counts, queue
 //! depths, virtual-latency percentiles, makespan — is integer virtual-time
 //! arithmetic over simulated cycles, so the emitted
 //! `BENCH_server_scale.json` is exact-diffable against its golden copy on
@@ -41,7 +41,6 @@ pub struct ServerScalePoint {
     pub arrivals: usize,
     pub executed: u64,
     pub shed: u64,
-    pub deferred: u64,
     pub windows: u64,
     pub max_queue_depth: u64,
     pub mean_queue_depth: f64,
@@ -57,7 +56,7 @@ pub struct ServerScalePoint {
     pub mean_peak_pages: f64,
     pub cow_faults: u64,
     pub makespan_cycles: u64,
-    /// Windows the SLO monitor classified bad (shed, aged defer, or late).
+    /// Windows the SLO monitor classified bad (shed or late).
     pub slo_bad_windows: u64,
     /// Edge-triggered burn-rate breaches over the point's window series.
     pub slo_fast_breaches: u64,
@@ -110,7 +109,7 @@ pub struct ServerScaleReport {
     pub one_worker_host_micros: u128,
     pub default_workers_host_micros: u128,
     /// The largest point's per-window telemetry as metrics-series JSONL
-    /// (schema `confllvm.metrics-series.v1`), for `--metrics-series <out>`.
+    /// (schema `confllvm.metrics-series.v2`), for `--metrics-series <out>`.
     pub metrics_series: String,
 }
 
@@ -226,12 +225,11 @@ fn point_of(sessions: usize, plan: &ArrivalPlan, report: &ScaleReport) -> Server
         arrivals: plan.len(),
         executed: report.executed,
         shed: report.metrics.shed,
-        deferred: report.metrics.deferred,
         windows: report.windows,
-        max_queue_depth: report.metrics.max_queue_depth(),
-        mean_queue_depth: report.metrics.mean_queue_depth(),
-        p99_virtual_cycles: report.metrics.virtual_percentile_milli(990),
-        p999_virtual_cycles: report.metrics.virtual_percentile_milli(999),
+        max_queue_depth: report.max_queue_depth(),
+        mean_queue_depth: report.mean_queue_depth(),
+        p99_virtual_cycles: report.virtual_percentile_milli(990),
+        p999_virtual_cycles: report.virtual_percentile_milli(999),
         p999_service_cycles: report.metrics.percentile_milli(999),
         template_pages: report.resident.template_pages,
         mean_parked_pages: report.resident.mean_parked_pages,
@@ -437,12 +435,11 @@ pub fn render_server_scale(r: &ServerScaleReport) -> String {
         r.config.name()
     ));
     out.push_str(&format!(
-        "{:>9}{:>9}{:>9}{:>7}{:>7}{:>8}{:>12}{:>12}{:>12}{:>10}{:>10}\n",
+        "{:>9}{:>9}{:>9}{:>7}{:>8}{:>12}{:>12}{:>12}{:>10}{:>10}\n",
         "sessions",
         "arrivals",
         "executed",
         "shed",
-        "defer",
         "queue",
         "p99v cyc",
         "p99.9v cyc",
@@ -452,12 +449,11 @@ pub fn render_server_scale(r: &ServerScaleReport) -> String {
     ));
     for p in &r.points {
         out.push_str(&format!(
-            "{:>9}{:>9}{:>9}{:>7}{:>7}{:>8}{:>12}{:>12}{:>12.2}{:>10}{:>10}\n",
+            "{:>9}{:>9}{:>9}{:>7}{:>8}{:>12}{:>12}{:>12.2}{:>10}{:>10}\n",
             p.sessions,
             p.arrivals,
             p.executed,
             p.shed,
-            p.deferred,
             p.max_queue_depth,
             p.p99_virtual_cycles,
             p.p999_virtual_cycles,
@@ -524,7 +520,6 @@ pub fn server_scale_json(r: &ServerScaleReport) -> BenchJson {
             .plain(format_args!("{k}.arrivals"), p.arrivals)
             .plain(format_args!("{k}.executed"), p.executed)
             .plain(format_args!("{k}.shed"), p.shed)
-            .plain(format_args!("{k}.deferred"), p.deferred)
             .plain(format_args!("{k}.windows"), p.windows)
             .plain(format_args!("{k}.max_queue_depth"), p.max_queue_depth)
             .ratio(format_args!("{k}.mean_queue_depth"), p.mean_queue_depth)
@@ -662,7 +657,7 @@ mod tests {
         assert!(json.contains("\"quiet.breaches\": 0"));
         // The top point's telemetry rides along as metrics-series JSONL.
         let first = r.metrics_series.lines().next().unwrap();
-        assert!(first.contains("\"schema\":\"confllvm.metrics-series.v1\""));
+        assert!(first.contains("\"schema\":\"confllvm.metrics-series.v2\""));
         assert!(first.contains("\"workload\":\"nginx\""));
         assert!(
             r.metrics_series.lines().count() as u64 >= top.windows,

@@ -1,7 +1,7 @@
 //! Windowed time-series telemetry and the SLO burn-rate monitor.
 //!
 //! The serving stack's virtual-time scheduler aggregates one
-//! [`WindowStat`] per admission window — request rate, sheds/defers, queue
+//! [`WindowStat`] per admission window — request rate, sheds, queue
 //! depth, p99/p99.9 virtual latency, CoW faults — into a bounded
 //! [`WindowSeries`] ring.  Everything is integer arithmetic over simulated
 //! cycles, so the series (and its JSONL export) is byte-stable across
@@ -9,7 +9,7 @@
 //!
 //! On top of the series, [`SloMonitor`] evaluates classic multi-window
 //! burn-rate rules: a window's requests are **good** (completed within the
-//! SLO) or **bad** (shed, aged out, or completed late), and a rule fires
+//! SLO) or **bad** (shed or completed late), and a rule fires
 //! when the bad fraction over the trailing `k` windows exceeds its
 //! per-mille threshold.  The fast rule (few windows, high threshold)
 //! catches sudden overload; the slow rule (many windows, low threshold)
@@ -33,14 +33,12 @@ pub struct WindowStat {
     pub start_cycle: u64,
     /// New arrivals that landed in this window (admitted or not).
     pub arrivals: u64,
-    /// Entries pushed into the dispatch queue (deferred retries + new).
+    /// Arrivals admitted into the dispatch queue.
     pub admitted: u64,
     /// Requests dispatched (and completed) during this window.
     pub executed: u64,
-    /// Arrivals shed in this window (admission overflow + aged deferrals).
+    /// Arrivals shed in this window because the queue was full.
     pub shed: u64,
-    /// Deferral events in this window.
-    pub deferred: u64,
     /// Queue depth after admission, before dispatch.
     pub queue_depth: u64,
     /// p99 / p99.9 virtual latency of this window's completions (0 when the
@@ -54,7 +52,7 @@ pub struct WindowStat {
     pub verify_cache_hits: u64,
     /// Requests that met the latency SLO in this window.
     pub good: u64,
-    /// Requests that missed it: shed, aged out, or completed late.
+    /// Requests that missed it: shed or completed late.
     pub bad: u64,
 }
 
@@ -129,7 +127,7 @@ impl WindowSeries {
     pub fn jsonl(&self, meta_text: &[(&str, &str)], meta_nums: &[(&str, u64)]) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"schema\":\"confllvm.metrics-series.v1\",\"windows\":{},\"dropped\":{},\"capacity\":{}",
+            "{{\"schema\":\"confllvm.metrics-series.v2\",\"windows\":{},\"dropped\":{},\"capacity\":{}",
             self.windows.len(),
             self.dropped,
             self.capacity
@@ -143,14 +141,13 @@ impl WindowSeries {
         out.push_str("}\n");
         for w in &self.windows {
             out.push_str(&format!(
-                "{{\"window\":{},\"start_cycle\":{},\"arrivals\":{},\"admitted\":{},\"executed\":{},\"shed\":{},\"deferred\":{},\"queue_depth\":{},\"p99_cycles\":{},\"p999_cycles\":{},\"cow_faults\":{},\"verify_cache_hits\":{},\"good\":{},\"bad\":{}}}\n",
+                "{{\"window\":{},\"start_cycle\":{},\"arrivals\":{},\"admitted\":{},\"executed\":{},\"shed\":{},\"queue_depth\":{},\"p99_cycles\":{},\"p999_cycles\":{},\"cow_faults\":{},\"verify_cache_hits\":{},\"good\":{},\"bad\":{}}}\n",
                 w.index,
                 w.start_cycle,
                 w.arrivals,
                 w.admitted,
                 w.executed,
                 w.shed,
-                w.deferred,
                 w.queue_depth,
                 w.p99_cycles,
                 w.p999_cycles,
@@ -323,18 +320,67 @@ mod tests {
     fn jsonl_has_meta_then_one_line_per_window() {
         let mut s = WindowSeries::new(8);
         s.push(window(0, 3, 1));
-        s.push(window(1, 4, 0));
+        s.push(WindowStat {
+            arrivals: 7,
+            admitted: 5,
+            executed: 4,
+            shed: 2,
+            queue_depth: 3,
+            p99_cycles: 900,
+            p999_cycles: 990,
+            cow_faults: 11,
+            verify_cache_hits: 1,
+            ..window(1, 4, 0)
+        });
         let out = s.jsonl(&[("workload", "nginx")], &[("sessions", 10)]);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"schema\":\"confllvm.metrics-series.v1\""));
+        assert!(lines[0].contains("\"schema\":\"confllvm.metrics-series.v2\""));
         assert!(lines[0].contains("\"windows\":2"));
         assert!(lines[0].contains("\"workload\":\"nginx\""));
         assert!(lines[0].contains("\"sessions\":10"));
-        assert!(lines[1].contains("\"window\":0"));
-        assert!(lines[1].contains("\"good\":3"));
-        assert!(lines[1].contains("\"bad\":1"));
-        assert!(lines[2].contains("\"window\":1"));
+        // Each window line carries exactly the v2 keys, in this order, with
+        // its window's values; a changed field must bump the schema tag.
+        const V2_KEYS: [&str; 13] = [
+            "window",
+            "start_cycle",
+            "arrivals",
+            "admitted",
+            "executed",
+            "shed",
+            "queue_depth",
+            "p99_cycles",
+            "p999_cycles",
+            "cow_faults",
+            "verify_cache_hits",
+            "good",
+            "bad",
+        ];
+        for (line, w) in lines[1..].iter().zip(s.iter()) {
+            let json = crate::parse_json(line).unwrap();
+            let obj = json.as_obj().unwrap();
+            let mut keys: Vec<&str> = obj.keys().map(String::as_str).collect();
+            keys.sort_by_key(|k| line.find(&format!("\"{k}\":")));
+            assert_eq!(keys, V2_KEYS, "{line}");
+            let values = [
+                w.index,
+                w.start_cycle,
+                w.arrivals,
+                w.admitted,
+                w.executed,
+                w.shed,
+                w.queue_depth,
+                w.p99_cycles,
+                w.p999_cycles,
+                w.cow_faults,
+                w.verify_cache_hits,
+                w.good,
+                w.bad,
+            ];
+            for (k, v) in V2_KEYS.iter().zip(values) {
+                assert_eq!(obj[*k].as_num(), Some(v as f64), "{k} in {line}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   in O(dirty pages) instead of paying compile + load + setup; parked, it
 //!   keeps only its CoW-faulted pages resident.
 //! * [`sched`] — the deterministic virtual-time run loop (bounded
-//!   admission windows, shed/defer backpressure, EDF dispatch) for the
+//!   admission windows that shed overflow, EDF dispatch) for the
 //!   10^4–10^5-session scale experiments.
 //! * [`session`] — requests and per-session state.  Every session carries its
 //!   own [`World`](confllvm_vm::World) (its private passwords / secret
@@ -76,8 +76,6 @@ pub use runtime::{
     ExecMode, ResidentStats, ScaleReport, ServeError, Server, ServerConfig, ServiceReport,
     SessionOutcome,
 };
-pub use sched::{
-    Arrival, ArrivalPlan, Backpressure, Completion, ExecCost, SchedResult, SchedulerConfig,
-};
+pub use sched::{Arrival, ArrivalPlan, Completion, ExecCost, SchedResult, SchedulerConfig};
 pub use session::{Request, SessionSpec};
 pub use store::{SessionTemplate, SnapshotStore};

@@ -76,19 +76,15 @@ pub struct StreamMetrics {
     pub extern_cycles: u64,
     /// Total measured host time over the stream, nanoseconds.
     pub host_nanos: u64,
-    /// Arrivals dropped by the scheduler's shed backpressure (scale runs).
+    /// Arrivals the scheduler shed because its queue was full (set on a
+    /// scale run's merged metrics; see
+    /// [`ScaleReport`](crate::ScaleReport) for its queue depths and
+    /// virtual latencies).
     pub shed: u64,
-    /// Deferral events under the defer backpressure policy (scale runs).
-    pub deferred: u64,
     /// Per-request total cycles, kept for the latency percentiles.
     latencies: Vec<u64>,
     /// Per-request measured host times, kept for the host percentiles.
     host_latencies: Vec<u64>,
-    /// Scheduler queue depths, one sample per admission window (scale runs).
-    queue_depth_samples: Vec<u64>,
-    /// Virtual end-to-end latencies (arrival → completion, so queue wait
-    /// *and* service) in simulated cycles, from the virtual-time scheduler.
-    vlatencies: Vec<u64>,
 }
 
 impl StreamMetrics {
@@ -133,12 +129,8 @@ impl StreamMetrics {
         self.extern_cycles += other.extern_cycles;
         self.host_nanos += other.host_nanos;
         self.shed += other.shed;
-        self.deferred += other.deferred;
         self.latencies.extend_from_slice(&other.latencies);
         self.host_latencies.extend_from_slice(&other.host_latencies);
-        self.queue_depth_samples
-            .extend_from_slice(&other.queue_depth_samples);
-        self.vlatencies.extend_from_slice(&other.vlatencies);
     }
 
     /// Requests per billion simulated cycles.
@@ -171,35 +163,6 @@ impl StreamMetrics {
     /// per-request service cycles.
     pub fn percentile_milli(&self, per_mille: u32) -> u64 {
         confllvm_obs::exact_percentile_milli(&self.latencies, per_mille)
-    }
-
-    /// Virtual end-to-end latency percentile at per-mille resolution —
-    /// queue wait plus service from the virtual-time scheduler, the number
-    /// that actually moves under overload (service-only percentiles cannot
-    /// see queueing).  Zero unless the stream came from a scale run.
-    pub fn virtual_percentile_milli(&self, per_mille: u32) -> u64 {
-        confllvm_obs::exact_percentile_milli(&self.vlatencies, per_mille)
-    }
-
-    /// Record one scheduler queue-depth sample.
-    pub fn record_queue_depth(&mut self, depth: u64) {
-        self.queue_depth_samples.push(depth);
-    }
-
-    /// Record one virtual end-to-end latency.
-    pub fn add_virtual_latency(&mut self, cycles: u64) {
-        self.vlatencies.push(cycles);
-    }
-
-    pub fn max_queue_depth(&self) -> u64 {
-        self.queue_depth_samples.iter().copied().max().unwrap_or(0)
-    }
-
-    pub fn mean_queue_depth(&self) -> f64 {
-        if self.queue_depth_samples.is_empty() {
-            return 0.0;
-        }
-        self.queue_depth_samples.iter().sum::<u64>() as f64 / self.queue_depth_samples.len() as f64
     }
 
     /// Share of total cycles spent crossing the U/T boundary, in percent.
@@ -285,27 +248,20 @@ mod tests {
             shed: 3,
             ..Default::default()
         };
-        a.record_queue_depth(5);
-        for v in 1..=1000u64 {
-            a.add_virtual_latency(v);
+        for c in 1..=999u64 {
+            a.add(&req(c));
         }
         let mut b = StreamMetrics {
-            deferred: 2,
+            shed: 2,
             ..Default::default()
         };
-        b.record_queue_depth(9);
+        b.add(&req(1000));
         a.merge(&b);
-        assert_eq!(a.shed, 3);
-        assert_eq!(a.deferred, 2);
-        assert_eq!(a.max_queue_depth(), 9);
-        assert!((a.mean_queue_depth() - 7.0).abs() < 1e-9);
-        assert_eq!(a.virtual_percentile_milli(999), 999);
-        assert_eq!(a.virtual_percentile_milli(500), 500);
-        // Service-cycle per-mille percentiles share the same definition.
-        let mut s = StreamMetrics::default();
-        for c in 1..=1000u64 {
-            s.add(&req(c));
-        }
-        assert_eq!(s.percentile_milli(999), 999);
+        assert_eq!(a.shed, 5);
+        assert_eq!(a.requests, 1000);
+        // Per-mille resolution sees a tail that whole percents cannot.
+        assert_eq!(a.percentile(99), 990);
+        assert_eq!(a.percentile_milli(999), 999);
+        assert_eq!(a.percentile_milli(1000), 1000);
     }
 }

@@ -367,7 +367,7 @@ impl Registry {
     }
 
     /// Builder-style: verify each submission's procedures over `threads`
-    /// workers (`0` = one per core).
+    /// workers.
     pub fn with_verify_threads(mut self, threads: usize) -> Self {
         self.verify_opts = VerifyOptions::with_threads(threads);
         self

@@ -35,8 +35,8 @@
 //! [`Server::serve_scaled`] is the other entry point: it runs an
 //! [`ArrivalPlan`] through the deterministic virtual-time scheduler
 //! ([`run_virtual`](crate::sched::run_virtual)'s loop) over forked
-//! instances — bounded admission, backpressure (shed/defer), EDF dispatch —
-//! and reports queueing-aware latency tails plus per-session resident-page
+//! instances — bounded admission that sheds overflow, EDF dispatch — and
+//! reports queueing-aware latency tails plus per-session resident-page
 //! statistics, the 10^4–10^5 session experiment.  Its sessions are split
 //! among owner threads (session `i` belongs to owner `i % owners`), and
 //! each owner forks, runs, parks and drops only its own sessions, so a
@@ -171,14 +171,17 @@ pub enum ServeError {
         /// How the request ended.
         outcome: Outcome,
     },
-    /// A scale run's arrival plan referenced a request the session spec
-    /// does not have (plan and specs must be built from the same
-    /// [`ArrivalPlan::per_session_counts`]).
+    /// A scale run's arrival plan names a session or a request the session
+    /// specs do not have (plan and specs must be built from the same
+    /// [`ArrivalPlan::per_session_counts`]).  Checked before any session
+    /// forks.
     PlanMismatch {
-        /// The session with too few requests.
-        session: SessionId,
-        /// The missing request index.
-        index: usize,
+        /// The first such arrival's index in the plan.
+        arrival: usize,
+        /// The session index it names.
+        session: usize,
+        /// The request index it names.
+        request: usize,
     },
 }
 
@@ -198,10 +201,15 @@ impl std::fmt::Display for ServeError {
                 index,
                 outcome,
             } => write!(f, "{session} request {index} failed: {outcome:?}"),
-            ServeError::PlanMismatch { session, index } => write!(
+            ServeError::PlanMismatch {
+                arrival,
+                session,
+                request,
+            } => write!(
                 f,
-                "{session} has no request {index}: arrival plan and session \
-                 specs disagree"
+                "arrival {arrival} names request {request} of session index \
+                 {session}, which the session specs do not have: arrival plan \
+                 and session specs disagree"
             ),
         }
     }
@@ -346,8 +354,7 @@ pub struct ScaleReport {
     pub workers: usize,
     /// Per-session outcomes, sorted by session id.
     pub sessions: Vec<SessionOutcome>,
-    /// All sessions' metrics merged, including the scheduler's shed/defer
-    /// counters, queue-depth samples and virtual latencies.
+    /// All sessions' metrics merged, plus the scheduler's shed count.
     pub metrics: StreamMetrics,
     /// Requests executed (arrivals minus shed).
     pub executed: u64,
@@ -368,6 +375,11 @@ pub struct ScaleReport {
     pub slo: confllvm_obs::SloReport,
     /// Host-side wall time for the whole run, microseconds.
     pub host_micros: u128,
+    /// The scheduler's queue depth after each window's admission.
+    queue_depths: Vec<u64>,
+    /// Each executed request's virtual latency (arrival to completion, so
+    /// queue wait *and* service), in dispatch order.
+    latencies: Vec<u64>,
 }
 
 impl ScaleReport {
@@ -375,6 +387,27 @@ impl ScaleReport {
     /// session order — compared across forked vs isolated spawn modes.
     pub fn observable(&self) -> Vec<u8> {
         observable_of(&self.sessions)
+    }
+
+    /// The deepest the admission queue got after any window's admission.
+    pub fn max_queue_depth(&self) -> u64 {
+        self.queue_depths.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The admission queue's depth after admission, averaged over windows.
+    pub fn mean_queue_depth(&self) -> f64 {
+        if self.queue_depths.is_empty() {
+            return 0.0;
+        }
+        self.queue_depths.iter().sum::<u64>() as f64 / self.queue_depths.len() as f64
+    }
+
+    /// Virtual end-to-end latency percentile at per-mille resolution
+    /// (999 = p99.9), in simulated cycles — queue wait plus service, the
+    /// number that moves under overload (the service-only
+    /// [`StreamMetrics::percentile_milli`] cannot see queueing).
+    pub fn virtual_percentile_milli(&self, per_mille: u32) -> u64 {
+        confllvm_obs::exact_percentile_milli(&self.latencies, per_mille)
     }
 }
 
@@ -521,12 +554,12 @@ impl Server {
     }
 
     /// Run an [`ArrivalPlan`] against `binary` through the deterministic
-    /// virtual-time scheduler: bounded admission windows, shed/defer
-    /// backpressure, EDF dispatch over `sched.model_workers` virtual
-    /// workers.  All sessions fork from the version's shared template (or
-    /// spawn fully isolated under [`PoolOptions::isolate_sessions`] — the
-    /// baseline), and the report carries queueing-aware latency tails plus
-    /// resident-page statistics.
+    /// virtual-time scheduler: bounded admission windows that shed
+    /// overflow, EDF dispatch over `sched.model_workers` virtual workers.
+    /// All sessions fork from the version's shared template (or spawn fully
+    /// isolated under [`PoolOptions::isolate_sessions`] — the baseline), and
+    /// the report carries queueing-aware latency tails plus resident-page
+    /// statistics.
     ///
     /// Requests run on real threads: [`ServerConfig::workers`] owner
     /// threads, capped at the host's available parallelism, each fork, run,
@@ -541,8 +574,10 @@ impl Server {
     ///
     /// `sessions[i]` must have at least as many requests as the plan sends
     /// to session `i` (build the specs from
-    /// [`ArrivalPlan::per_session_counts`]).  A failing request aborts the
-    /// run with the first failure in dispatch order.
+    /// [`ArrivalPlan::per_session_counts`]); a plan that names a missing
+    /// session or request is refused with [`ServeError::PlanMismatch`]
+    /// before anything runs.  A failing request aborts the run with the
+    /// first failure in dispatch order.
     pub fn serve_scaled(
         &self,
         binary: BinaryId,
@@ -550,6 +585,18 @@ impl Server {
         plan: &ArrivalPlan,
         sched: &SchedulerConfig,
     ) -> Result<ScaleReport, ServeError> {
+        let mismatch = plan.arrivals.iter().enumerate().find(|(_, a)| {
+            sessions
+                .get(a.session)
+                .is_none_or(|s| a.request >= s.requests.len())
+        });
+        if let Some((arrival, a)) = mismatch {
+            return Err(ServeError::PlanMismatch {
+                arrival,
+                session: a.session,
+                request: a.request,
+            });
+        }
         let rec = confllvm_obs::recorder();
         let started = Instant::now();
         let cache_hits_before = self.registry.cache_stats().hits;
@@ -585,13 +632,6 @@ impl Server {
             metrics.merge(&o.metrics);
         }
         metrics.shed = sched_result.shed;
-        metrics.deferred = sched_result.deferred;
-        for &d in &sched_result.queue_depth_samples {
-            metrics.record_queue_depth(d);
-        }
-        for c in &sched_result.completions {
-            metrics.add_virtual_latency(c.latency_cycles);
-        }
 
         // Lift the scheduler's window series into the report: charge the
         // run's verify-cache-hit delta to the first window (checkout and
@@ -633,6 +673,12 @@ impl Server {
             series,
             slo,
             host_micros: started.elapsed().as_micros(),
+            queue_depths: sched_result.queue_depth_samples,
+            latencies: sched_result
+                .completions
+                .iter()
+                .map(|c| c.latency_cycles)
+                .collect(),
         })
     }
 
@@ -912,23 +958,17 @@ impl ScaleRun<'_> {
                 request: ri,
                 ..
             } = self.plan.arrivals[seq];
+            // `serve_scaled` checked the plan against the specs.
             let session = &self.sessions[si];
             let instance = &mut instances[si / self.owners];
-            let done = match session.requests.get(ri) {
-                None => Err(ServeError::PlanMismatch {
-                    session: session.id,
-                    index: ri,
-                }),
-                Some(req) => {
-                    let cow_before = instance.vm.cow_faults();
-                    let ran = execute_request(Instance::Warm(instance, pool), req, ri, session.id);
-                    ran.map(|ran| Executed {
-                        ran,
-                        cow_faults: instance.vm.cow_faults() - cow_before,
-                        resident_pages: instance.resident_private_pages(),
-                    })
-                }
-            };
+            let cow_before = instance.vm.cow_faults();
+            let warm = Instance::Warm(instance, pool);
+            let done =
+                execute_request(warm, &session.requests[ri], ri, session.id).map(|ran| Executed {
+                    ran,
+                    cow_faults: instance.vm.cow_faults() - cow_before,
+                    resident_pages: instance.resident_private_pages(),
+                });
             // The scheduler keeps every reply queue until the owners return.
             let _ = replies.send((seq, done));
         }
@@ -1071,7 +1111,6 @@ mod tests {
     use super::*;
     use crate::registry::{SetupSpec, VerifyPolicy};
     use crate::reqgen::{ArrivalOptions, RequestGen, StreamKind};
-    use crate::sched::Backpressure;
     use confllvm_core::{CompileOptions, Config};
     use confllvm_workloads::{ldap, nginx};
 
@@ -1382,8 +1421,8 @@ mod tests {
         }
         // Identical costs mean identical schedules, down to the tail.
         assert_eq!(
-            forked.metrics.virtual_percentile_milli(999),
-            isolated.metrics.virtual_percentile_milli(999)
+            forked.virtual_percentile_milli(999),
+            isolated.virtual_percentile_milli(999)
         );
 
         // The residency win: the file server's setup is shareable, so a
@@ -1415,19 +1454,17 @@ mod tests {
         let sched = SchedulerConfig {
             model_workers: 1,
             queue_capacity: 4,
-            backpressure: Backpressure::Shed,
             slo_cycles: 100_000,
             window_cycles: 50_000,
-            defer_age_windows: u64::MAX,
         };
         let r = server
             .serve_scaled(binary, &sessions, &plan, &sched)
             .unwrap();
         assert!(r.metrics.shed > 0, "overload must shed");
         assert_eq!(r.executed + r.metrics.shed, 256);
-        assert!(r.metrics.max_queue_depth() > 0);
+        assert!(r.max_queue_depth() > 0);
         assert!(
-            r.metrics.virtual_percentile_milli(999) > r.metrics.percentile_milli(999),
+            r.virtual_percentile_milli(999) > r.metrics.percentile_milli(999),
             "queueing must push the end-to-end tail above pure service time"
         );
         // The window series mirrors the run totals (nothing dropped at this
@@ -1470,7 +1507,7 @@ mod tests {
     }
 
     /// A stream's simulated figures: everything but measured host time.
-    fn simulated(m: &StreamMetrics) -> [u64; 16] {
+    fn simulated(m: &StreamMetrics) -> [u64; 13] {
         [
             m.requests,
             m.total_cycles,
@@ -1484,10 +1521,7 @@ mod tests {
             m.stack_switches,
             m.extern_cycles,
             m.shed,
-            m.deferred,
-            m.max_queue_depth(),
             m.percentile_milli(999),
-            m.virtual_percentile_milli(999),
         ]
     }
 
@@ -1565,6 +1599,19 @@ mod tests {
                     ),
                     "{at}"
                 );
+                let serial_latencies: Vec<u64> = serial
+                    .completions
+                    .iter()
+                    .map(|c| c.latency_cycles)
+                    .collect();
+                assert_eq!(
+                    (r.max_queue_depth(), r.virtual_percentile_milli(999)),
+                    (
+                        serial.queue_depth_samples.iter().copied().max().unwrap(),
+                        confllvm_obs::exact_percentile_milli(&serial_latencies, 999)
+                    ),
+                    "{at}"
+                );
                 let committed: usize = r.sessions.iter().map(|s| s.exit_codes.len()).sum();
                 assert_eq!(committed as u64, r.executed, "{at}");
                 assert_eq!(r.metrics.requests, r.executed, "{at}");
@@ -1586,6 +1633,11 @@ mod tests {
                     Some(one) => {
                         assert_eq!(r.observable(), one.observable(), "{at}");
                         assert_eq!(simulated(&r.metrics), simulated(&one.metrics), "{at}");
+                        assert_eq!(
+                            (r.max_queue_depth(), r.virtual_percentile_milli(999)),
+                            (one.max_queue_depth(), one.virtual_percentile_milli(999)),
+                            "{at}"
+                        );
                         assert_eq!(
                             format!("{:?}", r.resident),
                             format!("{:?}", one.resident),
@@ -1643,13 +1695,43 @@ mod tests {
     #[test]
     fn scale_plan_mismatch_is_reported_not_panicked() {
         let (server, binary) = nginx_server();
-        let (mut sessions, plan) = scale_inputs(8, 40);
-        // Drop one session's requests so the plan points past the end.
+        let version = server.registry.active_version(binary).unwrap();
+        let pins = server.registry.version_info(version).unwrap().pins;
+        let sched = SchedulerConfig::default();
+        let (sessions, plan) = scale_inputs(8, 40);
+
+        // One session's requests dropped, so the plan points past the end.
         let victim = plan.arrivals[0].session;
-        sessions[victim].requests.clear();
-        let err = server
-            .serve_scaled(binary, &sessions, &plan, &SchedulerConfig::default())
-            .unwrap_err();
-        assert!(matches!(err, ServeError::PlanMismatch { .. }), "{err}");
+        let mut short = sessions.clone();
+        short[victim].requests.clear();
+        // The last session's spec dropped, so the plan names a session the
+        // specs do not have.
+        let missing = sessions.len() - 1;
+        let first_missing = plan
+            .arrivals
+            .iter()
+            .position(|a| a.session == missing)
+            .expect("the plan reaches the last session");
+        for (specs, arrival, session) in [
+            (&short[..], 0, victim),
+            (&sessions[..missing], first_missing, missing),
+        ] {
+            match server.serve_scaled(binary, specs, &plan, &sched) {
+                Err(ServeError::PlanMismatch {
+                    arrival: a,
+                    session: s,
+                    request,
+                }) => assert_eq!(
+                    (a, s, request),
+                    (arrival, session, plan.arrivals[arrival].request)
+                ),
+                other => panic!("expected a plan mismatch, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            server.registry.version_info(version).unwrap().pins,
+            pins,
+            "a refused plan leaks no pin"
+        );
     }
 }

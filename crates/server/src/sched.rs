@@ -3,15 +3,15 @@
 //! [`run_virtual`] is a deterministic *virtual-time* run loop used by the
 //! scale benchmarks.  Arrivals (from
 //! [`RequestGen::arrival_plan`](crate::reqgen::RequestGen::arrival_plan))
-//! are admitted in fixed windows into a bounded queue; overflow is either
-//! **shed** (counted, dropped) or **deferred** (retried next window, its
-//! wait charged to latency); a fixed set of model workers drains the queue
-//! in earliest-deadline-first order.  Everything is integer arithmetic over
-//! simulated cycles with total-order tie-breaks, so queue depths, shed
-//! counts and the p99.9 latency tail are byte-stable across hosts — the
-//! same rule the rest of the workspace applies to cycle counts.  (The real
-//! serve loop needs no scheduler: its worker threads claim sessions from a
-//! shared cursor, see [`Server::serve`](crate::Server::serve).)
+//! are admitted in fixed windows into a bounded queue; an arrival that
+//! finds the queue full is **shed** (counted, dropped); a fixed set of
+//! model workers drains the queue in earliest-deadline-first order.
+//! Everything is integer arithmetic over simulated cycles with total-order
+//! tie-breaks, so queue depths, shed counts and the p99.9 latency tail are
+//! byte-stable across hosts — the same rule the rest of the workspace
+//! applies to cycle counts.  (The real serve loop needs no scheduler: its
+//! worker threads claim sessions from a shared cursor, see
+//! [`Server::serve`](crate::Server::serve).)
 //!
 //! Virtual time is sound here because every request is served from a
 //! snapshot-reset instance: its simulated cost does not depend on when the
@@ -26,48 +26,29 @@
 //! so [`Server::serve_scaled`](crate::Server::serve_scaled) hands them to
 //! worker threads at admission and only collects each result at dispatch.
 //! That is legal for three reasons.  The queue loses items only to dispatch,
-//! so every reported arrival is dispatched exactly once, and shed or
-//! aged-out arrivals are never reported.  The cost the loop needs at
-//! dispatch is the one the early run measured.  And admission runs in plan
-//! order: the deferred list stays sorted and everything admitted precedes
-//! everything deferred, so with a non-decreasing plan, EDF dispatches in
-//! admission order too, and each session's requests run in the order the
-//! loop dispatches them.
+//! so every reported arrival is dispatched exactly once, and shed arrivals
+//! are never reported.  The cost the loop needs at dispatch is the one the
+//! early run measured.  And admission runs in plan order, so with a
+//! non-decreasing plan, EDF dispatches in admission order too, and each
+//! session's requests run in the order the loop dispatches them.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use confllvm_obs::{WindowSeries, WindowStat};
-
-/// What to do with an arrival that finds the admission queue full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Drop it and count it — the client sees an `Overloaded` outcome.
-    Shed,
-    /// Retry it at the next admission window; the extra wait is charged to
-    /// its latency.
-    Defer,
-}
 
 /// Tuning for the virtual-time run loop.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
     /// Modelled worker count (virtual — independent of host threads).
     pub model_workers: usize,
-    /// Bound on the admission queue; arrivals past it hit `backpressure`.
+    /// Bound on the admission queue; arrivals past it are shed.
     pub queue_capacity: usize,
-    pub backpressure: Backpressure,
     /// Service-level objective: an arrival's deadline is its arrival time
     /// plus this, and dispatch order is earliest-deadline-first.
     pub slo_cycles: u64,
     /// Admission window width in simulated cycles.
     pub window_cycles: u64,
-    /// Under [`Backpressure::Defer`], how many deferral events one arrival
-    /// may accumulate before it is shed instead of retried (counted as
-    /// `server.defer_aged_shed`).  An unbounded deferred set would otherwise
-    /// retry a sustained overload forever, each retry long past its SLO.
-    /// `u64::MAX` disables aging.
-    pub defer_age_windows: u64,
 }
 
 impl Default for SchedulerConfig {
@@ -75,10 +56,8 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             model_workers: 4,
             queue_capacity: 64,
-            backpressure: Backpressure::Shed,
             slo_cycles: 200_000,
             window_cycles: 50_000,
-            defer_age_windows: u64::MAX,
         }
     }
 }
@@ -159,15 +138,8 @@ pub struct Completion {
 pub struct SchedResult {
     /// Requests actually executed (arrivals minus shed).
     pub executed: u64,
-    /// Arrivals dropped — by [`Backpressure::Shed`] at admission, or by
-    /// deferral aging (also counted separately in `defer_aged_shed`).
+    /// Arrivals dropped at admission because the queue was full.
     pub shed: u64,
-    /// Deferral events under [`Backpressure::Defer`] (one arrival can defer
-    /// across several windows and count several times).
-    pub deferred: u64,
-    /// Deferred arrivals shed because they aged past
-    /// [`SchedulerConfig::defer_age_windows`] deferral events.
-    pub defer_aged_shed: u64,
     /// Admission windows the loop ran.
     pub windows: u64,
     /// Queue depth sampled once per window, after admission.
@@ -200,10 +172,9 @@ struct QueueItem {
 ///
 /// Besides the run totals, every admission window aggregates one
 /// [`WindowStat`] into `SchedResult::series`: arrivals, admissions,
-/// sheds/defers, queue depth, this window's p99/p99.9 completion latency,
-/// CoW faults, and the good/bad split (a request is *bad* if it was shed,
-/// aged out, or completed past `slo_cycles`) the SLO burn-rate monitor
-/// consumes.
+/// sheds, queue depth, this window's p99/p99.9 completion latency, CoW
+/// faults, and the good/bad split (a request is *bad* if it was shed or
+/// completed past `slo_cycles`) the SLO burn-rate monitor consumes.
 pub fn run_virtual<F, C>(cfg: &SchedulerConfig, plan: &ArrivalPlan, mut execute: F) -> SchedResult
 where
     F: FnMut(usize, usize) -> C,
@@ -224,7 +195,7 @@ where
 /// `plan.arrivals`.  After each window's admission, `admitted` receives the
 /// indices that window admitted, in admission order, before any of them is
 /// dispatched; `execute(index)` runs at dispatch.  Every reported index is
-/// dispatched exactly once, and no shed or aged-out arrival is reported.
+/// dispatched exactly once, and no shed arrival is reported.
 pub(crate) fn run_windows<A, F, C>(
     cfg: &SchedulerConfig,
     plan: &ArrivalPlan,
@@ -241,9 +212,6 @@ where
     let capacity = cfg.queue_capacity.max(1);
     let mut workers = vec![0u64; cfg.model_workers.max(1)];
     let mut queue: BinaryHeap<Reverse<QueueItem>> = BinaryHeap::new();
-    // Each deferred item carries how many deferral events it has seen, for
-    // the aging bound.
-    let mut deferred: VecDeque<(QueueItem, u64)> = VecDeque::new();
     let mut result = SchedResult::default();
     // This window's admissions (reported before dispatch) and completion
     // latencies (for the per-window percentiles); both buffers are reused.
@@ -258,7 +226,7 @@ where
         .first()
         .map_or(0, |a| a.vtime / window * window);
 
-    while next < plan.arrivals.len() || !deferred.is_empty() || !queue.is_empty() {
+    while next < plan.arrivals.len() || !queue.is_empty() {
         let window_end = window_start + window;
         let mut wstat = WindowStat {
             index: result.windows,
@@ -266,29 +234,8 @@ where
             ..WindowStat::default()
         };
 
-        // Admit: deferred retries first (they arrived earliest), then new
-        // arrivals landing inside this window.
+        // Admit the arrivals landing inside this window; a full queue sheds.
         window_admitted.clear();
-        let mut retries = std::mem::take(&mut deferred);
-        while let Some((item, defers)) = retries.pop_front() {
-            if queue.len() < capacity {
-                queue.push(Reverse(item));
-                window_admitted.push(item.seq);
-                wstat.admitted += 1;
-            } else if defers >= cfg.defer_age_windows {
-                // Aged out: sustained overload has deferred this arrival
-                // past the bound — shed it instead of retrying forever.
-                result.shed += 1;
-                result.defer_aged_shed += 1;
-                wstat.shed += 1;
-                wstat.bad += 1;
-                rec.count("server.defer_aged_shed", 1);
-            } else {
-                result.deferred += 1;
-                wstat.deferred += 1;
-                deferred.push_back((item, defers + 1));
-            }
-        }
         while next < plan.arrivals.len() && plan.arrivals[next].vtime < window_end {
             let a = plan.arrivals[next];
             let item = QueueItem {
@@ -305,19 +252,10 @@ where
                 window_admitted.push(item.seq);
                 wstat.admitted += 1;
             } else {
-                match cfg.backpressure {
-                    Backpressure::Shed => {
-                        result.shed += 1;
-                        wstat.shed += 1;
-                        wstat.bad += 1;
-                        rec.count("server.shed", 1);
-                    }
-                    Backpressure::Defer => {
-                        result.deferred += 1;
-                        wstat.deferred += 1;
-                        deferred.push_back((item, 1));
-                    }
-                }
+                result.shed += 1;
+                wstat.shed += 1;
+                wstat.bad += 1;
+                rec.count("server.shed", 1);
             }
         }
         result.windows += 1;
@@ -394,8 +332,6 @@ mod tests {
             queue_capacity: 8,
             window_cycles: 100,
             slo_cycles: 1000,
-            backpressure: Backpressure::Shed,
-            defer_age_windows: u64::MAX,
         };
         let p = plan(&[(0, 0, 0), (10, 1, 0), (250, 0, 1)]);
         let r = run_virtual(&cfg, &p, |_, _| 40u64);
@@ -415,8 +351,6 @@ mod tests {
             queue_capacity: 2,
             window_cycles: 100,
             slo_cycles: 100,
-            backpressure: Backpressure::Shed,
-            defer_age_windows: u64::MAX,
         };
         // Five arrivals in one window; the single worker drains the queue
         // during the window, so admission sees the capacity bound only for
@@ -429,67 +363,12 @@ mod tests {
     }
 
     #[test]
-    fn defer_retries_until_capacity_frees_and_charges_the_wait() {
-        let cfg = SchedulerConfig {
-            model_workers: 1,
-            queue_capacity: 1,
-            window_cycles: 100,
-            slo_cycles: 100,
-            backpressure: Backpressure::Defer,
-            defer_age_windows: u64::MAX,
-        };
-        let p = plan(&[(0, 0, 0), (1, 0, 1), (2, 0, 2)]);
-        let r = run_virtual(&cfg, &p, |_, _| 50u64);
-        assert_eq!(r.executed, 3, "defer never drops work");
-        assert_eq!(r.shed, 0);
-        assert!(
-            r.deferred >= 2,
-            "overflow must have deferred: {}",
-            r.deferred
-        );
-        // The last request waited at least one full window beyond arrival.
-        let worst = r
-            .completions
-            .iter()
-            .map(|c| c.latency_cycles)
-            .max()
-            .unwrap();
-        assert!(worst > cfg.window_cycles, "worst latency {worst}");
-    }
-
-    #[test]
-    fn over_age_deferrals_are_shed_and_counted() {
-        let cfg = SchedulerConfig {
-            model_workers: 1,
-            queue_capacity: 1,
-            window_cycles: 100,
-            slo_cycles: 100,
-            backpressure: Backpressure::Defer,
-            defer_age_windows: 2,
-        };
-        // The single worker wedges on a 100k-cycle request, so the queue
-        // stays full for ~1000 windows — far past the 2-deferral age bound.
-        let p = plan(&[(0, 0, 0), (1, 0, 1), (2, 0, 2), (3, 0, 3)]);
-        let r = run_virtual(&cfg, &p, |_, _| 100_000u64);
-        assert_eq!(r.executed + r.shed, 4, "no arrival may vanish");
-        // Window 0 admits item 0; items 1-3 defer.  The queue drains once per
-        // window, so window 1 re-admits item 1 while items 2 and 3 defer a
-        // second time and age out at window 2.
-        assert_eq!(r.executed, 2);
-        assert_eq!(r.defer_aged_shed, 2, "aged deferrals must be shed: {r:?}");
-        assert_eq!(r.defer_aged_shed, r.shed, "all sheds here come from aging");
-        assert_eq!(r.deferred, 5);
-    }
-
-    #[test]
     fn dispatch_is_earliest_deadline_first() {
         let cfg = SchedulerConfig {
             model_workers: 1,
             queue_capacity: 8,
             window_cycles: 1000,
             slo_cycles: 10,
-            backpressure: Backpressure::Shed,
-            defer_age_windows: u64::MAX,
         };
         // Both in the same window; the later arrival has the earlier
         // deadline? No — deadline = vtime + slo, so arrival order == EDF
@@ -542,24 +421,14 @@ mod tests {
     #[test]
     fn hooked_loop_reports_each_admission_once_before_its_dispatch() {
         let mut rng = 0x5EED_u64;
-        // Cases that shed at admission, deferred, and aged a deferral out.
-        let mut covered = [0u32; 3];
+        // Cases that shed at admission.
+        let mut covered = 0u32;
         for case in 0..400 {
             let cfg = SchedulerConfig {
                 model_workers: 1 + draw(&mut rng, 4) as usize,
                 queue_capacity: 1 + draw(&mut rng, 8) as usize,
-                backpressure: if draw(&mut rng, 2) == 0 {
-                    Backpressure::Shed
-                } else {
-                    Backpressure::Defer
-                },
                 slo_cycles: 50 + draw(&mut rng, 400),
                 window_cycles: 50 + draw(&mut rng, 200),
-                defer_age_windows: if draw(&mut rng, 2) == 0 {
-                    u64::MAX
-                } else {
-                    draw(&mut rng, 4)
-                },
             };
             // Each arrival is its session's next request, with a random
             // cost; every fourth plan breaks the non-decreasing order.
@@ -616,16 +485,14 @@ mod tests {
                 }
             }
             // Every reported arrival dispatches exactly once, and the
-            // reported set is the executed set: no shed or aged-out arrival
-            // is ever reported.
+            // reported set is the executed set: no shed arrival is ever
+            // reported.
             assert_eq!(reported, dispatched, "case {case}: {cfg:?}");
             assert!(reported.iter().all(|&c| c <= 1), "case {case}");
             let reports = reported.iter().filter(|&&c| c == 1).count() as u64;
             assert_eq!(reports, hooked.executed, "case {case}");
             assert_eq!(hooked.executed + hooked.shed, n as u64, "case {case}");
-            covered[0] += u32::from(hooked.shed > hooked.defer_aged_shed);
-            covered[1] += u32::from(hooked.deferred > 0);
-            covered[2] += u32::from(hooked.defer_aged_shed > 0);
+            covered += u32::from(hooked.shed > 0);
             if monotone {
                 // A non-decreasing plan dispatches in admission order, so
                 // work run at admission runs each session's requests in
@@ -640,6 +507,6 @@ mod tests {
                 assert_eq!(order(true), order(false), "case {case}: {cfg:?}");
             }
         }
-        assert!(covered.iter().all(|&c| c > 20), "{covered:?}");
+        assert!(covered > 20, "{covered}");
     }
 }

@@ -27,10 +27,10 @@ use crate::check::{check_procedure, Proc, ProcOutcome, Shared};
 use crate::{VerifyError, VerifyReport};
 
 /// How to run verification.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct VerifyOptions {
-    /// Worker threads for the per-procedure work queue.  `0` (the default)
-    /// means one per available core; `1` is the serial scan.
+    /// Worker threads for the per-procedure work queue; `1` is the serial
+    /// scan.
     pub threads: usize,
 }
 
@@ -40,25 +40,38 @@ impl VerifyOptions {
         VerifyOptions { threads: 1 }
     }
 
-    /// One worker per available core.
-    pub fn parallel() -> Self {
-        VerifyOptions { threads: 0 }
-    }
-
     /// Exactly `threads` workers.
     pub fn with_threads(threads: usize) -> Self {
         VerifyOptions { threads }
     }
+}
 
-    fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
+/// Run `task(index, item)` for every item over `workers` scoped threads
+/// that claim indices from one atomic cursor, and return the results in
+/// input order.  The cursor publishes nothing but the index, so `Relaxed`
+/// suffices; each result lands in its own slot.
+fn work_queue<T, R, F>(items: &[T], workers: usize, task: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send + Sync,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let out = task(i, item);
+                assert!(slots[i].set(out).is_ok(), "each slot is claimed once");
+            });
         }
-    }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every item was run"))
+        .collect()
 }
 
 /// Verify a binary under explicit options, optionally consulting (and
@@ -96,7 +109,7 @@ pub fn verify_with(
             message: "no procedures found (no call magic words)".to_string(),
         });
     }
-    let outcomes = run_procs(&shared, &procs, opts.effective_threads(), cache);
+    let outcomes = run_procs(&shared, &procs, opts.threads, cache);
     for (outcome, was_hit) in outcomes {
         report.absorb(&outcome.report);
         if was_hit {
@@ -167,26 +180,13 @@ fn run_procs(
     // pickup.  Only sampled when tracing, so the untraced hot path never
     // reads the clock.
     let queued_at = rec.enabled().then(Instant::now);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<(ProcOutcome, bool)>> = procs.iter().map(|_| OnceLock::new()).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(p) = procs.get(i) else { break };
-                if let Some(t0) = queued_at {
-                    rec.count("verify.queue_tasks", 1);
-                    rec.count("verify.queue_wait_nanos", t0.elapsed().as_nanos() as u64);
-                }
-                let out = check_one(p);
-                assert!(slots[i].set(out).is_ok(), "each slot is claimed once");
-            });
+    work_queue(procs, workers, |_, p| {
+        if let Some(t0) = queued_at {
+            rec.count("verify.queue_tasks", 1);
+            rec.count("verify.queue_wait_nanos", t0.elapsed().as_nanos() as u64);
         }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every procedure was checked"))
-        .collect()
+        check_one(p)
+    })
 }
 
 /// What verifying a fleet of binaries cost and produced.
@@ -233,41 +233,21 @@ pub fn verify_fleet(
     opts: &VerifyOptions,
     cache: Option<&VerifyCache>,
 ) -> FleetReport {
-    let workers = opts.effective_threads().max(1).min(binaries.len().max(1));
+    let workers = opts.threads.max(1).min(binaries.len().max(1));
     let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    type Slot = OnceLock<(Result<VerifyReport, Vec<VerifyError>>, u128)>;
-    let slots: Vec<Slot> = binaries.iter().map(|_| OnceLock::new()).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let next = &next;
-            let slots = &slots;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(binary) = binaries.get(i) else { break };
-                let mut span = confllvm_obs::recorder().span("verifier", "verify.fleet_task");
-                let t0 = Instant::now();
-                let result = verify_with(binary, &VerifyOptions::serial(), cache);
-                let micros = t0.elapsed().as_micros();
-                if span.active() {
-                    span.attr("task", i);
-                    span.attr("accepted", result.is_ok());
-                }
-                assert!(
-                    slots[i].set((result, micros)).is_ok(),
-                    "each slot is claimed once"
-                );
-            });
+    let done = work_queue(binaries, workers, |i, binary| {
+        let mut span = confllvm_obs::recorder().span("verifier", "verify.fleet_task");
+        let t0 = Instant::now();
+        let result = verify_with(binary, &VerifyOptions::serial(), cache);
+        let micros = t0.elapsed().as_micros();
+        if span.active() {
+            span.attr("task", i);
+            span.attr("accepted", result.is_ok());
         }
+        (result, micros)
     });
     let wall_micros = started.elapsed().as_micros();
-    let mut results = Vec::with_capacity(binaries.len());
-    let mut task_micros = Vec::with_capacity(binaries.len());
-    for s in slots {
-        let (r, micros) = s.into_inner().expect("every binary was verified");
-        task_micros.push(micros);
-        results.push(r);
-    }
+    let (results, task_micros): (Vec<_>, Vec<u128>) = done.into_iter().unzip();
     let total_task_micros: u128 = task_micros.iter().sum();
     // Greedy queue schedule: each task goes to the worker that frees up
     // first, exactly the assignment the work queue makes when every worker
