@@ -220,9 +220,13 @@ pub fn fig8_merkle(blocks: usize, block_size: usize, max_threads: usize) -> Figu
     let mut rows = Vec::new();
     for threads in 1..=max_threads {
         let (_b, base_wall) = merkle::run(Config::Base, threads, blocks, block_size);
-        let mut values = vec![(Config::Base, 100.0)];
-        for config in [Config::OurSeg, Config::OurMpx] {
-            let (_r, wall) = merkle::run(config, threads, blocks, block_size);
+        let mut values = Vec::new();
+        for config in Config::FIG8 {
+            let wall = if config == Config::Base {
+                base_wall
+            } else {
+                merkle::run(config, threads, blocks, block_size).1
+            };
             values.push((config, wall as f64 / base_wall as f64 * 100.0));
         }
         rows.push(Row {
@@ -264,8 +268,8 @@ pub fn ablation_passes_rows(scale: i64) -> Vec<AblationPassesRow> {
     for kernel in spec::KERNELS {
         let mut k = *kernel;
         k.size = (k.size / scale.max(1)).max(2);
-        let pr1 = spec::run_with_passes(&k, Config::OurMpx, PIPELINE_MPX_PR1);
-        let full = spec::run_with_passes(&k, Config::OurMpx, PIPELINE_MPX_FULL);
+        let pr1 = spec::run_with_passes(&k, Config::OurMpx, PIPELINE_MPX_PR1, false);
+        let full = spec::run_with_passes(&k, Config::OurMpx, PIPELINE_MPX_FULL, false);
         assert_eq!(
             pr1.exit_code(),
             full.exit_code(),
@@ -544,7 +548,7 @@ pub fn server_throughput_rows(quick: bool) -> Vec<ServerThroughputRow> {
                 workload,
                 config,
                 verified,
-                requests: pooled.metrics.requests,
+                requests: pooled.metrics.requests(),
                 cold_cycles_per_req: cold.metrics.mean_cycles(),
                 pooled_cycles_per_req: pooled.metrics.mean_cycles(),
                 pooled_rps: pooled.metrics.requests_per_gcycle(),

@@ -29,6 +29,7 @@
 
 use confllvm_core::codegen::{PIPELINE_MPX_FULL, PIPELINE_MPX_PR1};
 use confllvm_core::Config;
+use confllvm_obs::prof::candidate;
 use confllvm_obs::{profiler, Profile};
 use confllvm_server::ExecMode;
 use confllvm_workloads::spec;
@@ -147,18 +148,16 @@ pub fn profile_report(quick: bool) -> ProfileReport {
     // equal the profiled ones field for field.
     {
         let k = kernel_size(&spec::KERNELS[0], scale);
-        let (run_a, prof_a) = profiled(|| {
-            spec::run_with_passes_profiled(&k, Config::OurMpx, PIPELINE_MPX_FULL, true)
-        });
-        let (run_b, prof_b) = profiled(|| {
-            spec::run_with_passes_profiled(&k, Config::OurMpx, PIPELINE_MPX_FULL, true)
-        });
+        let (run_a, prof_a) =
+            profiled(|| spec::run_with_passes(&k, Config::OurMpx, PIPELINE_MPX_FULL, true));
+        let (run_b, prof_b) =
+            profiled(|| spec::run_with_passes(&k, Config::OurMpx, PIPELINE_MPX_FULL, true));
         assert_eq!(
             prof_a.folded(),
             prof_b.folded(),
             "two profiled runs of the same kernel must fold byte-identically"
         );
-        let bare = spec::run_with_passes(&k, Config::OurMpx, PIPELINE_MPX_FULL);
+        let bare = spec::run_with_passes(&k, Config::OurMpx, PIPELINE_MPX_FULL, false);
         assert_eq!(
             run_a.result.stats, bare.result.stats,
             "sampling must not perturb simulated execution"
@@ -173,10 +172,9 @@ pub fn profile_report(quick: bool) -> ProfileReport {
     for kernel in spec::KERNELS {
         let k = kernel_size(kernel, scale);
         let (pr1, prof_pr1) =
-            profiled(|| spec::run_with_passes_profiled(&k, Config::OurMpx, PIPELINE_MPX_PR1, true));
-        let (full, prof_full) = profiled(|| {
-            spec::run_with_passes_profiled(&k, Config::OurMpx, PIPELINE_MPX_FULL, true)
-        });
+            profiled(|| spec::run_with_passes(&k, Config::OurMpx, PIPELINE_MPX_PR1, true));
+        let (full, prof_full) =
+            profiled(|| spec::run_with_passes(&k, Config::OurMpx, PIPELINE_MPX_FULL, true));
         assert_eq!(
             pr1.exit_code(),
             full.exit_code(),
@@ -249,7 +247,7 @@ pub fn profile_report(quick: bool) -> ProfileReport {
                 .serve(binary, &sessions, ExecMode::Pooled)
                 .unwrap_or_else(|e| panic!("{workload} serve under profiler: {e}"))
         });
-        assert!(report.metrics.requests > 0);
+        assert!(report.metrics.requests() > 0);
         assert!(
             prof.total_samples() > 0,
             "{workload}: the serving run must collect samples"
@@ -305,10 +303,8 @@ pub fn render_profile(r: &ProfileReport) -> String {
             site,
             if p.top_check_word_pr1 < 0 {
                 "-"
-            } else if p.top_check_is_loop_head {
-                "hoist"
             } else {
-                "cross-block"
+                candidate(p.top_check_is_loop_head)
             },
         ));
     }

@@ -140,7 +140,7 @@ fn live_serve_leg(server: &Server, binary: BinaryId, count: usize) -> (usize, u6
     );
     (
         report.sessions.len(),
-        report.metrics.requests,
+        report.metrics.requests(),
         report.host_micros.max(1),
     )
 }

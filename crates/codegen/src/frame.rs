@@ -121,14 +121,6 @@ impl FrameLayout {
             .filter_map(|(v, s)| Some((ValueId(v as u32), (*s)?)))
     }
 
-    /// Every alloca's byte range, in value order.
-    pub fn allocas(&self) -> impl Iterator<Item = (ValueId, AllocaArea)> + '_ {
-        self.allocas
-            .iter()
-            .enumerate()
-            .filter_map(|(v, a)| Some((ValueId(v as u32), (*a)?)))
-    }
-
     /// The rsp-relative displacement a slot is addressed with under the MPX
     /// scheme: private slots live `private_stack_offset` above the public
     /// lock-step frame.  Machine passes use this to map stack stores back to
@@ -210,7 +202,11 @@ mod tests {
         let mut opts = CodegenOptions::mpx();
         opts.split_stacks = false;
         let (_f, layout) = build_frame(src, "f", &opts);
-        assert!(layout.allocas().all(|(_, a)| a.taint == Taint::Public));
+        assert!(layout
+            .allocas
+            .iter()
+            .flatten()
+            .all(|a| a.taint == Taint::Public));
         assert!(layout.slots().all(|(_, s)| s.taint == Taint::Public));
     }
 
@@ -235,8 +231,10 @@ mod tests {
             .map(|(_, s)| (s.offset, s.offset + 8))
             .chain(
                 layout
-                    .allocas()
-                    .map(|(_, a)| (a.offset, a.offset + a.size as i32)),
+                    .allocas
+                    .iter()
+                    .flatten()
+                    .map(|a| (a.offset, a.offset + a.size as i32)),
             )
             .collect();
         ranges.sort();

@@ -23,7 +23,7 @@ pub mod options;
 pub use frame::{AllocaArea, FrameLayout, Slot};
 pub use isel::{CheckKind, CheckSite, CodegenError, CompiledFunction, MBlock, MagicPatch};
 pub use link::{compile_module, compile_module_with_entry, CodegenReport};
-pub use mpass::{MachineCtx, MachinePass, MachinePipeline, MACHINE_PASS_NAMES};
+pub use mpass::{MachineCtx, MachinePass, MachinePipeline};
 pub use options::{CodegenOptions, PIPELINE_MPX_FULL, PIPELINE_MPX_PR1};
 
 #[cfg(test)]

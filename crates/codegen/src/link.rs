@@ -84,7 +84,7 @@ pub fn compile_module_with_entry(
             );
         }
     }
-    let mut pass_report = crate::mpass::MPipelineReport::default();
+    let mut pass_report = confllvm_ir::PipelineReport::default();
     for (f, cf) in module.functions.iter().zip(&mut compiled) {
         let frame = cf.frame.clone();
         let mut cx = crate::mpass::MachineCtx::new(module, f, &frame, opts);

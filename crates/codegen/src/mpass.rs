@@ -26,10 +26,15 @@
 //! when a check of the *same region* against the same address is proved to
 //! dominate it, so the set of binaries the verifier must accept never
 //! widens.
+//!
+//! [`MachinePipeline::run`] reports through the IR layer's
+//! [`PipelineReport`], which the linker merges across a module's functions;
+//! the [`create_machine_pass`] match is the one list of machine passes.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use confllvm_ir::dataflow::{solve_forward, ForwardTransfer, MustSet};
+use confllvm_ir::pm::{PassRun, PipelineReport};
 use confllvm_ir::{natural_loops, BlockId, DomTree, Function, Inst, Module, Operand, ValueId};
 use confllvm_machine::{BndReg, MInst, MemOperand, MemoryLayout, Scheme, Taint, SCRATCH2};
 
@@ -138,7 +143,6 @@ impl<'a> MachineCtx<'a> {
 /// One machine transformation; same conventions as `confllvm_ir::pm::Pass`.
 pub trait MachinePass {
     fn name(&self) -> &'static str;
-    fn description(&self) -> &'static str;
     /// Passes that, when present, must be scheduled before this one.
     fn run_after(&self) -> &'static [&'static str] {
         &[]
@@ -151,15 +155,6 @@ pub trait MachinePass {
     fn run(&self, mf: &mut CompiledFunction, cx: &mut MachineCtx) -> usize;
 }
 
-/// All registered machine pass names, in recommended pipeline order.
-pub const MACHINE_PASS_NAMES: &[&str] = &[
-    "mpx-skip-stack-checks",
-    "mpx-fold-displacements",
-    "mpx-coalesce-checks",
-    "mpx-hoist-checks",
-    "mpx-cross-block-elim",
-];
-
 /// Instantiate a registered machine pass by name.
 pub fn create_machine_pass(name: &str) -> Option<Box<dyn MachinePass>> {
     match name {
@@ -169,31 +164,6 @@ pub fn create_machine_pass(name: &str) -> Option<Box<dyn MachinePass>> {
         "mpx-hoist-checks" => Some(Box::new(HoistChecks)),
         "mpx-cross-block-elim" => Some(Box::new(CrossBlockElim)),
         _ => None,
-    }
-}
-
-/// Per-pass change counts of one pipeline run.
-#[derive(Debug, Clone, Default)]
-pub struct MPipelineReport {
-    pub per_pass: Vec<(&'static str, usize)>,
-}
-
-impl MPipelineReport {
-    pub fn changes_of(&self, name: &str) -> usize {
-        self.per_pass
-            .iter()
-            .filter(|(n, _)| *n == name)
-            .map(|(_, c)| c)
-            .sum()
-    }
-
-    pub fn merge(&mut self, other: &MPipelineReport) {
-        for (name, c) in &other.per_pass {
-            match self.per_pass.iter_mut().find(|(n, _)| n == name) {
-                Some((_, acc)) => *acc += c,
-                None => self.per_pass.push((name, *c)),
-            }
-        }
     }
 }
 
@@ -247,9 +217,9 @@ impl MachinePipeline {
     /// instruction-stream size (instructions touched) and how many check
     /// sites the pass deleted.  The spans only read the function, so traced
     /// and untraced pipelines produce identical code.
-    pub fn run(&self, mf: &mut CompiledFunction, cx: &mut MachineCtx) -> MPipelineReport {
+    pub fn run(&self, mf: &mut CompiledFunction, cx: &mut MachineCtx) -> PipelineReport {
         let rec = confllvm_obs::recorder();
-        let mut report = MPipelineReport::default();
+        let mut report = PipelineReport::default();
         for p in &self.passes {
             let checks_before = mf.check_sites.len();
             let mut span = rec.span("compiler", p.name());
@@ -263,7 +233,10 @@ impl MachinePipeline {
                     checks_before.saturating_sub(mf.check_sites.len()),
                 );
             }
-            report.per_pass.push((p.name(), changes));
+            report.per_pass.push(PassRun {
+                name: p.name(),
+                changes,
+            });
         }
         report
     }
@@ -393,10 +366,6 @@ impl MachinePass for SkipStackChecks {
         "mpx-skip-stack-checks"
     }
 
-    fn description(&self) -> &'static str {
-        "drop checks on rsp-relative frame accesses (justified by _chkstk)"
-    }
-
     fn run(&self, mf: &mut CompiledFunction, _cx: &mut MachineCtx) -> usize {
         let mut dead = vec![false; mf.insts.len()];
         for s in &mf.check_sites {
@@ -414,10 +383,6 @@ struct FoldDisplacements;
 impl MachinePass for FoldDisplacements {
     fn name(&self) -> &'static str {
         "mpx-fold-displacements"
-    }
-
-    fn description(&self) -> &'static str {
-        "narrow checks of [base+disp] to [base], absorbed by the guard areas"
     }
 
     fn run(&self, mf: &mut CompiledFunction, cx: &mut MachineCtx) -> usize {
@@ -446,10 +411,6 @@ struct CoalesceChecks;
 impl MachinePass for CoalesceChecks {
     fn name(&self) -> &'static str {
         "mpx-coalesce-checks"
-    }
-
-    fn description(&self) -> &'static str {
-        "drop re-checks of an already-checked address within a basic block"
     }
 
     fn run_after(&self) -> &'static [&'static str] {
@@ -491,10 +452,6 @@ struct HoistChecks;
 impl MachinePass for HoistChecks {
     fn name(&self) -> &'static str {
         "mpx-hoist-checks"
-    }
-
-    fn description(&self) -> &'static str {
-        "check loop-invariant bases once in the preheader"
     }
 
     fn run_after(&self) -> &'static [&'static str] {
@@ -717,10 +674,6 @@ impl ForwardTransfer for AvailChecks<'_, '_> {
 impl MachinePass for CrossBlockElim {
     fn name(&self) -> &'static str {
         "mpx-cross-block-elim"
-    }
-
-    fn description(&self) -> &'static str {
-        "drop checks available on every CFG path and along the code layout"
     }
 
     fn run_after(&self) -> &'static [&'static str] {

@@ -155,12 +155,6 @@ impl Config {
             _ => AllocatorKind::ConfBins,
         }
     }
-
-    /// Whether the full confidentiality guarantee holds under this
-    /// configuration (only the complete schemes enforce it).
-    pub fn enforces_confidentiality(self) -> bool {
-        matches!(self, Config::OurMpx | Config::OurSeg)
-    }
 }
 
 impl std::fmt::Display for Config {
@@ -187,8 +181,6 @@ mod tests {
         assert_eq!(Config::OurSeg.codegen_options().scheme, Scheme::Segment);
         assert!(!Config::OurMpxSep.codegen_options().split_stacks);
         assert!(Config::OurMpx.codegen_options().split_stacks);
-        assert!(Config::OurMpx.enforces_confidentiality());
-        assert!(!Config::OurCFI.enforces_confidentiality());
     }
 
     #[test]

@@ -116,23 +116,6 @@ impl Config {
             pc: 0,
         }
     }
-
-    /// Low (public) equivalence of two configurations (Appendix A): same pc,
-    /// same low memory, and agreement on registers typed L at the current pc.
-    pub fn low_equiv(&self, other: &Config, prog: &Program) -> bool {
-        if self.pc != other.pc || self.mem_low != other.mem_low {
-            return false;
-        }
-        if self.pc >= prog.gammas.len() {
-            return true;
-        }
-        let gamma = &prog.gammas[self.pc];
-        self.regs
-            .iter()
-            .zip(&other.regs)
-            .zip(gamma)
-            .all(|((a, b), l)| *l == Label::H || a == b)
-    }
 }
 
 /// Type-check a program against its per-node register typings (the checks of

@@ -13,8 +13,7 @@
 //!   ConfLLVM, registered as pass-manager passes,
 //! * [`dataflow`] — a small dataflow framework (a forward solver,
 //!   must-sets, dominators, natural loops) shared with the machine-layer
-//!   passes in `confllvm-codegen`,
-//! * [`display`] — textual IR dumps.
+//!   passes in `confllvm-codegen`.
 //!
 //! ```
 //! use confllvm_ir::{lower, taint};
@@ -30,7 +29,6 @@
 
 pub mod builder;
 pub mod dataflow;
-pub mod display;
 pub mod inst;
 pub mod lower;
 pub mod module;
@@ -43,6 +41,6 @@ pub use dataflow::{natural_loops, DomTree, MustSet, NaturalLoop};
 pub use inst::{BinOp, BlockId, CmpOp, Inst, MemSize, Operand, Terminator, ValueId};
 pub use lower::lower;
 pub use module::{Block, ExternFunc, Function, Global, Module, ValueInfo};
-pub use passes::{DEFAULT_IR_PIPELINE, IR_PASS_NAMES};
+pub use passes::DEFAULT_IR_PIPELINE;
 pub use pm::{Pass, PassManager, PipelineError, PipelineReport};
 pub use taint::{infer, InferOptions, TaintError, TaintReport};

@@ -211,13 +211,6 @@ impl<'a, 'b> FnLowerer<'a, 'b> {
         Ok(self.b.finish())
     }
 
-    fn b_value_info(&mut self, _v: ValueId) -> DummyInfo<'_> {
-        DummyInfo {
-            builder: &mut self.b,
-            v: _v,
-        }
-    }
-
     // ----- scope helpers ----------------------------------------------------
 
     fn lookup_local(&self, name: &str) -> Option<LocalSlot> {
@@ -254,7 +247,7 @@ impl<'a, 'b> FnLowerer<'a, 'b> {
                 // rest is inferred (Section 2: annotations within U are not
                 // trusted but do guide inference).
                 if ty.taint == Taint::Private || ty.deref_taint() == Taint::Private {
-                    self.b_value_info(slot).set_declared_pointee(Taint::Private);
+                    self.b.value_info_mut(slot).declared_pointee = Some(Taint::Private);
                 }
                 self.scopes
                     .last_mut()
@@ -479,8 +472,7 @@ impl<'a, 'b> FnLowerer<'a, 'b> {
                 // loophole the Minizip experiment (Section 7.6) exploits and
                 // that the runtime checks close.
                 if ty.is_pointer() {
-                    self.b_value_info(dst)
-                        .set_declared_pointee(ty.deref_taint());
+                    self.b.value_info_mut(dst).declared_pointee = Some(ty.deref_taint());
                 }
                 Ok((dst.into(), ty.clone()))
             }
@@ -506,11 +498,10 @@ impl<'a, 'b> FnLowerer<'a, 'b> {
         // Pointer-typed loads from arbitrary memory carry their static
         // pointee taint as a pin (see crate::taint).
         if ty.is_pointer() || ty.is_func_ptr() {
-            self.b_value_info(dst)
-                .set_declared_pointee(ty.deref_taint());
+            self.b.value_info_mut(dst).declared_pointee = Some(ty.deref_taint());
         }
         if ty.taint == Taint::Private {
-            self.b_value_info(dst).set_declared_taint(Taint::Private);
+            self.b.value_info_mut(dst).declared_taint = Some(Taint::Private);
         }
         Ok((dst.into(), ty.clone()))
     }
@@ -622,8 +613,7 @@ impl<'a, 'b> FnLowerer<'a, 'b> {
                     };
                     if let Some(d) = dst {
                         if sig.ret.is_pointer() {
-                            self.b_value_info(d)
-                                .set_declared_pointee(sig.ret.deref_taint());
+                            self.b.value_info_mut(d).declared_pointee = Some(sig.ret.deref_taint());
                         }
                     }
                     let op = dst.map(Operand::Value).unwrap_or(Operand::Const(0));
@@ -765,23 +755,6 @@ impl<'a, 'b> FnLowerer<'a, 'b> {
             }
             _ => Err(FrontendError::sema("expression is not an lvalue", e.span)),
         }
-    }
-}
-
-/// Tiny helper giving the lowering mutable access to value metadata through
-/// the builder without borrowing conflicts.
-struct DummyInfo<'a> {
-    builder: &'a mut FunctionBuilder,
-    v: ValueId,
-}
-
-impl DummyInfo<'_> {
-    fn set_declared_pointee(&mut self, t: Taint) {
-        self.builder.value_info_mut(self.v).declared_pointee = Some(t);
-    }
-
-    fn set_declared_taint(&mut self, t: Taint) {
-        self.builder.value_info_mut(self.v).declared_taint = Some(t);
     }
 }
 

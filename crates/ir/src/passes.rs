@@ -33,9 +33,6 @@ pub const DEFAULT_IR_PIPELINE: &str = "const-fold,copy-prop,cse,dce";
 // pass registry
 // ---------------------------------------------------------------------------
 
-/// All registered IR pass names, in recommended pipeline order.
-pub const IR_PASS_NAMES: &[&str] = &["const-fold", "copy-prop", "cse", "dce"];
-
 /// Instantiate a registered pass by name.
 pub fn create_pass(name: &str) -> Option<Box<dyn crate::pm::Pass>> {
     match name {
@@ -54,10 +51,6 @@ impl crate::pm::Pass for ConstFold {
         "const-fold"
     }
 
-    fn description(&self) -> &'static str {
-        "fold Bin/Cmp instructions with constant operands"
-    }
-
     fn run_on_function(&self, f: &mut Function) -> usize {
         const_fold(f)
     }
@@ -68,10 +61,6 @@ struct CopyProp;
 impl crate::pm::Pass for CopyProp {
     fn name(&self) -> &'static str {
         "copy-prop"
-    }
-
-    fn description(&self) -> &'static str {
-        "replace uses of Copy destinations with the copy source"
     }
 
     fn run_after(&self) -> &'static [&'static str] {
@@ -90,10 +79,6 @@ impl crate::pm::Pass for Cse {
         "cse"
     }
 
-    fn description(&self) -> &'static str {
-        "dominator-scoped CSE of pure instructions and redundant loads"
-    }
-
     fn run_after(&self) -> &'static [&'static str] {
         &["const-fold", "copy-prop"]
     }
@@ -108,10 +93,6 @@ struct Dce;
 impl crate::pm::Pass for Dce {
     fn name(&self) -> &'static str {
         "dce"
-    }
-
-    fn description(&self) -> &'static str {
-        "remove side-effect-free instructions whose result is unused"
     }
 
     fn run_after(&self) -> &'static [&'static str] {

@@ -9,8 +9,12 @@
 //! collecting per-pass statistics.
 //!
 //! The machine layer has the same spine in `confllvm_codegen::mpass`; the two
-//! managers share the naming and dependency conventions so a configuration in
-//! `confllvm_core::Config` is fully described by two pipeline strings.
+//! managers share the naming and dependency conventions (and
+//! [`validate_constraints`]) so a configuration in `confllvm_core::Config` is
+//! fully described by two pipeline strings, and both report through
+//! [`PipelineReport`].  Registering a pass means adding its name to
+//! `create_pass` here (`create_machine_pass` there): that match is each
+//! layer's one list of passes.
 
 use crate::module::{Function, Module};
 
@@ -22,9 +26,6 @@ use crate::module::{Function, Module};
 pub trait Pass {
     /// Stable pipeline name (kebab-case, used in pipeline strings).
     fn name(&self) -> &'static str;
-
-    /// One-line description for `--usage`-style listings.
-    fn description(&self) -> &'static str;
 
     /// Passes that, *when present* in the same pipeline, must be scheduled
     /// before this one (a soft ordering constraint).
@@ -82,7 +83,9 @@ pub struct PassRun {
     pub changes: usize,
 }
 
-/// The outcome of running a pipeline over a module.
+/// The outcome of running a pipeline: over a module for this manager, over
+/// one compiled function (merged across a module's functions) for the
+/// machine-layer manager in `confllvm-codegen`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineReport {
     pub per_pass: Vec<PassRun>,
@@ -92,13 +95,23 @@ impl PipelineReport {
     pub fn changes_of(&self, name: &str) -> usize {
         self.per_pass
             .iter()
-            .find(|p| p.name == name)
+            .filter(|p| p.name == name)
             .map(|p| p.changes)
-            .unwrap_or(0)
+            .sum()
     }
 
     pub fn total_changes(&self) -> usize {
         self.per_pass.iter().map(|p| p.changes).sum()
+    }
+
+    /// Add `other`'s changes into this report, pass by pass.
+    pub fn merge(&mut self, other: &PipelineReport) {
+        for run in &other.per_pass {
+            match self.per_pass.iter_mut().find(|p| p.name == run.name) {
+                Some(p) => p.changes += run.changes,
+                None => self.per_pass.push(run.clone()),
+            }
+        }
     }
 }
 
@@ -156,10 +169,6 @@ impl PassManager {
 
     pub fn pass_names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.passes.is_empty()
     }
 
     /// Run the pipeline over every function until a fixpoint (bounded by a
@@ -229,7 +238,7 @@ mod tests {
     fn parse_accepts_the_default_pipeline() {
         let pm = PassManager::parse("const-fold,copy-prop,cse,dce").unwrap();
         assert_eq!(pm.pass_names(), ["const-fold", "copy-prop", "cse", "dce"]);
-        assert!(PassManager::parse("").unwrap().is_empty());
+        assert!(PassManager::parse("").unwrap().pass_names().is_empty());
         assert!(PassManager::parse("  const-fold ,dce ").is_ok());
     }
 
@@ -258,6 +267,11 @@ mod tests {
         let report = pm.run(&mut m);
         assert!(report.changes_of("const-fold") >= 2);
         assert!(report.total_changes() >= report.changes_of("const-fold"));
+        // Merging adds counts pass by pass, keeping one entry per pass.
+        let mut twice = report.clone();
+        twice.merge(&report);
+        assert_eq!(twice.per_pass.len(), report.per_pass.len());
+        assert_eq!(twice.total_changes(), 2 * report.total_changes());
         // A second run over the already-optimised module is a no-op.
         let again = pm.run(&mut m);
         assert_eq!(again.total_changes(), 0, "passes must be monotone");

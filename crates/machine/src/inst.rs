@@ -253,46 +253,6 @@ impl MInst {
                 | MInst::Trap { .. }
         )
     }
-
-    /// True if this instruction reads or writes memory through a memory
-    /// operand (the accesses the MPX / segmentation schemes must check).
-    pub fn memory_operand(&self) -> Option<&MemOperand> {
-        match self {
-            MInst::Load { mem, .. } | MInst::Store { mem, .. } => Some(mem),
-            _ => None,
-        }
-    }
-
-    /// Short mnemonic used in listings.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            MInst::MovImm { .. } => "mov.imm",
-            MInst::MovReg { .. } => "mov",
-            MInst::Alu { .. } => "alu",
-            MInst::Cmp { .. } => "cmp",
-            MInst::SetCond { .. } => "setcc",
-            MInst::Jcc { .. } => "jcc",
-            MInst::Jmp { .. } => "jmp",
-            MInst::JmpReg { .. } => "jmp.reg",
-            MInst::Load { .. } => "load",
-            MInst::Store { .. } => "store",
-            MInst::Lea { .. } => "lea",
-            MInst::Push { .. } => "push",
-            MInst::Pop { .. } => "pop",
-            MInst::CallDirect { .. } => "call",
-            MInst::CallReg { .. } => "call.reg",
-            MInst::CallExternal { .. } => "call.ext",
-            MInst::Ret => "ret",
-            MInst::BndCheck { .. } => "bndc",
-            MInst::LoadCode { .. } => "load.code",
-            MInst::MagicWord { .. } => "magic",
-            MInst::ChkStk => "chkstk",
-            MInst::MovGlobal { .. } => "mov.global",
-            MInst::MovFunc { .. } => "mov.func",
-            MInst::Trap { .. } => "trap",
-            MInst::Nop => "nop",
-        }
-    }
 }
 
 impl std::fmt::Display for MInst {
@@ -365,18 +325,6 @@ mod tests {
             imm: 1
         }
         .is_control_flow());
-    }
-
-    #[test]
-    fn memory_operand_accessor() {
-        let mem = MemOperand::base(Reg::Rcx);
-        let l = MInst::Load {
-            dst: Reg::Rax,
-            mem,
-            size: 8,
-        };
-        assert!(l.memory_operand().is_some());
-        assert!(MInst::Nop.memory_operand().is_none());
     }
 
     #[test]

@@ -193,17 +193,6 @@ impl MemoryLayout {
         self.thread_stack_base(tid) + self.thread_stack_size - 64
     }
 
-    /// TLS base for the thread owning the given rsp: the paper masks the low
-    /// 20 bits of rsp to find the start of the 1 MiB thread stack.
-    pub fn tls_base_for_rsp(&self, rsp: u64) -> u64 {
-        rsp & !(self.thread_stack_size - 1)
-    }
-
-    /// Number of thread stacks that fit in the stack area.
-    pub fn max_threads(&self) -> usize {
-        (self.stack_area_size / self.thread_stack_size) as usize
-    }
-
     /// True if `[lo, hi)` contains `addr..addr+len`.  `addr` and `len` are
     /// guest-controlled, so the end address must not wrap around u64: a
     /// wrapped range would compare below `hi` and falsely pass.
@@ -246,16 +235,6 @@ impl MemoryLayout {
     pub fn in_private_window(&self, addr: u64, len: u64) -> bool {
         let (lo, hi) = self.bnd1();
         Self::range_contains(lo, hi, addr, len)
-    }
-
-    /// True if `addr..addr+len` lies inside T's region.
-    pub fn in_trusted(&self, addr: u64, len: u64) -> bool {
-        Self::range_contains(
-            self.trusted_base,
-            self.trusted_base + self.trusted_size,
-            addr,
-            len,
-        )
     }
 }
 
@@ -307,9 +286,10 @@ mod tests {
     fn regions_are_disjoint_from_trusted() {
         for scheme in [Scheme::None, Scheme::Mpx, Scheme::Segment] {
             let l = MemoryLayout::new(scheme, true, true);
-            assert!(!l.in_trusted(l.public_base, 8));
+            let trusted = l.trusted_base..l.trusted_base + l.trusted_size;
+            assert!(!trusted.contains(&l.public_base));
             assert!(!l.in_public(l.trusted_base, 8));
-            assert!(l.in_trusted(l.trusted_heap_base(), 8));
+            assert!(trusted.contains(&l.trusted_heap_base()));
         }
     }
 
@@ -319,9 +299,10 @@ mod tests {
         for t in 0..4 {
             let base = l.thread_stack_base(t);
             assert_eq!(base % l.thread_stack_size, 0);
-            assert_eq!(l.tls_base_for_rsp(l.initial_rsp(t)), base);
+            // The paper finds a thread's TLS by masking rsp's low bits.
+            assert_eq!(l.initial_rsp(t) & !(l.thread_stack_size - 1), base);
         }
-        assert!(l.max_threads() >= 6);
+        assert!(l.stack_area_size / l.thread_stack_size >= 6);
     }
 
     #[test]
@@ -332,7 +313,6 @@ mod tests {
         assert!(!l.in_public(u64::MAX, 32));
         assert!(!l.in_private(u64::MAX, 32));
         assert!(!l.in_private_window(u64::MAX, 32));
-        assert!(!l.in_trusted(u64::MAX, 32));
     }
 
     #[test]

@@ -9,8 +9,6 @@
 use confllvm_minic::Taint;
 use rand::Rng;
 
-/// Number of taint bits carried by a call magic word.
-pub const CALL_TAINT_BITS: u32 = 5;
 /// Number of low bits reserved for taints in every magic word.
 pub const TAINT_FIELD_BITS: u32 = 5;
 /// Width of the random prefix.

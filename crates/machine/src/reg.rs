@@ -77,11 +77,6 @@ impl Reg {
             Reg::R15 => "r15",
         }
     }
-
-    /// True for registers a call may clobber.
-    pub fn is_caller_saved(self) -> bool {
-        CALLER_SAVED.contains(&self)
-    }
 }
 
 impl std::fmt::Display for Reg {
@@ -161,9 +156,9 @@ mod tests {
             assert!(!CALLER_SAVED.contains(&r));
         }
         for r in ARG_REGS {
-            assert!(r.is_caller_saved());
+            assert!(CALLER_SAVED.contains(&r));
         }
-        assert!(RET_REG.is_caller_saved());
+        assert!(CALLER_SAVED.contains(&RET_REG));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! plain C is the `private` type qualifier of the paper (Section 2), which may
 //! appear on globals, parameters, struct fields and local declarations.
 
-use crate::types::{Taint, Type};
+use crate::types::Type;
 
 /// A source location, used for diagnostics.  Mini-C programs are small enough
 /// that a line/column pair is sufficient.
@@ -263,16 +263,6 @@ impl Expr {
         Expr { kind, span }
     }
 
-    /// Convenience constructor for integer literals in tests and builders.
-    pub fn int(v: i64) -> Self {
-        Expr::new(ExprKind::IntLit(v), Span::default())
-    }
-
-    /// Convenience constructor for identifier references.
-    pub fn ident(name: &str) -> Self {
-        Expr::new(ExprKind::Ident(name.to_string()), Span::default())
-    }
-
     /// True if this expression can syntactically appear as the target of an
     /// assignment or of `&`.
     pub fn is_lvalue(&self) -> bool {
@@ -290,69 +280,25 @@ impl Expr {
     }
 }
 
-impl Program {
-    /// Look up a function defined in U.
-    pub fn find_function(&self, name: &str) -> Option<&FunctionDef> {
-        self.functions.iter().find(|f| f.name == name)
-    }
-
-    /// Count of annotations (occurrences of `private`) across all top-level
-    /// definitions.  Used by the porting-effort experiment (Section 7.2) to
-    /// report how much a workload had to be annotated.
-    pub fn annotation_count(&self) -> usize {
-        fn count_ty(ty: &Type) -> usize {
-            let mut n = usize::from(ty.taint == Taint::Private);
-            if let Some(inner) = ty.pointee() {
-                n += count_ty(inner);
-            }
-            if let Some(elem) = ty.element() {
-                n += count_ty(elem);
-            }
-            n
-        }
-        let mut n = 0;
-        for g in &self.globals {
-            n += count_ty(&g.ty);
-        }
-        for e in &self.externs {
-            n += count_ty(&e.ret);
-            n += e.params.iter().map(|p| count_ty(&p.ty)).sum::<usize>();
-        }
-        for f in &self.functions {
-            n += count_ty(&f.ret);
-            n += f.params.iter().map(|p| count_ty(&p.ty)).sum::<usize>();
-        }
-        for s in &self.structs {
-            n += s.fields.iter().map(|fd| count_ty(&fd.ty)).sum::<usize>();
-        }
-        n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Type;
 
     #[test]
     fn lvalue_classification() {
-        assert!(Expr::ident("x").is_lvalue());
-        assert!(!Expr::int(4).is_lvalue());
-        let deref = Expr::new(
-            ExprKind::Unary {
-                op: UnOp::Deref,
-                operand: Box::new(Expr::ident("p")),
-            },
-            Span::default(),
-        );
+        let expr = |kind| Expr::new(kind, Span::default());
+        let ident = || Box::new(expr(ExprKind::Ident("p".into())));
+        assert!(expr(ExprKind::Ident("x".into())).is_lvalue());
+        assert!(!expr(ExprKind::IntLit(4)).is_lvalue());
+        let deref = expr(ExprKind::Unary {
+            op: UnOp::Deref,
+            operand: ident(),
+        });
         assert!(deref.is_lvalue());
-        let addr = Expr::new(
-            ExprKind::Unary {
-                op: UnOp::AddrOf,
-                operand: Box::new(Expr::ident("p")),
-            },
-            Span::default(),
-        );
+        let addr = expr(ExprKind::Unary {
+            op: UnOp::AddrOf,
+            operand: ident(),
+        });
         assert!(!addr.is_lvalue());
     }
 
@@ -361,40 +307,5 @@ mod tests {
         assert!(BinOp::Eq.is_comparison());
         assert!(BinOp::Le.is_comparison());
         assert!(!BinOp::Add.is_comparison());
-    }
-
-    #[test]
-    fn annotation_counting() {
-        let mut p = Program::default();
-        p.globals.push(GlobalDef {
-            name: "key".into(),
-            ty: Type::private_int(),
-            init: None,
-            span: Span::default(),
-        });
-        p.globals.push(GlobalDef {
-            name: "counter".into(),
-            ty: Type::int(),
-            init: None,
-            span: Span::default(),
-        });
-        p.externs.push(ExternDecl {
-            name: "decrypt".into(),
-            params: vec![
-                ParamDecl {
-                    name: "src".into(),
-                    ty: Type::ptr(Type::char()),
-                    span: Span::default(),
-                },
-                ParamDecl {
-                    name: "dst".into(),
-                    ty: Type::ptr(Type::private_char()),
-                    span: Span::default(),
-                },
-            ],
-            ret: Type::void(),
-            span: Span::default(),
-        });
-        assert_eq!(p.annotation_count(), 2);
     }
 }

@@ -33,6 +33,6 @@ pub mod types;
 
 pub use ast::{Block, Expr, ExprKind, ExternDecl, FunctionDef, GlobalDef, Program, Span, Stmt};
 pub use error::FrontendError;
-pub use parser::{parse, parse_expr};
+pub use parser::parse;
 pub use sema::{Sema, Signature, StructLayout, WORD_SIZE};
 pub use types::{Taint, Type, TypeKind};

@@ -11,16 +11,6 @@ pub fn parse(src: &str) -> Result<Program, FrontendError> {
     Parser::new(toks).program()
 }
 
-/// Parse a single expression; used in unit tests and by the attack harness to
-/// build small snippets.
-pub fn parse_expr(src: &str) -> Result<Expr, FrontendError> {
-    let toks = lex(src)?;
-    let mut p = Parser::new(toks);
-    let e = p.expr()?;
-    p.expect(Tok::Eof)?;
-    Ok(e)
-}
-
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
@@ -723,6 +713,14 @@ mod tests {
     use super::*;
     use crate::types::Taint;
 
+    /// Parse a single expression.
+    fn parse_expr(src: &str) -> Result<Expr, FrontendError> {
+        let mut p = Parser::new(lex(src)?);
+        let e = p.expr()?;
+        p.expect(Tok::Eof)?;
+        Ok(e)
+    }
+
     #[test]
     fn parse_simple_function() {
         let prog = parse("int add(int a, int b) {\n  return a + b;\n}\n").unwrap();
@@ -853,7 +851,8 @@ mod tests {
         let prog = parse(src).unwrap();
         assert_eq!(prog.externs.len(), 5);
         assert_eq!(prog.functions.len(), 2);
-        assert_eq!(prog.find_function("handleReq").unwrap().params.len(), 5);
+        let handle_req = prog.functions.iter().find(|f| f.name == "handleReq");
+        assert_eq!(handle_req.unwrap().params.len(), 5);
     }
 
     #[test]

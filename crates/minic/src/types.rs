@@ -115,10 +115,6 @@ impl Type {
         Type::new(TypeKind::Char, Taint::Public)
     }
 
-    pub fn private_char() -> Self {
-        Type::new(TypeKind::Char, Taint::Private)
-    }
-
     /// Pointer to `inner`.  The pointer value itself is public (addresses are
     /// not secrets); what it points to carries `inner`'s taint.
     pub fn ptr(inner: Type) -> Self {
@@ -175,14 +171,6 @@ impl Type {
     pub fn pointee(&self) -> Option<&Type> {
         match &self.kind {
             TypeKind::Ptr(inner) => Some(inner),
-            _ => None,
-        }
-    }
-
-    /// The element type, if this is an array.
-    pub fn element(&self) -> Option<&Type> {
-        match &self.kind {
-            TypeKind::Array(elem, _) => Some(elem),
             _ => None,
         }
     }
@@ -289,7 +277,7 @@ mod tests {
         // `private char buf[16]` — private array of private chars.
         let t = Type::array(Type::char(), 16).with_base_taint(Taint::Private);
         assert_eq!(t.taint, Taint::Private);
-        assert_eq!(t.element().unwrap().taint, Taint::Private);
+        assert_eq!(t.deref_taint(), Taint::Private);
 
         // Scalar.
         let t = Type::int().with_base_taint(Taint::Private);
@@ -298,7 +286,7 @@ mod tests {
 
     #[test]
     fn array_decay() {
-        let arr = Type::array(Type::private_char(), 32);
+        let arr = Type::array(Type::char().with_base_taint(Taint::Private), 32);
         let decayed = arr.decay();
         assert!(decayed.is_pointer());
         assert_eq!(decayed.pointee().unwrap().taint, Taint::Private);
@@ -308,7 +296,8 @@ mod tests {
     #[test]
     fn display_forms() {
         assert_eq!(Type::private_int().to_string(), "private int");
-        assert_eq!(Type::ptr(Type::private_char()).to_string(), "private char*");
+        let private_char = Type::char().with_base_taint(Taint::Private);
+        assert_eq!(Type::ptr(private_char).to_string(), "private char*");
         assert_eq!(Type::array(Type::int(), 4).to_string(), "int[4]");
     }
 }

@@ -194,17 +194,14 @@ pub struct CheckRow {
     pub loop_head: bool,
 }
 
-impl CheckRow {
-    /// Which eliminating pass (ROADMAP item 2b) this site is a candidate
-    /// for: a check hot inside a loop head wants loop-invariant hoisting;
-    /// anything else is a cross-block / available-check elimination
-    /// candidate.
-    pub fn candidate(&self) -> &'static str {
-        if self.loop_head {
-            "hoist"
-        } else {
-            "cross-block"
-        }
+/// Which eliminating pass (ROADMAP item 2b) a check site is a candidate
+/// for: a check hot inside a loop head wants loop-invariant hoisting;
+/// anything else is a cross-block / available-check elimination candidate.
+pub fn candidate(loop_head: bool) -> &'static str {
+    if loop_head {
+        "hoist"
+    } else {
+        "cross-block"
     }
 }
 
@@ -221,11 +218,6 @@ impl Profile {
             .filter(|(k, _)| k.check_word != NO_CHECK)
             .map(|(_, n)| *n)
             .sum()
-    }
-
-    /// Estimated simulated cycles represented by the profile.
-    pub fn estimated_cycles(&self) -> u64 {
-        self.total_samples() * self.interval
     }
 
     /// The collapsed-stack ("folded") export, one line per bucket:
@@ -435,7 +427,7 @@ impl ProfileDiff {
                 s.samples_a,
                 s.samples_b,
                 s.samples_b as i64 - s.samples_a as i64,
-                if s.loop_head { "hoist" } else { "cross-block" },
+                candidate(s.loop_head),
             ));
         }
         let mut procs = self.procs.clone();
@@ -496,7 +488,7 @@ mod tests {
         let prof = p.take();
         assert_eq!(prof.total_samples(), 6);
         assert_eq!(prof.check_samples(), 4);
-        assert_eq!(prof.estimated_cycles(), 600);
+        assert_eq!(prof.interval, 100);
         let folded = prof.folded();
         assert_eq!(
             folded,
@@ -513,7 +505,7 @@ mod tests {
         assert_eq!(checks.len(), 1);
         assert_eq!(checks[0].check_word, 0x14);
         assert_eq!(checks[0].samples, 4);
-        assert_eq!(checks[0].candidate(), "hoist");
+        assert_eq!(candidate(checks[0].loop_head), "hoist");
         // Taking drained the buckets.
         assert_eq!(p.snapshot().total_samples(), 0);
     }
@@ -554,17 +546,7 @@ mod tests {
 
     #[test]
     fn candidate_column_distinguishes_loop_heads() {
-        let hoist = CheckRow {
-            check_word: 1,
-            samples: 1,
-            loop_head: true,
-        };
-        let flat = CheckRow {
-            check_word: 2,
-            samples: 1,
-            loop_head: false,
-        };
-        assert_eq!(hoist.candidate(), "hoist");
-        assert_eq!(flat.candidate(), "cross-block");
+        assert_eq!(candidate(true), "hoist");
+        assert_eq!(candidate(false), "cross-block");
     }
 }

@@ -13,9 +13,9 @@
 //!   these; every submission — including a rejected one — gets a fresh id,
 //!   and all lifecycle queries (`version_state`, `promote`, `release`) key
 //!   on it.
-//! * [`SessionId`] names one client's session.  Clients pick these
-//!   ([`SessionId::new`] is public), the runtime only requires uniqueness
-//!   within one serve call.
+//! * [`SessionId`] names one client's session.  Clients pick these (one
+//!   converts from a `u64` or `usize`); the runtime only requires
+//!   uniqueness within one serve call.
 //!
 //! Handles are small `Copy` integers underneath: cheap to pass around,
 //! `Ord` so reports can sort deterministically, and deliberately *not*
@@ -57,11 +57,6 @@ impl std::fmt::Display for VersionId {
 pub struct SessionId(u64);
 
 impl SessionId {
-    /// Wrap a caller-chosen session number.
-    pub fn new(id: u64) -> Self {
-        SessionId(id)
-    }
-
     /// The raw session number (for labelling output).
     pub fn raw(self) -> u64 {
         self.0
@@ -93,10 +88,10 @@ mod tests {
     #[test]
     fn session_ids_convert_and_compare() {
         let a: SessionId = 3usize.into();
-        let b = SessionId::new(3);
+        let b = SessionId::from(3u64);
         assert_eq!(a, b);
         assert_eq!(a.raw(), 3);
-        assert!(SessionId::new(2) < SessionId::new(10));
+        assert!(SessionId::from(2u64) < SessionId::from(10u64));
         assert_eq!(format!("{a}"), "session#3");
     }
 

@@ -240,7 +240,8 @@ mod tests {
     fn forked_and_isolated_instances_produce_identical_observables() {
         let template = ldap_template();
         // The directory server's populate reads passwords, so its setup runs
-        // per fork — but load-time pages still share.
+        // per fork over the template's rewound post-load snapshot — but
+        // load-time pages still share.
         assert!(!template.shared_setup);
         let pool_opts = PoolOptions::default();
         let w = world();
@@ -249,13 +250,23 @@ mod tests {
             template.instance(&w).unwrap(),
             template.isolated_instance(&w).unwrap(),
         ] {
-            inst.reset(&pool_opts);
-            let r = inst
-                .vm
-                .run_function(ldap::REQUEST_ENTRY, &[ldap::present_key(2)]);
-            assert_eq!(r.exit_code(), Some(1));
-            outputs.push((inst.vm.world.sent.clone(), inst.vm.world.log.clone()));
+            let mut served = Vec::new();
+            for key in [
+                ldap::present_key(2),
+                ldap::absent_key(1),
+                ldap::present_key(2),
+            ] {
+                inst.reset(&pool_opts);
+                inst.vm.stats = ExecStats::default();
+                let r = inst.vm.run_function(ldap::REQUEST_ENTRY, &[key]);
+                assert!(r.exit_code().is_some(), "{:?}", r.outcome);
+                let world = &inst.vm.world;
+                served.push((r.stats, world.sent.clone(), world.log.clone()));
+            }
+            outputs.push(served);
         }
+        // Request by request, cycle for cycle: the fork's data-cache hits
+        // and misses match a fresh load's.
         assert_eq!(
             outputs[0], outputs[1],
             "fork must be byte-identical to isolation"

@@ -689,39 +689,8 @@ impl Registry {
         })
     }
 
-    /// All submitted service names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.lock().by_name.keys().cloned().collect();
-        v.sort();
-        v
-    }
-
-    /// Number of distinct binaries (names), not versions.
-    pub fn len(&self) -> usize {
-        self.lock().binaries.len()
-    }
-
-    /// True when nothing was ever submitted.
-    pub fn is_empty(&self) -> bool {
-        self.lock().binaries.is_empty()
-    }
-
-    /// Submit and, on success, immediately promote — the one-step deploy
-    /// for callers that do not stage a warm version first.
-    pub fn deploy_program(
-        &self,
-        name: &str,
-        program: Program,
-        config: Config,
-        setup: Option<SetupSpec>,
-    ) -> Result<VersionId, RegisterError> {
-        let version = self.submit_program(name, program, config, setup)?;
-        self.promote(version)
-            .expect("a just-submitted warm version promotes");
-        Ok(version)
-    }
-
-    /// [`Registry::deploy_program`] from source.
+    /// Submit `source` and, on success, immediately promote — the one-step
+    /// deploy for callers that do not stage a warm version first.
     pub fn deploy_source(
         &self,
         name: &str,
@@ -810,8 +779,8 @@ mod tests {
         assert_eq!(reg.version_info(v1).unwrap().pins, 1);
         reg.release(v1);
         assert_eq!(reg.version_info(v1).unwrap().pins, 0);
-        assert_eq!(reg.names(), vec!["auth".to_string()]);
-        assert_eq!(reg.len(), 1);
+        let names: Vec<String> = reg.lock().by_name.keys().cloned().collect();
+        assert_eq!(names, ["auth"]);
     }
 
     #[test]
@@ -878,7 +847,7 @@ mod tests {
         );
         reg.release(v2);
         assert_eq!(reg.versions(binary), vec![v1, v2]);
-        assert_eq!(reg.len(), 1, "two versions, one binary");
+        assert_eq!(reg.lock().binaries.len(), 1, "two versions, one binary");
     }
 
     #[test]
@@ -953,7 +922,7 @@ mod tests {
             RegisterError::Compile(CompileError::Taint(_))
         ));
         assert!(err.version().is_none(), "no version minted before compile");
-        assert!(reg.is_empty());
+        assert!(reg.lock().binaries.is_empty());
     }
 
     #[test]

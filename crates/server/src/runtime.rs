@@ -52,7 +52,7 @@
 //! `execute_request`: the modes differ only in where the request's VM comes
 //! from (the session's warm instance, rewound; or a fresh spawn), so every
 //! request — pooled, cold or scheduled — gets the same `server.request`
-//! span, measured host time and cycle accounting.
+//! span and request histograms, measured host time and cycle accounting.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -303,15 +303,6 @@ impl ServiceReport {
     pub fn observable(&self) -> Vec<u8> {
         observable_of(&self.sessions)
     }
-
-    /// How many sessions were served by `version` — what the hot-swap
-    /// tests count per side of the blue/green cut.
-    pub fn sessions_on(&self, version: VersionId) -> usize {
-        self.sessions
-            .iter()
-            .filter(|s| s.version == version)
-            .count()
-    }
 }
 
 fn observable_of(sessions: &[SessionOutcome]) -> Vec<u8> {
@@ -441,11 +432,6 @@ impl Server {
         }
     }
 
-    /// Fork templates currently held (and versions pinned) by this server.
-    pub fn live_templates(&self) -> usize {
-        self.store.live_templates()
-    }
-
     /// Serve every session's request stream against `binary`'s active
     /// version, handing sessions to worker threads as they free up.  Each
     /// session pins the version active *when it starts* and keeps it for
@@ -536,11 +522,11 @@ impl Server {
         // request when cold.
         let spawned = match mode {
             ExecMode::Pooled => sessions.len() as u64,
-            ExecMode::Cold => metrics.requests,
+            ExecMode::Cold => metrics.requests(),
         };
         if obs_span.active() {
             obs_span.attr("instances_spawned", spawned);
-            obs_span.attr("requests", metrics.requests);
+            obs_span.attr("requests", metrics.requests());
         }
         Ok(ServiceReport {
             binary,
@@ -1014,9 +1000,11 @@ enum Instance<'a> {
 /// Serve request `index` of `session`: take the VM from `instance`, run the
 /// entry under `server.execute`, and return the exit code, the observable
 /// output and the request's metrics — its restore or setup cycles and
-/// measured host time — all under one `server.request` span.  Every served
-/// request comes through here, whether `serve` runs it pooled or cold or a
-/// `serve_scaled` owner thread runs it for the scheduler.
+/// measured host time — all under one `server.request` span, beside which
+/// the `server.request.{cycles,host_nanos,dirty_pages}` histograms record
+/// the same request.  Every served request comes through here, whether
+/// `serve` runs it pooled or cold or a `serve_scaled` owner thread runs it
+/// for the scheduler.
 fn execute_request(
     instance: Instance<'_>,
     req: &Request,
@@ -1096,6 +1084,9 @@ fn execute_request(
         req_span.attr("tcross", m.stack_switches);
         req_span.attr("extern_cycles", m.extern_cycles);
         req_span.cycles(m.cycles);
+        rec.record_hist("server.request.cycles", m.cycles);
+        rec.record_hist("server.request.host_nanos", m.host_nanos);
+        rec.record_hist("server.request.dirty_pages", m.dirty_pages);
     }
     drop(req_span);
     Ok(Ran {
@@ -1193,10 +1184,10 @@ mod tests {
         assert!(pooled.metrics.mean_cycles() < cold.metrics.mean_cycles());
         assert_eq!(cold.instances_spawned, 18);
         assert_eq!(pooled.instances_spawned, 3);
-        assert_eq!(pooled.metrics.requests, 18);
-        assert!(pooled.metrics.restore_cycles > 0);
-        assert_eq!(cold.metrics.restore_cycles, 0);
-        assert!(cold.metrics.setup_cycles > 0);
+        assert_eq!(pooled.metrics.requests(), 18);
+        assert!(pooled.metrics.sum(|r| r.restore_cycles) > 0);
+        assert_eq!(cold.metrics.sum(|r| r.restore_cycles), 0);
+        assert!(cold.metrics.sum(|r| r.setup_cycles) > 0);
         // The smallest per-request sample (percentile 0) is measured, not a
         // placeholder zero, in both modes.
         for report in [&cold, &pooled] {
@@ -1226,15 +1217,15 @@ mod tests {
             .collect();
         for mode in [ExecMode::Cold, ExecMode::Pooled] {
             let report = server.serve(binary, &sessions, mode).unwrap();
-            assert_eq!(report.metrics.requests, 8);
+            assert_eq!(report.metrics.requests(), 8);
             for s in &report.sessions {
                 assert!(s.exit_codes.iter().all(|c| *c == 1), "{:?}", s.exit_codes);
                 assert_eq!(s.sent.len(), 4 * 512, "each request sends one response");
                 assert!(!s.log.is_empty());
             }
-            assert!(report.metrics.extern_calls > 0);
+            assert!(report.metrics.sum(|r| r.extern_calls) > 0);
             assert!(
-                report.metrics.stack_switches > 0,
+                report.metrics.sum(|r| r.stack_switches) > 0,
                 "OurSeg separates U/T memory, so every trusted call switches stacks"
             );
         }
@@ -1295,7 +1286,7 @@ mod tests {
             assert_eq!(x.sent, y.sent);
             assert_eq!(x.log, y.log);
         }
-        assert_eq!(a.metrics.total_cycles, b.metrics.total_cycles);
+        assert_eq!(a.metrics.total_cycles(), b.metrics.total_cycles());
     }
 
     #[test]
@@ -1328,9 +1319,10 @@ mod tests {
         let (server, binary) = ldap_server(Config::OurMpx, 32);
         let v1 = server.registry.active_version(binary).unwrap();
         let sessions = ldap_sessions(2, 3, 32);
+        let versions = |r: &ServiceReport| r.sessions.iter().map(|s| s.version).collect::<Vec<_>>();
         let before = server.serve(binary, &sessions, ExecMode::Pooled).unwrap();
-        assert_eq!(before.sessions_on(v1), 2);
-        assert_eq!(server.live_templates(), 1, "v1's template is cached");
+        assert_eq!(versions(&before), [v1, v1]);
+        assert_eq!(server.store.live_templates(), 1, "v1's template is cached");
 
         // Roll the same source as v2 and cut over.
         let opts = CompileOptions {
@@ -1349,10 +1341,9 @@ mod tests {
             .unwrap();
         server.registry.promote(v2).unwrap();
         let after = server.serve(binary, &sessions, ExecMode::Pooled).unwrap();
-        assert_eq!(after.sessions_on(v2), 2);
-        assert_eq!(after.sessions_on(v1), 0);
+        assert_eq!(versions(&after), [v2, v2]);
         assert_eq!(
-            server.live_templates(),
+            server.store.live_templates(),
             1,
             "the sweep evicted v1's template after the cut-over"
         );
@@ -1506,23 +1497,14 @@ mod tests {
         (specs, plan)
     }
 
-    /// A stream's simulated figures: everything but measured host time.
-    fn simulated(m: &StreamMetrics) -> [u64; 13] {
-        [
-            m.requests,
-            m.total_cycles,
-            m.setup_cycles,
-            m.restore_cycles,
-            m.dirty_pages,
-            m.instructions,
-            m.bound_checks,
-            m.check_cycles,
-            m.extern_calls,
-            m.stack_switches,
-            m.extern_cycles,
-            m.shed,
-            m.percentile_milli(999),
-        ]
+    /// A stream's simulated figures: its request records without their
+    /// measured host time, and its shed arrivals.
+    fn simulated(m: &StreamMetrics) -> (Vec<RequestMetrics>, u64) {
+        let records = m.records().iter().map(|r| RequestMetrics {
+            host_nanos: 0,
+            ..*r
+        });
+        (records.collect(), m.shed)
     }
 
     /// The serial reference for `serve_scaled`: one fork per session, and
@@ -1614,7 +1596,7 @@ mod tests {
                 );
                 let committed: usize = r.sessions.iter().map(|s| s.exit_codes.len()).sum();
                 assert_eq!(committed as u64, r.executed, "{at}");
-                assert_eq!(r.metrics.requests, r.executed, "{at}");
+                assert_eq!(r.metrics.requests(), r.executed, "{at}");
                 for (o, want) in r.sessions.iter().zip(&serial_outcomes) {
                     assert_eq!(o.id, want.id, "{at}");
                     assert_eq!(o.exit_codes, want.exit_codes, "{at}: {}", o.id);

@@ -26,6 +26,11 @@
 //! post-setup state is genuinely per-session — but its code, globals and
 //! load-time pages still fork shared).
 //!
+//! A template loads its binary exactly once: the probe snapshots the
+//! freshly loaded VM before running setup, and when the setup turns out
+//! unshareable it rewinds to that snapshot with [`Vm::restore`] instead of
+//! loading again.
+//!
 //! ## Pin counting vs blue/green hot-swap
 //!
 //! A template pins its version in the [`Registry`] for as long as it sits in
@@ -75,27 +80,25 @@ impl SessionTemplate {
         vm_opts: VmOptions,
     ) -> Result<SessionTemplate, SpawnError> {
         let mut span = confllvm_obs::recorder().span("server", "server.template");
-        let mut vm =
-            Vm::new(&binary.program, vm_opts.clone(), World::new()).map_err(SpawnError::Load)?;
+        let mut vm = Vm::new(&binary.program, vm_opts, World::new()).map_err(SpawnError::Load)?;
         let mut shared_setup = true;
         let mut setup_cycles = 0;
-        if let Some(setup) = &binary.setup {
-            let before = vm.stats.cycles;
-            let result = vm.run_function(&setup.entry, &setup.args);
+        if binary.setup.is_some() {
+            let loaded = vm.snapshot();
+            let ran = run_setup(&mut vm, &binary);
             let w = &vm.world;
-            let shareable = !result.outcome.is_fault()
-                && w.reads == 0
-                && w.sent.is_empty()
-                && w.log.is_empty()
-                && w.declassified.is_empty();
-            if shareable {
-                setup_cycles = vm.stats.cycles - before;
-            } else {
+            let untouched =
+                w.reads == 0 && w.sent.is_empty() && w.log.is_empty() && w.declassified.is_empty();
+            match ran {
+                Ok(cycles) if untouched => setup_cycles = cycles,
                 // Setup depends on per-session state (or faulted against
                 // the reference world — it may still succeed against real
-                // session worlds): share only the post-load state.
-                vm = Vm::new(&binary.program, vm_opts, World::new()).map_err(SpawnError::Load)?;
-                shared_setup = false;
+                // session worlds): rewind to the post-load state and share
+                // only that.
+                _ => {
+                    vm.restore(&loaded);
+                    shared_setup = false;
+                }
             }
         }
         let snapshot = Arc::new(vm.snapshot());
@@ -128,18 +131,9 @@ impl SessionTemplate {
         let mut vm = self.base.fork(&self.snapshot, world.clone());
         let (snapshot, setup_cycles) = if self.shared_setup {
             (Arc::clone(&self.snapshot), self.setup_cycles)
-        } else if let Some(setup) = &self.binary.setup {
-            let before = vm.stats.cycles;
-            let result = vm.run_function(&setup.entry, &setup.args);
-            if result.outcome.is_fault() {
-                return Err(SpawnError::Setup {
-                    outcome: result.outcome,
-                });
-            }
-            let cycles = vm.stats.cycles - before;
-            (Arc::new(vm.snapshot()), cycles)
         } else {
-            (Arc::clone(&self.snapshot), 0)
+            let cycles = run_setup(&mut vm, &self.binary)?;
+            (Arc::new(vm.snapshot()), cycles)
         };
         if span.active() {
             span.attr("shared_setup", self.shared_setup);
@@ -164,19 +158,25 @@ impl SessionTemplate {
     pub fn spawn_cold(&self, world: &World) -> Result<(Vm, u64), SpawnError> {
         let mut vm = Vm::new(&self.binary.program, self.base.opts.clone(), world.clone())
             .map_err(SpawnError::Load)?;
-        let mut setup_cycles = 0;
-        if let Some(setup) = &self.binary.setup {
-            let before = vm.stats.cycles;
-            let result = vm.run_function(&setup.entry, &setup.args);
-            if result.outcome.is_fault() {
-                return Err(SpawnError::Setup {
-                    outcome: result.outcome,
-                });
-            }
-            setup_cycles = vm.stats.cycles - before;
-        }
+        let setup_cycles = run_setup(&mut vm, &self.binary)?;
         Ok((vm, setup_cycles))
     }
+}
+
+/// Run `binary`'s setup entry, if it has one, on `vm`: the simulated cycles
+/// it cost, or the fault that stopped it.
+fn run_setup(vm: &mut Vm, binary: &ServiceBinary) -> Result<u64, SpawnError> {
+    let Some(setup) = &binary.setup else {
+        return Ok(0);
+    };
+    let before = vm.stats.cycles;
+    let result = vm.run_function(&setup.entry, &setup.args);
+    if result.outcome.is_fault() {
+        return Err(SpawnError::Setup {
+            outcome: result.outcome,
+        });
+    }
+    Ok(vm.stats.cycles - before)
 }
 
 /// Version-keyed store of fork templates, shared by every worker of a

@@ -64,6 +64,16 @@ impl<T: Copy> RegMap<T> {
     }
 }
 
+/// What the bound checks seen so far establish about one register: the
+/// bound register a complete `bndcl`/`bndcu` pair checked it against, and
+/// the half of a pair (bound register, `upper`) still waiting for its
+/// other half.  Only a complete pair checks the register.
+#[derive(Debug, Clone, Copy, Default)]
+struct Checked {
+    pair: Option<BndReg>,
+    half: Option<(BndReg, bool)>,
+}
+
 /// `Shared::idx_of_word` entry for a word that starts no instruction.
 const NO_INST: u32 = u32::MAX;
 
@@ -216,7 +226,7 @@ impl ProcChecker<'_, '_> {
         &mut self,
         word: u32,
         mem: &MemOperand,
-        checked: &RegMap<BndReg>,
+        checked: &RegMap<Checked>,
         slot_of_reg: &RegMap<i32>,
         checked_slots: &HashMap<i32, BndReg>,
         rsp_off: &RegMap<i64>,
@@ -297,6 +307,7 @@ impl ProcChecker<'_, '_> {
                 // checks on global bases.
                 let effective = checked
                     .get(base)
+                    .and_then(|c| c.pair)
                     .or_else(|| {
                         slot_of_reg
                             .get(base)
@@ -339,7 +350,7 @@ impl ProcChecker<'_, '_> {
             taint[r.index()] = p.arg_taints[i];
         }
 
-        let mut checked: RegMap<BndReg> = RegMap::new();
+        let mut checked: RegMap<Checked> = RegMap::new();
         // For the check-coalescing optimisation: which stack slot a register's
         // current value was loaded from, and which slots hold already-checked
         // pointers.
@@ -421,15 +432,27 @@ impl ProcChecker<'_, '_> {
                     global_of_reg.remove(dst);
                 }
                 MInst::Cmp { .. } | MInst::Jmp { .. } | MInst::Jcc { .. } | MInst::Nop => {}
-                MInst::BndCheck { bnd, mem, .. } => {
+                MInst::BndCheck { bnd, mem, upper } => {
                     if let Some(base) = mem.base {
-                        checked.insert(base, bnd);
-                        if let Some(d) = slot_of_reg.get(base) {
-                            checked_slots.insert(d, bnd);
+                        // Either half alone proves nothing: the base is
+                        // checked once the other half against the same
+                        // bound register has been seen too, in either order.
+                        let mut c = checked.get(base).unwrap_or_default();
+                        if c.half == Some((bnd, !upper)) {
+                            c = Checked {
+                                pair: Some(bnd),
+                                half: None,
+                            };
+                            if let Some(d) = slot_of_reg.get(base) {
+                                checked_slots.insert(d, bnd);
+                            }
+                            if let Some(g) = global_of_reg.get(base) {
+                                checked_globals.insert(g, bnd);
+                            }
+                        } else {
+                            c.half = Some((bnd, upper));
                         }
-                        if let Some(g) = global_of_reg.get(base) {
-                            checked_globals.insert(g, bnd);
-                        }
+                        checked.insert(base, c);
                     }
                 }
                 MInst::Load { dst, mem, .. } => {
@@ -590,7 +613,7 @@ impl ProcChecker<'_, '_> {
     fn after_call(
         &mut self,
         taint: &mut [Taint; Reg::COUNT],
-        checked: &mut RegMap<BndReg>,
+        checked: &mut RegMap<Checked>,
         body: &[usize],
         k: usize,
     ) {

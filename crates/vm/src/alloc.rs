@@ -75,10 +75,6 @@ impl Heap {
         }
     }
 
-    pub fn kind(&self) -> AllocatorKind {
-        self.kind
-    }
-
     /// Allocate `size` bytes, 16-byte aligned.  Returns the address.
     pub fn alloc(&mut self, size: u64) -> Result<u64, AllocError> {
         let size = size.max(1);
@@ -123,11 +119,6 @@ impl Heap {
             self.bins[size_class(size.max(1))].push(addr);
         }
     }
-
-    /// Does the heap own this address?
-    pub fn contains(&self, addr: u64) -> bool {
-        addr >= self.base && addr < self.base + self.size
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +132,8 @@ mod tests {
         h.free(a, 32);
         let b = h.alloc(32).unwrap();
         assert_ne!(a, b);
-        assert!(h.contains(a) && h.contains(b));
+        let region = h.base..h.base + h.size;
+        assert!(region.contains(&a) && region.contains(&b));
     }
 
     #[test]

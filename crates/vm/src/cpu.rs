@@ -1602,12 +1602,6 @@ fn run_ops(
     result
 }
 
-/// Convenience: compile-free helper for tests that already have a program.
-pub fn run_program(program: &Program, world: World) -> Result<RunResult, LoadError> {
-    let mut vm = Vm::new(program, VmOptions::default(), world)?;
-    Ok(vm.run())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1650,7 +1644,13 @@ mod tests {
 
     #[test]
     fn runs_a_hand_assembled_program() {
-        let result = run_program(&tiny_program(Scheme::None), World::new()).unwrap();
+        let result = Vm::new(
+            &tiny_program(Scheme::None),
+            VmOptions::default(),
+            World::new(),
+        )
+        .unwrap()
+        .run();
         assert_eq!(result.exit_code(), Some(42));
         assert!(result.stats.instructions >= 3);
         assert!(result.stats.cycles > 0);
@@ -1675,7 +1675,9 @@ mod tests {
                 upper: false,
             },
         );
-        let result = run_program(&p, World::new()).unwrap();
+        let result = Vm::new(&p, VmOptions::default(), World::new())
+            .unwrap()
+            .run();
         assert!(matches!(
             result.outcome,
             Outcome::Fault(Fault::Bounds { .. })
@@ -1701,7 +1703,9 @@ mod tests {
                 size: 8,
             },
         );
-        let result = run_program(&p, World::new()).unwrap();
+        let result = Vm::new(&p, VmOptions::default(), World::new())
+            .unwrap()
+            .run();
         assert!(matches!(result.outcome, Outcome::Fault(Fault::Memory(_))));
     }
 
@@ -1874,7 +1878,9 @@ mod tests {
             },
         );
         // Entry still points at word 0, which now is the magic word.
-        let result = run_program(&p, World::new()).unwrap();
+        let result = Vm::new(&p, VmOptions::default(), World::new())
+            .unwrap()
+            .run();
         assert!(matches!(
             result.outcome,
             Outcome::Fault(Fault::ExecutedMagic { .. })

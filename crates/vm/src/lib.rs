@@ -35,11 +35,9 @@ pub mod world;
 pub use alloc::{AllocatorKind, Heap};
 pub use cache::DataCache;
 pub use cost::CostModel;
-pub use cpu::{
-    run_program, ExecStats, Fault, Outcome, RestoreStats, RunResult, Vm, VmOptions, VmSnapshot,
-};
+pub use cpu::{ExecStats, Fault, Outcome, RestoreStats, RunResult, Vm, VmOptions, VmSnapshot};
 pub use loader::{load, Image, LoadError, Loaded};
 pub use memory::{MemFault, MemSnapshot, Memory};
 pub use translate::Engine;
-pub use trusted::{TrustedCtx, TrustedError, TRUSTED_FUNCTIONS};
+pub use trusted::{TrustedCtx, TrustedError};
 pub use world::World;

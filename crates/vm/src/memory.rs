@@ -674,12 +674,6 @@ impl Memory {
         }
         Ok(v)
     }
-
-    /// Number of distinct pages reachable (shared or private — a locality
-    /// proxy reported in statistics).
-    pub fn touched_pages(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 /// `[addr, addr + len)` split at page boundaries, as (chunk address, page,
@@ -954,7 +948,7 @@ mod tests {
                 assert_eq!(m.write_bytes(addr, &data), want, "{ctx}");
                 assert_eq!(m.dirty_pages(), o.dirty_pages(), "{ctx}");
                 assert_eq!(m.cow_faults(), o.cow_faults(), "{ctx}");
-                assert_eq!(m.touched_pages(), o.touched_pages(), "{ctx}");
+                assert_eq!(m.pages.len(), o.pages.len(), "{ctx}");
                 for (lo, hi) in ranges {
                     assert_eq!(
                         read_bytes_oracle(&mut m, lo, hi - lo),

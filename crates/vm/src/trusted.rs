@@ -307,29 +307,6 @@ pub fn call(
     }
 }
 
-/// Names of all trusted functions the library provides (used by tooling and
-/// documentation tests).
-pub const TRUSTED_FUNCTIONS: &[&str] = &[
-    "recv",
-    "send",
-    "read_file",
-    "read_file_secret",
-    "read_passwd",
-    "decrypt",
-    "encrypt",
-    "encrypt_log",
-    "declassify_result",
-    "hash_block",
-    "log_write",
-    "malloc_pub",
-    "malloc_priv",
-    "free_pub",
-    "free_priv",
-    "rng_next",
-    "get_time",
-    "debug_print",
-];
-
 /// Helper used by the CPU: should this program enforce strict region checks
 /// in the wrappers?
 pub fn strict_for_scheme(scheme: Scheme) -> bool {

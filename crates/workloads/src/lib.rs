@@ -58,26 +58,16 @@ pub fn run_workload(
         entry: entry.to_string(),
         ..Default::default()
     };
-    run_workload_opts(source, &opts, world, args)
+    run_workload_opts(source, &opts, world, args, false)
 }
 
 /// Like [`run_workload`] but with full control over the compile options —
-/// the pass-manager ablations use this to pin specific pipelines.
+/// the pass-manager ablations use this to pin specific pipelines — and with
+/// per-VM sampling-profiler collection switchable: the `profile` benchmark
+/// section opts its runs in so concurrently running unprofiled VMs cannot
+/// pollute a byte-exact profile.  Sampling never writes simulated state, so
+/// the returned run is identical either way.
 pub fn run_workload_opts(
-    source: &str,
-    opts: &CompileOptions,
-    world: World,
-    args: &[i64],
-) -> WorkloadRun {
-    run_workload_opts_profiled(source, opts, world, args, false)
-}
-
-/// Like [`run_workload_opts`] with per-VM sampling-profiler collection
-/// switchable — the `profile` benchmark section opts its runs in so
-/// concurrently running unprofiled VMs cannot pollute a byte-exact
-/// profile.  Sampling never writes simulated state, so the returned run is
-/// identical either way.
-pub fn run_workload_opts_profiled(
     source: &str,
     opts: &CompileOptions,
     world: World,

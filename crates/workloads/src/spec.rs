@@ -78,14 +78,10 @@ pub fn run(kernel: &SpecKernel, config: Config) -> WorkloadRun {
 }
 
 /// Run one kernel under a configuration with an explicit machine-pass
-/// pipeline (the pass-manager ablation).
-pub fn run_with_passes(kernel: &SpecKernel, config: Config, machine_passes: &str) -> WorkloadRun {
-    run_with_passes_profiled(kernel, config, machine_passes, false)
-}
-
-/// [`run_with_passes`] with the VM's sampling-profiler collection opted in
-/// — the `profile` benchmark section's differential runs.
-pub fn run_with_passes_profiled(
+/// pipeline (the pass-manager ablation), with the VM's sampling-profiler
+/// collection opted in when `profile` is set (the `profile` benchmark
+/// section's differential runs).
+pub fn run_with_passes(
     kernel: &SpecKernel,
     config: Config,
     machine_passes: &str,
@@ -97,7 +93,7 @@ pub fn run_with_passes_profiled(
         machine_passes: Some(machine_passes.to_string()),
         ..Default::default()
     };
-    crate::run_workload_opts_profiled(kernel.source, &opts, World::new(), &[kernel.size], profile)
+    crate::run_workload_opts(kernel.source, &opts, World::new(), &[kernel.size], profile)
 }
 
 /// bzip2: run-length + move-to-front style byte shuffling over a buffer.
@@ -339,8 +335,8 @@ mod tests {
         for kernel in &KERNELS[..3] {
             let mut small = *kernel;
             small.size = 2;
-            let off = run_with_passes(&small, Config::OurMpx, without);
-            let on = run_with_passes(&small, Config::OurMpx, with);
+            let off = run_with_passes(&small, Config::OurMpx, without, false);
+            let on = run_with_passes(&small, Config::OurMpx, with, false);
             assert_eq!(off.exit_code(), on.exit_code(), "{}", kernel.name);
             assert!(
                 on.result.checks_executed() < off.result.checks_executed(),

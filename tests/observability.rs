@@ -126,7 +126,7 @@ fn compile_and_serve() -> (Vec<u8>, Vec<i64>, u64) {
     (
         observable,
         exit_codes,
-        n.metrics.total_cycles + l.metrics.total_cycles,
+        n.metrics.total_cycles() + l.metrics.total_cycles(),
     )
 }
 

@@ -58,8 +58,8 @@ fn assert_equivalent(name: &str, source: &str, world: World, entry: &str, args: 
     }
 
     // Identical observable behaviour.
-    let r_full = run_workload_opts(source, &full, world.clone(), args);
-    let r_unopt = run_workload_opts(source, &unopt, world, args);
+    let r_full = run_workload_opts(source, &full, world.clone(), args, false);
+    let r_unopt = run_workload_opts(source, &unopt, world, args, false);
     assert_eq!(
         r_full.exit_code(),
         r_unopt.exit_code(),

@@ -95,6 +95,64 @@ fn dropping_a_bound_check_is_rejected() {
     );
 }
 
+/// Simulate a compiler that emits only the lower half of each private-region
+/// check: every `bndcu` against `bnd1` becomes a `nop`.  A `bndcl` alone
+/// bounds an address from below only, so the accesses it guards count as
+/// unchecked.
+#[test]
+fn a_check_missing_its_upper_half_is_rejected() {
+    let compiled = compile_for(APP, Config::OurMpx).unwrap();
+    let mut program = compiled.program.clone();
+    let mut dropped = 0;
+    for inst in &mut program.insts {
+        if matches!(
+            inst,
+            MInst::BndCheck {
+                bnd: BndReg::Bnd1,
+                upper: true,
+                ..
+            }
+        ) {
+            *inst = MInst::Nop;
+            dropped += 1;
+        }
+    }
+    assert!(dropped > 0, "instrumented program must contain bndcu");
+    let errs = verify(&program.encode()).unwrap_err();
+    assert!(
+        errs.iter().any(|e| e.message.contains("no bound check")),
+        "expected an unchecked-access error, got {errs:?}"
+    );
+}
+
+/// The two halves of a check must name the same bound register: a lower
+/// bound taken against the public region and an upper bound against the
+/// private one confine the address to neither.  Here every private-region
+/// pair's `bndcl` names `bnd0` instead of `bnd1`.
+#[test]
+fn a_pair_whose_halves_name_different_bound_registers_is_rejected() {
+    let compiled = compile_for(APP, Config::OurMpx).unwrap();
+    let mut program = compiled.program.clone();
+    let mut renamed = 0;
+    for inst in &mut program.insts {
+        if let MInst::BndCheck {
+            bnd: bnd @ BndReg::Bnd1,
+            upper: false,
+            ..
+        } = inst
+        {
+            *bnd = BndReg::Bnd0;
+            renamed += 1;
+        }
+    }
+    assert!(renamed > 0, "instrumented program must contain bndcl");
+    let errs = verify(&program.encode()).unwrap_err();
+    assert!(
+        errs.iter().any(|e| e.message.contains("no bound check")),
+        "expected an unchecked-access error, got {errs:?}"
+    );
+}
+
 /// Simulate a malicious compiler: lie about a procedure's taints by flipping
 /// the taint bits in its entry magic word.
 #[test]
