@@ -555,6 +555,7 @@ impl MachinePass for HoistChecks {
                 continue;
             }
             let mut new_insts: Vec<MInst> = Vec::new();
+            let mut new_sites: Vec<CheckSite> = Vec::new();
             let mut new_keys: Vec<CheckKey> = Vec::new();
             let at = mf
                 .mblocks
@@ -594,7 +595,7 @@ impl MachinePass for HoistChecks {
                     BaseSym::Val(v) => (Some(v), None),
                     BaseSym::Global(g) => (None, Some(g)),
                 };
-                mf.check_sites.push(CheckSite {
+                new_sites.push(CheckSite {
                     lower: lower_at,
                     upper: lower_at + 1,
                     kind: CheckKind::User,
@@ -608,20 +609,10 @@ impl MachinePass for HoistChecks {
                 enclosing.push((l, key));
                 hoisted_total += 1;
             }
-            // Register the new sites *before* the shift, then insert: the
-            // freshly pushed sites already carry post-insertion indices, so
-            // exclude them from remapping by inserting first... instead we
-            // simply account for the shift by inserting before remapping
-            // happens. `insert_insts` shifts every site at or after `at`,
-            // including the ones just pushed — compensate by subtracting.
-            let pushed = new_keys.len();
-            let total = new_insts.len();
+            // The new sites carry their post-insertion indices, so they are
+            // registered after `insert_insts` has shifted the existing ones.
             insert_insts(mf, at, new_insts);
-            let n = mf.check_sites.len();
-            for s in &mut mf.check_sites[n - pushed..] {
-                s.lower -= total;
-                s.upper -= total;
-            }
+            mf.check_sites.extend(new_sites);
             cx.hoisted[preheader.0 as usize].extend(new_keys);
         }
         hoisted_total

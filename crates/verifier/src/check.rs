@@ -6,12 +6,22 @@
 //! immutable context, [`check_procedure`] turns one [`Proc`] into an
 //! independent [`ProcOutcome`], and the driver (see [`crate::driver`]) is
 //! free to schedule those calls over a work queue.
+//!
+//! What the scan knows at one point of a procedure is one value, [`Facts`]:
+//! per register a [`RegFacts`] record (taint, a complete or half bound
+//! check with its displacement, the stack slot it was reloaded from, its
+//! `rsp` offset, the global whose address it holds), the checked slots and
+//! globals, the globals' addresses held in slots, whether `_chkstk` has run
+//! and the taint of the flags.  Each instruction updates it through three
+//! methods: [`Facts::define`] kills every fact about a register it writes,
+//! [`Facts::call`] clears what a call clobbers, and [`Facts::mem_taint`]
+//! classifies a memory access.
 
 use std::collections::HashMap;
 
 use confllvm_machine::{
-    decode_words, Binary, BndReg, MInst, MemOperand, MemoryLayout, Reg, RegImm, Scheme, Seg, Taint,
-    ARG_REGS, CALLEE_SAVED, RET_REG,
+    decode_words, AluOp, Binary, BndReg, Cond, MInst, MemOperand, MemoryLayout, Reg, RegImm,
+    Scheme, Seg, Taint, ARG_REGS, CALLEE_SAVED, CALLER_SAVED, RET_REG,
 };
 
 use crate::{VerifyError, VerifyReport};
@@ -39,39 +49,202 @@ pub(crate) struct ProcOutcome {
     pub report: VerifyReport,
 }
 
-/// Per-register facts of the linear scan, indexed by register number.
-struct RegMap<T: Copy>([Option<T>; Reg::COUNT]);
+/// How far from a checked displacement an access may reach: the guard areas
+/// around the MPX regions absorb it, the bound `mpx-fold-displacements`
+/// relies on.
+const GUARD: i64 = MemoryLayout::MPX_GUARD_SIZE as i64 - 1;
 
-impl<T: Copy> RegMap<T> {
-    fn new() -> Self {
-        RegMap([None; Reg::COUNT])
-    }
+/// One bound check of `[base + disp]`: its bound register and `disp`.
+type Check = (BndReg, i32);
 
-    fn get(&self, r: Reg) -> Option<T> {
-        self.0[r.index()]
-    }
+/// What the scan knows about the value in one register.
+#[derive(Clone, Copy)]
+struct RegFacts {
+    taint: Taint,
+    /// The check a complete `bndcl`/`bndcu` pair made of the value.
+    pair: Option<Check>,
+    /// The half of a pair (check, `upper`) still waiting for its other
+    /// half.  Either half alone proves nothing.
+    half: Option<(Check, bool)>,
+    /// The stack slot (its `rsp` displacement) the value was loaded from.
+    slot: Option<i32>,
+    /// The value is `rsp + offset`, a materialised stack address.
+    rsp_off: Option<i64>,
+    /// The value is the (link-time constant) address of this global.
+    global: Option<u32>,
+}
 
-    fn insert(&mut self, r: Reg, v: T) {
-        self.0[r.index()] = Some(v);
-    }
-
-    fn remove(&mut self, r: Reg) {
-        self.0[r.index()] = None;
-    }
-
-    fn clear(&mut self) {
-        *self = RegMap::new();
+impl RegFacts {
+    /// A fresh value of taint `taint` that nothing else is known about.
+    const fn new(taint: Taint) -> RegFacts {
+        RegFacts {
+            taint,
+            pair: None,
+            half: None,
+            slot: None,
+            rsp_off: None,
+            global: None,
+        }
     }
 }
 
-/// What the bound checks seen so far establish about one register: the
-/// bound register a complete `bndcl`/`bndcu` pair checked it against, and
-/// the half of a pair (bound register, `upper`) still waiting for its
-/// other half.  Only a complete pair checks the register.
-#[derive(Debug, Clone, Copy, Default)]
-struct Checked {
-    pair: Option<BndReg>,
-    half: Option<(BndReg, bool)>,
+/// The scan's whole state at one point of a procedure: what it knows about
+/// each register, which stack slots hold checked pointers or global
+/// addresses, which globals' addresses are checked, whether `_chkstk` has
+/// run, and the taint of the flags.
+struct Facts {
+    regs: [RegFacts; Reg::COUNT],
+    /// Slots holding a pointer checked since the last call (the
+    /// check-coalescing optimisation of Section 5.1).
+    checked_slots: HashMap<i32, Check>,
+    /// Slots holding a global's address.  Slot contents survive a call.
+    global_of_slot: HashMap<i32, u32>,
+    /// Globals whose address was checked since the last call, which
+    /// justifies the cross-block elimination and loop hoisting of checks on
+    /// global bases.
+    checked_globals: HashMap<u32, Check>,
+    /// `_chkstk` has run, so `rsp` lies inside the thread's stack.
+    chkstk: bool,
+    /// The taint of what the last `cmp` compared, which a `setcc` copies.
+    flags: Taint,
+}
+
+impl Facts {
+    /// The state at the entry of `p`: argument registers carry the taints
+    /// of its magic word, the rest what any call leaves behind.
+    fn entry(p: &Proc) -> Facts {
+        let mut f = Facts {
+            regs: [RegFacts::new(Taint::Private); Reg::COUNT],
+            checked_slots: HashMap::new(),
+            global_of_slot: HashMap::new(),
+            checked_globals: HashMap::new(),
+            chkstk: false,
+            flags: Taint::Private,
+        };
+        f.call();
+        for (r, t) in ARG_REGS.iter().zip(p.arg_taints) {
+            f.regs[r.index()].taint = t;
+        }
+        f
+    }
+
+    fn taint(&self, r: Reg) -> Taint {
+        self.regs[r.index()].taint
+    }
+
+    /// `r` gets a new value of taint `taint`: every fact about its old value
+    /// dies.  Returns its record for the caller to fill in what it knows.
+    fn define(&mut self, r: Reg, taint: Taint) -> &mut RegFacts {
+        let f = &mut self.regs[r.index()];
+        *f = RegFacts::new(taint);
+        f
+    }
+
+    /// What a call leaves: caller-saved registers and the flags are
+    /// conservatively private and callee-saved registers public (Section
+    /// 4).  The bound registers count as clobbered, so every check dies, and
+    /// with the register contents so does their slot and global provenance.
+    /// Slot contents survive, and so do `rsp` offsets.
+    fn call(&mut self) {
+        for f in &mut self.regs {
+            *f = RegFacts {
+                rsp_off: f.rsp_off,
+                ..RegFacts::new(f.taint)
+            };
+        }
+        for r in CALLER_SAVED {
+            self.regs[r.index()].taint = Taint::Private;
+        }
+        for r in CALLEE_SAVED.into_iter().chain([Reg::Rsp]) {
+            self.regs[r.index()].taint = Taint::Public;
+        }
+        self.checked_slots.clear();
+        self.checked_globals.clear();
+        self.flags = Taint::Private;
+    }
+
+    /// The taint of the memory `mem` addresses, derived *only* from the
+    /// checks and prefixes present in the code (never from compiler
+    /// metadata), or why it cannot be classified.
+    ///
+    /// * Segmentation scheme: the segment prefix is the classification, and
+    ///   the operand must use only the low 32 bits of its registers.
+    /// * MPX scheme: `rsp`-relative operands, and registers holding
+    ///   `rsp + constant`, are classified by their offset relative to
+    ///   OFFSET, justified by the `_chkstk` enforcement.  Any other base
+    ///   counts as checked if this state records a complete pair on it: on
+    ///   the register itself, on the stack slot its value was reloaded from
+    ///   with no call since the check (the check-coalescing optimisation of
+    ///   Section 5.1), or on the global whose address it provably holds — a
+    ///   link-time constant, so any register derived from `mov_global` of
+    ///   the same global holds the identical, already checked value.  The
+    ///   access must have no index register, and its displacement must lie
+    ///   within [`GUARD`] of the checked one.
+    fn mem_taint(&self, s: &Shared<'_>, mem: &MemOperand) -> Result<Taint, String> {
+        let header = &s.binary.header;
+        match header.scheme {
+            Scheme::Segment => {
+                if !mem.use_low32 {
+                    return Err(
+                        "segment-scheme memory operand uses full 64-bit registers".to_string()
+                    );
+                }
+                match mem.seg {
+                    Some(Seg::Fs) => Ok(Taint::Public),
+                    Some(Seg::Gs) => Ok(Taint::Private),
+                    None => Err("memory operand without segment prefix".to_string()),
+                }
+            }
+            Scheme::Mpx => {
+                let offset = s.layout.private_stack_offset();
+                if mem.is_stack_relative() {
+                    if !self.chkstk {
+                        return Err(
+                            "stack access without chkstk enforcement in the prologue".to_string()
+                        );
+                    }
+                    if header.split_stacks && (mem.disp as i64) >= offset {
+                        return Ok(Taint::Private);
+                    }
+                    return Ok(Taint::Public);
+                }
+                let Some(base) = mem.base else {
+                    return Err("memory operand without a base register".to_string());
+                };
+                let r = self.regs[base.index()];
+                if let (Some(off), true, None) = (r.rsp_off, self.chkstk, mem.index) {
+                    let total = off.wrapping_add(mem.disp as i64);
+                    let stack = s.layout.thread_stack_size as i64;
+                    if header.split_stacks && (offset..offset + stack).contains(&total) {
+                        return Ok(Taint::Private);
+                    }
+                    if (0..stack).contains(&total) {
+                        return Ok(Taint::Public);
+                    }
+                }
+                let checked = r
+                    .pair
+                    .or_else(|| r.slot.and_then(|d| self.checked_slots.get(&d).copied()))
+                    .or_else(|| r.global.and_then(|g| self.checked_globals.get(&g).copied()));
+                match checked {
+                    None => Err(format!(
+                        "access through {base} has no bound check in this block"
+                    )),
+                    Some(_) if mem.index.is_some() => Err(format!(
+                        "access through {base} has an unchecked index register"
+                    )),
+                    Some((_, d)) if (mem.disp as i64 - d as i64).abs() >= GUARD => Err(format!(
+                        "access at {base}{:+} lies beyond the guard of its check at {base}{d:+}",
+                        mem.disp
+                    )),
+                    Some((BndReg::Bnd0, _)) => Ok(Taint::Public),
+                    Some((BndReg::Bnd1, _)) => Ok(Taint::Private),
+                }
+            }
+            // `Shared::new` refuses a binary without a scheme.
+            Scheme::None => Ok(Taint::Private),
+        }
+    }
 }
 
 /// `Shared::idx_of_word` entry for a word that starts no instruction.
@@ -211,299 +384,103 @@ impl ProcChecker<'_, '_> {
         self.s.prefixes()
     }
 
-    /// The taint of a memory operand, derived *only* from the checks and
-    /// prefixes present in the code (never from compiler metadata).
-    ///
-    /// * Segmentation scheme: the segment prefix is the classification, and
-    ///   the operand must use only the low 32 bits of its registers.
-    /// * MPX scheme: a pair of bound checks against the same base register
-    ///   must appear earlier in the window with no intervening call or
-    ///   redefinition of the base; rsp-relative operands are classified by
-    ///   their displacement relative to OFFSET, justified by the `_chkstk`
-    ///   enforcement.
-    #[allow(clippy::too_many_arguments)]
-    fn mem_taint(
-        &mut self,
-        word: u32,
-        mem: &MemOperand,
-        checked: &RegMap<Checked>,
-        slot_of_reg: &RegMap<i32>,
-        checked_slots: &HashMap<i32, BndReg>,
-        rsp_off: &RegMap<i64>,
-        global_of_reg: &RegMap<u32>,
-        checked_globals: &HashMap<u32, BndReg>,
-        saw_chkstk: bool,
-    ) -> Option<Taint> {
-        match self.s.binary.header.scheme {
-            Scheme::Segment => {
-                if !mem.use_low32 {
-                    self.err(
-                        word,
-                        "segment-scheme memory operand uses full 64-bit registers",
-                    );
-                    return None;
-                }
-                match mem.seg {
-                    Some(Seg::Fs) => Some(Taint::Public),
-                    Some(Seg::Gs) => Some(Taint::Private),
-                    None => {
-                        self.err(word, "memory operand without segment prefix");
-                        None
-                    }
-                }
-            }
-            Scheme::Mpx => {
-                if mem.is_stack_relative() {
-                    if !saw_chkstk {
-                        self.err(
-                            word,
-                            "stack access without chkstk enforcement in the prologue",
-                        );
-                        return None;
-                    }
-                    let offset = self.s.layout.private_stack_offset();
-                    if self.s.binary.header.split_stacks && (mem.disp as i64) >= offset {
-                        return Some(Taint::Private);
-                    }
-                    return Some(Taint::Public);
-                }
-                let base = match mem.base {
-                    Some(b) => b,
-                    None => {
-                        self.err(word, "memory operand without a base register");
-                        return None;
-                    }
-                };
-                // Registers holding `rsp + constant` are materialised stack
-                // addresses; with `_chkstk` keeping rsp in bounds they are
-                // classified by their offset just like rsp-relative operands
-                // (this is what justifies eliminating their checks).
-                if let Some(off) = rsp_off.get(base) {
-                    if saw_chkstk && mem.index.is_none() {
-                        let total = off + mem.disp as i64;
-                        let offset = self.s.layout.private_stack_offset();
-                        let stack = self.s.layout.thread_stack_size as i64;
-                        if self.s.binary.header.split_stacks
-                            && total >= offset
-                            && total < offset + stack
-                        {
-                            return Some(Taint::Private);
-                        }
-                        if total >= 0 && total < stack {
-                            return Some(Taint::Public);
-                        }
-                    }
-                }
-                // A register is considered checked because a bndcl/bndcu pair
-                // on it appears earlier, because its value was reloaded from
-                // a stack slot that was checked earlier with no intervening
-                // call (the check-coalescing optimisation of Section 5.1), or
-                // because it provably holds the address of a global whose
-                // address was checked earlier with no intervening call — a
-                // global's address is a link-time constant, so any register
-                // derived from `mov_global` of the same global holds the
-                // identical (already checked) value.  The latter justifies
-                // the compiler's cross-block elimination and loop hoisting of
-                // checks on global bases.
-                let effective = checked
-                    .get(base)
-                    .and_then(|c| c.pair)
-                    .or_else(|| {
-                        slot_of_reg
-                            .get(base)
-                            .and_then(|d| checked_slots.get(&d))
-                            .copied()
-                    })
-                    .or_else(|| {
-                        global_of_reg
-                            .get(base)
-                            .and_then(|g| checked_globals.get(&g))
-                            .copied()
-                    });
-                match effective {
-                    Some(BndReg::Bnd0) => Some(Taint::Public),
-                    Some(BndReg::Bnd1) => Some(Taint::Private),
-                    None => {
-                        self.err(
-                            word,
-                            format!("access through {base} has no bound check in this block"),
-                        );
-                        None
-                    }
-                }
-            }
-            Scheme::None => None,
-        }
+    /// Classify the access `mem` under `f`, reporting why when it cannot be.
+    fn access(&mut self, word: u32, f: &Facts, mem: &MemOperand) -> Option<Taint> {
+        f.mem_taint(self.s, mem)
+            .map_err(|message| self.err(word, message))
+            .ok()
     }
 
     fn check(&mut self, p: &Proc) {
-        // Register taint state at procedure entry: argument registers from
-        // the magic word, everything else conservatively private except the
-        // callee-saved registers which the convention forces to be public
-        // (Section 4).
-        let mut taint: [Taint; Reg::COUNT] = [Taint::Private; Reg::COUNT];
-        for r in CALLEE_SAVED {
-            taint[r.index()] = Taint::Public;
-        }
-        taint[Reg::Rsp.index()] = Taint::Public;
-        for (i, r) in ARG_REGS.iter().enumerate() {
-            taint[r.index()] = p.arg_taints[i];
-        }
-
-        let mut checked: RegMap<Checked> = RegMap::new();
-        // For the check-coalescing optimisation: which stack slot a register's
-        // current value was loaded from, and which slots hold already-checked
-        // pointers.
-        let mut slot_of_reg: RegMap<i32> = RegMap::new();
-        let mut checked_slots: HashMap<i32, BndReg> = HashMap::new();
-        // Registers currently holding `rsp + constant` (materialised stack
-        // addresses).
-        let mut rsp_off: RegMap<i64> = RegMap::new();
-        // Global-address provenance, justifying the cross-block elimination
-        // and loop hoisting of checks on global bases: which global's
-        // (link-time constant) address a register or slot provably holds, and
-        // which globals' addresses have been checked since the last call.
-        let mut global_of_reg: RegMap<u32> = RegMap::new();
-        let mut global_of_slot: HashMap<i32, u32> = HashMap::new();
-        let mut checked_globals: HashMap<u32, BndReg> = HashMap::new();
-        let mut saw_chkstk = false;
-        let body = &p.body;
+        let mut f = Facts::entry(p);
         let prefixes = self.prefixes();
-
-        for (k, &idx) in body.iter().enumerate() {
+        for (k, &idx) in p.body.iter().enumerate() {
             let (word, inst) = self.s.insts[idx];
             self.out.report.instructions_checked += 1;
             match inst {
-                MInst::ChkStk => saw_chkstk = true,
+                MInst::ChkStk => f.chkstk = true,
                 MInst::MovGlobal { dst, index } => {
-                    taint[dst.index()] = Taint::Public;
-                    checked.remove(dst);
-                    slot_of_reg.remove(dst);
-                    rsp_off.remove(dst);
-                    global_of_reg.insert(dst, index);
+                    f.define(dst, Taint::Public).global = Some(index)
                 }
-                MInst::MovImm { dst, .. } | MInst::MovFunc { dst, .. } | MInst::Lea { dst, .. } => {
-                    taint[dst.index()] = Taint::Public;
-                    checked.remove(dst);
-                    slot_of_reg.remove(dst);
-                    rsp_off.remove(dst);
-                    global_of_reg.remove(dst);
+                MInst::MovImm { dst, .. }
+                | MInst::MovFunc { dst, .. }
+                | MInst::Lea { dst, .. }
+                | MInst::Pop { dst }
+                | MInst::LoadCode { dst, .. } => {
+                    f.define(dst, Taint::Public);
                 }
                 MInst::MovReg { dst, src } => {
-                    taint[dst.index()] = taint[src.index()];
-                    checked.remove(dst);
-                    slot_of_reg.remove(dst);
-                    if src == Reg::Rsp {
-                        rsp_off.insert(dst, 0);
-                    } else if let Some(o) = rsp_off.get(src) {
-                        rsp_off.insert(dst, o);
-                    } else {
-                        rsp_off.remove(dst);
-                    }
-                    if let Some(g) = global_of_reg.get(src) {
-                        global_of_reg.insert(dst, g);
-                    } else {
-                        global_of_reg.remove(dst);
-                    }
+                    let s = f.regs[src.index()];
+                    let d = f.define(dst, s.taint);
+                    d.rsp_off = if src == Reg::Rsp { Some(0) } else { s.rsp_off };
+                    d.global = s.global;
                 }
                 MInst::Alu { op, dst, src } => {
-                    let s = match src {
-                        RegImm::Reg(r) => taint[r.index()],
-                        RegImm::Imm(_) => Taint::Public,
+                    let (t, imm) = match src {
+                        RegImm::Reg(r) => (f.taint(r), None),
+                        RegImm::Imm(c) => (Taint::Public, Some(c)),
                     };
-                    taint[dst.index()] = taint[dst.index()].join(s);
-                    checked.remove(dst);
-                    slot_of_reg.remove(dst);
-                    global_of_reg.remove(dst);
-                    match (op, src, rsp_off.get(dst)) {
-                        (confllvm_machine::AluOp::Add, RegImm::Imm(c), Some(o)) => {
-                            rsp_off.insert(dst, o + c);
-                        }
-                        _ => {
-                            rsp_off.remove(dst);
-                        }
+                    let old = f.regs[dst.index()];
+                    let d = f.define(dst, old.taint.join(t));
+                    if let (AluOp::Add, Some(c), Some(o)) = (op, imm, old.rsp_off) {
+                        d.rsp_off = Some(o.wrapping_add(c));
                     }
                 }
-                MInst::SetCond { dst, .. } => {
-                    taint[dst.index()] = Taint::Public;
-                    checked.remove(dst);
-                    slot_of_reg.remove(dst);
-                    rsp_off.remove(dst);
-                    global_of_reg.remove(dst);
+                MInst::Cmp { lhs, rhs } => {
+                    f.flags = match rhs {
+                        RegImm::Reg(r) => f.taint(lhs).join(f.taint(r)),
+                        RegImm::Imm(_) => f.taint(lhs),
+                    };
                 }
-                MInst::Cmp { .. } | MInst::Jmp { .. } | MInst::Jcc { .. } | MInst::Nop => {}
+                MInst::SetCond { dst, .. } => {
+                    let t = f.flags;
+                    f.define(dst, t);
+                }
+                MInst::Jmp { .. }
+                | MInst::Jcc { .. }
+                | MInst::Nop
+                | MInst::Push { .. }
+                | MInst::Trap { .. } => {}
                 MInst::BndCheck { bnd, mem, upper } => {
-                    if let Some(base) = mem.base {
-                        // Either half alone proves nothing: the base is
-                        // checked once the other half against the same
-                        // bound register has been seen too, in either order.
-                        let mut c = checked.get(base).unwrap_or_default();
-                        if c.half == Some((bnd, !upper)) {
-                            c = Checked {
-                                pair: Some(bnd),
-                                half: None,
-                            };
-                            if let Some(d) = slot_of_reg.get(base) {
-                                checked_slots.insert(d, bnd);
+                    // The base is checked once the other half, on the same
+                    // bound register and displacement, has been seen too, in
+                    // either order.  A check with an index register bounds
+                    // no base.
+                    if let (Some(base), None) = (mem.base, mem.index) {
+                        let check = (bnd, mem.disp);
+                        let r = &mut f.regs[base.index()];
+                        if r.half == Some((check, !upper)) {
+                            r.pair = Some(check);
+                            r.half = None;
+                            if let Some(d) = r.slot {
+                                f.checked_slots.insert(d, check);
                             }
-                            if let Some(g) = global_of_reg.get(base) {
-                                checked_globals.insert(g, bnd);
+                            if let Some(g) = r.global {
+                                f.checked_globals.insert(g, check);
                             }
                         } else {
-                            c.half = Some((bnd, upper));
+                            r.half = Some((check, upper));
                         }
-                        checked.insert(base, c);
                     }
                 }
                 MInst::Load { dst, mem, .. } => {
-                    if let Some(t) = self.mem_taint(
-                        word,
-                        &mem,
-                        &checked,
-                        &slot_of_reg,
-                        &checked_slots,
-                        &rsp_off,
-                        &global_of_reg,
-                        &checked_globals,
-                        saw_chkstk,
-                    ) {
-                        taint[dst.index()] = t;
-                    } else {
-                        taint[dst.index()] = Taint::Private;
-                    }
-                    checked.remove(dst);
-                    rsp_off.remove(dst);
-                    if mem.is_stack_relative() {
-                        slot_of_reg.insert(dst, mem.disp);
-                        if let Some(g) = global_of_slot.get(&mem.disp).copied() {
-                            global_of_reg.insert(dst, g);
-                        } else {
-                            global_of_reg.remove(dst);
-                        }
-                    } else {
-                        slot_of_reg.remove(dst);
-                        global_of_reg.remove(dst);
-                    }
+                    let t = self.access(word, &f, &mem).unwrap_or(Taint::Private);
+                    let slot = mem.is_stack_relative().then_some(mem.disp);
+                    let global = slot.and_then(|d| f.global_of_slot.get(&d).copied());
+                    let d = f.define(dst, t);
+                    d.slot = slot;
+                    d.global = global;
                 }
                 MInst::Store { mem, src, .. } => {
                     self.out.report.stores_checked += 1;
-                    if let Some(t) = self.mem_taint(
-                        word,
-                        &mem,
-                        &checked,
-                        &slot_of_reg,
-                        &checked_slots,
-                        &rsp_off,
-                        &global_of_reg,
-                        &checked_globals,
-                        saw_chkstk,
-                    ) {
-                        if !taint[src.index()].flows_to(t) {
+                    let from = f.taint(src);
+                    if let Some(t) = self.access(word, &f, &mem) {
+                        if !from.flows_to(t) {
                             self.err(
                                 word,
                                 format!(
                                     "store of a {} register into {} memory",
-                                    taint[src.index()].name(),
+                                    from.name(),
                                     t.name()
                                 ),
                             );
@@ -513,87 +490,80 @@ impl ProcChecker<'_, '_> {
                         // Overwriting a slot invalidates any coalesced check
                         // associated with the pointer it used to hold, and
                         // records whether the slot now holds a global address.
-                        checked_slots.remove(&mem.disp);
-                        if let Some(g) = global_of_reg.get(src) {
-                            global_of_slot.insert(mem.disp, g);
-                        } else {
-                            global_of_slot.remove(&mem.disp);
-                        }
+                        f.checked_slots.remove(&mem.disp);
+                        match f.regs[src.index()].global {
+                            Some(g) => f.global_of_slot.insert(mem.disp, g),
+                            None => f.global_of_slot.remove(&mem.disp),
+                        };
                     }
-                }
-                MInst::Push { .. } => {}
-                MInst::Pop { dst } => {
-                    taint[dst.index()] = Taint::Public;
-                    checked.remove(dst);
-                    slot_of_reg.remove(dst);
-                    rsp_off.remove(dst);
-                    global_of_reg.remove(dst);
-                }
-                MInst::LoadCode { dst, .. } => {
-                    taint[dst.index()] = Taint::Public;
-                    checked.remove(dst);
-                    slot_of_reg.remove(dst);
-                    rsp_off.remove(dst);
-                    global_of_reg.remove(dst);
                 }
                 MInst::CallDirect { target } => {
                     self.out.report.calls_checked += 1;
-                    self.check_call_target_taints(word, target, &taint);
-                    checked_slots.clear();
-                    slot_of_reg.clear();
-                    // Register contents do not survive the call; the bound
-                    // registers are conservatively treated as clobbered, so
-                    // checked-global facts die with them (slot contents — and
-                    // therefore global_of_slot — persist).
-                    global_of_reg.clear();
-                    checked_globals.clear();
-                    self.after_call(&mut taint, &mut checked, body, k);
+                    self.check_call_target_taints(word, target, &f);
+                    self.after_call(&mut f, idx);
                 }
                 MInst::CallReg { .. } => {
                     self.out.report.indirect_calls_checked += 1;
-                    self.check_indirect_call_guard(word, body, k, &taint);
-                    checked_slots.clear();
-                    slot_of_reg.clear();
-                    global_of_reg.clear();
-                    checked_globals.clear();
-                    self.after_call(&mut taint, &mut checked, body, k);
+                    match self.guard(&p.body, k, 24, |w| prefixes.is_call_word(w)) {
+                        None => self.err(word, "indirect call without a magic-word guard"),
+                        Some(None) => self.err(
+                            word,
+                            "indirect call guard does not compare against a call magic word",
+                        ),
+                        Some(Some(w)) => {
+                            if let Some((expect, _)) = prefixes.decode_call(w) {
+                                self.check_args(word, &f, expect, |i, t, e| {
+                                    format!("indirect call argument {i} is {t} but the checked target expects {e}")
+                                });
+                            }
+                        }
+                    }
+                    self.after_call(&mut f, idx);
                 }
                 MInst::CallExternal { index } => {
                     self.out.report.calls_checked += 1;
-                    let spec = self.s.binary.header.externs.get(index as usize).cloned();
-                    match spec {
-                        Some(spec) => {
-                            let expect = spec.arg_reg_taints();
-                            for (i, r) in ARG_REGS.iter().enumerate() {
-                                if !taint[r.index()].flows_to(expect[i]) {
-                                    self.err(
-                                        word,
-                                        format!(
-                                            "argument {i} of call to trusted `{}` is {} but the signature expects {}",
-                                            spec.name,
-                                            taint[r.index()].name(),
-                                            expect[i].name()
-                                        ),
-                                    );
-                                }
-                            }
-                        }
+                    let s = self.s;
+                    match s.binary.header.externs.get(index as usize) {
+                        Some(spec) => self.check_args(word, &f, spec.arg_reg_taints(), |i, t, e| {
+                            format!(
+                                "argument {i} of call to trusted `{}` is {t} but the signature expects {e}",
+                                spec.name
+                            )
+                        }),
                         None => self.err(word, format!("call to unknown extern #{index}")),
                     }
-                    checked_slots.clear();
-                    slot_of_reg.clear();
-                    global_of_reg.clear();
-                    checked_globals.clear();
-                    self.after_call(&mut taint, &mut checked, body, k);
+                    self.after_call(&mut f, idx);
                 }
                 MInst::Ret => {
                     self.err(word, "plain ret is forbidden under taint-aware CFI");
                 }
                 MInst::JmpReg { .. } => {
+                    // The expected word's taint bit must cover the return
+                    // register's taint.
                     self.out.report.returns_checked += 1;
-                    self.check_return_guard(word, body, k, &taint, p);
+                    match self.guard(&p.body, k, 16, |w| prefixes.is_ret_word(w)) {
+                        None => self.err(
+                            word,
+                            "return without a magic-word guard (possible plain indirect jump)",
+                        ),
+                        Some(w) => match w.and_then(|w| prefixes.decode_ret(w)) {
+                            Some(expected) => {
+                                if !f.taint(RET_REG).flows_to(expected)
+                                    && p.ret_taint == Taint::Public
+                                {
+                                    self.err(
+                                        word,
+                                        "private value in the return register at a public return site",
+                                    );
+                                }
+                            }
+                            None => self.err(
+                                word,
+                                "return guard does not compare against a ret magic word",
+                            ),
+                        },
+                    }
                 }
-                MInst::Trap { .. } => {}
                 MInst::MagicWord { value } => {
                     // Return-site magic words inside a body are fine; a call
                     // magic word would have started a new procedure.
@@ -603,185 +573,91 @@ impl ProcChecker<'_, '_> {
                 }
             }
         }
-        let _ = p.magic_word;
     }
 
-    /// After any call: the return register's taint comes from the ret-site
-    /// magic word that must follow the call; caller-saved registers are
-    /// conservatively private, callee-saved ones public; bound checks do not
-    /// survive the call.
-    fn after_call(
-        &mut self,
-        taint: &mut [Taint; Reg::COUNT],
-        checked: &mut RegMap<Checked>,
-        body: &[usize],
-        k: usize,
-    ) {
-        checked.clear();
-        for r in confllvm_machine::CALLER_SAVED {
-            taint[r.index()] = Taint::Private;
-        }
-        for r in CALLEE_SAVED {
-            taint[r.index()] = Taint::Public;
-        }
-        taint[Reg::Rsp.index()] = Taint::Public;
-        // Ret-site magic word: determines the return register taint.
-        let call_idx = body[k];
-        let (word, _) = self.s.insts[call_idx];
+    /// After the call at instruction `call_idx`: the state loses what a call
+    /// clobbers, and the return register's taint comes from the ret-site
+    /// magic word that must follow the call.
+    fn after_call(&mut self, f: &mut Facts, call_idx: usize) {
+        f.call();
+        let prefixes = self.prefixes();
         match self.s.insts.get(call_idx + 1) {
-            Some((_, MInst::MagicWord { value })) if self.prefixes().is_ret_word(*value) => {
-                if let Some(rt) = self.prefixes().decode_ret(*value) {
-                    taint[RET_REG.index()] = rt;
+            Some((_, MInst::MagicWord { value })) if prefixes.is_ret_word(*value) => {
+                if let Some(rt) = prefixes.decode_ret(*value) {
+                    f.regs[RET_REG.index()].taint = rt;
                 }
             }
-            _ => self.err(word, "call is not followed by a return-site magic word"),
+            _ => self.err(
+                self.s.insts[call_idx].0,
+                "call is not followed by a return-site magic word",
+            ),
+        }
+    }
+
+    /// Each argument register's taint at a call must flow to what the
+    /// callee expects; `message(i, actual, expected)` words a violation.
+    fn check_args(
+        &mut self,
+        word: u32,
+        f: &Facts,
+        expect: [Taint; 4],
+        message: impl Fn(usize, &str, &str) -> String,
+    ) {
+        for (i, r) in ARG_REGS.iter().enumerate() {
+            let t = f.taint(*r);
+            if !t.flows_to(expect[i]) {
+                self.err(word, message(i, t.name(), expect[i].name()));
+            }
         }
     }
 
     /// Direct calls: the argument-register taints at the call site must match
     /// the callee's magic word (which precedes its entry).
-    fn check_call_target_taints(&mut self, word: u32, target: u32, taint: &[Taint; Reg::COUNT]) {
-        let magic_idx = self.s.inst_at_word(target.saturating_sub(1));
-        let Some(mi) = magic_idx else {
+    fn check_call_target_taints(&mut self, word: u32, target: u32, f: &Facts) {
+        let Some(mi) = self.s.inst_at_word(target.saturating_sub(1)) else {
             self.err(word, "direct call target has no preceding magic word");
             return;
         };
-        let (_, inst) = &self.s.insts[mi];
-        let MInst::MagicWord { value } = inst else {
+        let MInst::MagicWord { value } = self.s.insts[mi].1 else {
             self.err(word, "direct call target is not preceded by a magic word");
             return;
         };
-        let Some((expect, _ret)) = self.prefixes().decode_call(*value) else {
+        let Some((expect, _)) = self.prefixes().decode_call(value) else {
             self.err(
                 word,
                 "direct call target's magic word is not a call magic word",
             );
             return;
         };
-        for (i, r) in ARG_REGS.iter().enumerate() {
-            if !taint[r.index()].flows_to(expect[i]) {
-                self.err(
-                    word,
-                    format!(
-                        "argument {i} is {} at the call site but the callee expects {}",
-                        taint[r.index()].name(),
-                        expect[i].name()
-                    ),
-                );
-            }
-        }
+        self.check_args(word, f, expect, |i, t, e| {
+            format!("argument {i} is {t} at the call site but the callee expects {e}")
+        });
     }
 
-    /// Indirect calls must be dominated (within the preceding window) by the
-    /// LoadCode / compare / branch-to-trap guard, and the expected magic word
-    /// immediate must be consistent with the argument taints at the site.
-    fn check_indirect_call_guard(
-        &mut self,
-        word: u32,
+    /// The CFI guard an indirect call or a return needs (Section 5.2): the
+    /// `window` instructions before `body[k]` must hold a `LoadCode` and a
+    /// `jne` to a trap.  `None` if either is missing; else the last magic
+    /// word `kind` accepts among the inverted `mov` immediates the guard
+    /// compares against, if there is one.
+    fn guard(
+        &self,
         body: &[usize],
         k: usize,
-        taint: &[Taint; Reg::COUNT],
-    ) {
-        let window = 24.min(k);
-        let mut saw_loadcode = false;
-        let mut saw_guard_branch = false;
-        let mut expected_bits: Option<u64> = None;
-        for &idx in &body[k - window..k] {
-            match &self.s.insts[idx].1 {
-                MInst::LoadCode { .. } => saw_loadcode = true,
-                MInst::Jcc { cond, target }
-                    if *cond == confllvm_machine::Cond::Ne && self.s.target_is_trap(*target) =>
-                {
-                    saw_guard_branch = true;
-                }
-                MInst::MovImm { imm, .. } => {
-                    let candidate = !(*imm as u64);
-                    if self.prefixes().is_call_word(candidate) {
-                        expected_bits = Some(candidate);
-                    }
-                }
+        window: usize,
+        kind: impl Fn(u64) -> bool,
+    ) -> Option<Option<u64>> {
+        let (mut loadcode, mut branch, mut magic) = (false, false, None);
+        for &idx in &body[k - window.min(k)..k] {
+            match self.s.insts[idx].1 {
+                MInst::LoadCode { .. } => loadcode = true,
+                MInst::Jcc {
+                    cond: Cond::Ne,
+                    target,
+                } if self.s.target_is_trap(target) => branch = true,
+                MInst::MovImm { imm, .. } if kind(!(imm as u64)) => magic = Some(!(imm as u64)),
                 _ => {}
             }
         }
-        if !saw_loadcode || !saw_guard_branch {
-            self.err(word, "indirect call without a magic-word guard");
-            return;
-        }
-        if let Some(expected) = expected_bits {
-            if let Some((expect_args, _)) = self.prefixes().decode_call(expected) {
-                for (i, r) in ARG_REGS.iter().enumerate() {
-                    if !taint[r.index()].flows_to(expect_args[i]) {
-                        self.err(
-                            word,
-                            format!(
-                                "indirect call argument {i} is {} but the checked target expects {}",
-                                taint[r.index()].name(),
-                                expect_args[i].name()
-                            ),
-                        );
-                    }
-                }
-            }
-        } else {
-            self.err(
-                word,
-                "indirect call guard does not compare against a call magic word",
-            );
-        }
-    }
-
-    /// Return sites: the `jmp reg` ending a procedure must be guarded by a
-    /// LoadCode / compare / branch-to-trap on the return address, and the
-    /// expected word's taint bit must cover the return register's taint.
-    fn check_return_guard(
-        &mut self,
-        word: u32,
-        body: &[usize],
-        k: usize,
-        taint: &[Taint; Reg::COUNT],
-        p: &Proc,
-    ) {
-        let window = 16.min(k);
-        let mut saw_loadcode = false;
-        let mut saw_guard_branch = false;
-        let mut expected_ret_taint: Option<Taint> = None;
-        for &idx in &body[k - window..k] {
-            match &self.s.insts[idx].1 {
-                MInst::LoadCode { .. } => saw_loadcode = true,
-                MInst::Jcc { cond, target }
-                    if *cond == confllvm_machine::Cond::Ne && self.s.target_is_trap(*target) =>
-                {
-                    saw_guard_branch = true;
-                }
-                MInst::MovImm { imm, .. } => {
-                    let candidate = !(*imm as u64);
-                    if self.prefixes().is_ret_word(candidate) {
-                        expected_ret_taint = self.prefixes().decode_ret(candidate);
-                    }
-                }
-                _ => {}
-            }
-        }
-        if !saw_loadcode || !saw_guard_branch {
-            self.err(
-                word,
-                "return without a magic-word guard (possible plain indirect jump)",
-            );
-            return;
-        }
-        match expected_ret_taint {
-            Some(expected) => {
-                if !taint[RET_REG.index()].flows_to(expected) && p.ret_taint == Taint::Public {
-                    self.err(
-                        word,
-                        "private value in the return register at a public return site",
-                    );
-                }
-            }
-            None => self.err(
-                word,
-                "return guard does not compare against a ret magic word",
-            ),
-        }
+        (loadcode && branch).then_some(magic)
     }
 }

@@ -13,6 +13,16 @@
 //! toolchain (mirroring the paper's use of an off-the-shelf disassembler);
 //! the taint reasoning here is implemented independently of the compiler.
 //!
+//! The scan carries one state record per procedure: for each register its
+//! taint, its bound check (bound register and displacement, a complete
+//! `bndcl`/`bndcu` pair or a half waiting for the other), the stack slot it
+//! was reloaded from, its `rsp` offset and the global whose address it
+//! holds; the checked stack slots and globals; whether `_chkstk` has run;
+//! and the taint of what the last `cmp` compared, which a `setcc` inherits.
+//! Under MPX an access through a checked base counts as checked only with
+//! no index register and a displacement within the guard areas of the
+//! checked one.
+//!
 //! Because the scan is a single pass *per procedure* over immutable shared
 //! state, verification scales out two ways (Section 7's deployment story at
 //! fleet size):

@@ -2,9 +2,13 @@
 //! whose instrumentation has been tampered with — the property that removes
 //! the compiler from the TCB (Section 5.2).
 
+use std::collections::BTreeMap;
+
 use confllvm_core::{compile_for, Config};
-use confllvm_machine::{BndReg, MInst, Taint};
-use confllvm_verify::{is_verifiable, verify};
+use confllvm_machine::{Binary, BndReg, MInst, Reg, Seg, Taint};
+use confllvm_verify::{
+    is_verifiable, verify, verify_with, VerifyError, VerifyOptions, VerifyReport,
+};
 
 const APP: &str = "
     extern void read_passwd(char *u, private char *p, int n);
@@ -228,6 +232,103 @@ fn private_store_to_public_memory_is_rejected() {
     );
 }
 
+/// `APP` under OurMPX and the index of its only byte load through a base
+/// register: `pw[i]` in `scramble`, whose checked base is reloaded from a
+/// stack slot.
+fn scramble_byte_load() -> (confllvm_machine::Program, usize) {
+    let program = compile_for(APP, Config::OurMpx).unwrap().program;
+    let pos = program
+        .insts
+        .iter()
+        .position(|i| matches!(i, MInst::Load { size: 1, mem, .. } if mem.base != Some(Reg::Rsp)));
+    (program, pos.expect("scramble reads pw[i]"))
+}
+
+/// A bound check covers its displacement plus what the guard areas absorb,
+/// no more: moving the checked `pw[i]` load 2^28 bytes up (the distance
+/// from a public address to its private mirror under MPX) leaves it
+/// unchecked.
+#[test]
+fn a_displacement_past_the_guard_is_rejected() {
+    let (mut program, pos) = scramble_byte_load();
+    if let MInst::Load { mem, .. } = &mut program.insts[pos] {
+        mem.disp += 1 << 28;
+    }
+    let errs = verify(&program.encode()).unwrap_err();
+    assert!(
+        errs.iter().any(|e| e.message.contains("beyond the guard")),
+        "expected a guard-distance error, got {errs:?}"
+    );
+}
+
+/// A check of `[base]` says nothing about `[base + index]`: adding an index
+/// register to the checked `pw[i]` load leaves it unchecked.
+#[test]
+fn an_unchecked_index_register_is_rejected() {
+    let (mut program, pos) = scramble_byte_load();
+    if let MInst::Load { mem, .. } = &mut program.insts[pos] {
+        mem.index = Some((Reg::Rax, 1));
+    }
+    let errs = verify(&program.encode()).unwrap_err();
+    assert!(
+        errs.iter()
+            .any(|e| e.message.contains("unchecked index register")),
+        "expected an index error, got {errs:?}"
+    );
+}
+
+/// A `setcc` result carries the taint of what the `cmp` before it compared:
+/// storing a comparison on a private byte into the public frame leaks it.
+#[test]
+fn a_setcc_of_private_data_stored_to_public_memory_is_rejected() {
+    const SOURCE: &str = "
+        extern void read_passwd(char *u, private char *p, int n);
+        int main() {
+            char user[8];
+            user[0] = 'a'; user[1] = 0;
+            char pw[16];
+            read_passwd(user, pw, 16);
+            private int b = pw[0] < 77;
+            return 0;
+        }
+    ";
+    for config in [Config::OurMpx, Config::OurSeg] {
+        let mut program = compile_for(SOURCE, config).unwrap().program;
+        verify(&program.encode()).unwrap_or_else(|e| panic!("{config:?}: {e:?}"));
+        let set = program
+            .insts
+            .iter()
+            .position(|i| matches!(i, MInst::SetCond { .. }))
+            .unwrap();
+        let MInst::SetCond { dst, .. } = program.insts[set] else {
+            unreachable!("found above")
+        };
+        let store = (set..program.insts.len())
+            .find(|&i| matches!(program.insts[i], MInst::Store { src, .. } if src == dst))
+            .unwrap();
+        // Redirect the store from the private frame to the public one.
+        let offset = confllvm_machine::MemoryLayout::new(
+            program.scheme,
+            program.split_stacks,
+            program.separate_trusted_memory,
+        )
+        .private_stack_offset() as i32;
+        if let MInst::Store { mem, .. } = &mut program.insts[store] {
+            match config {
+                Config::OurMpx => mem.disp -= offset,
+                _ => mem.seg = Some(Seg::Fs),
+            }
+        }
+        let errs = verify(&program.encode()).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e
+                .message
+                .contains("store of a private register into public")),
+            "{config:?}: expected a store-taint error, got {errs:?}"
+        );
+    }
+}
+
 /// A direct call whose target word starts no instruction — past the end of
 /// the code, far out of range, or the immediate word of the callee's first
 /// instruction — has no callee magic word to check the argument taints
@@ -256,4 +357,163 @@ fn call_targets_that_start_no_instruction_are_rejected() {
             "target {target}: expected a missing-magic-word error, got {errs:?}"
         );
     }
+}
+
+/// FNV-1a digest of every verdict over [`verdict_corpus`].  A refactor of
+/// the verifier must not move it; a change meant to move a verdict re-pins it
+/// and lists the flips.  The guard-distance and `setcc` rules flipped seven
+/// mutants from accepted to rejected: three whose checked access moved past
+/// the guard and four that compare an unknown register or stale flags and
+/// store the `setcc` result to public memory.
+const VERDICT_DIGEST: u64 = 0xdb88_4fbc_9400_71f1;
+
+/// Word-level mutants of each binary, per kind (bit flip, random word,
+/// truncation, deleted word).
+const WORD_MUTANTS_PER_KIND: usize = 48;
+
+/// FNV-1a 64-bit.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bs: &[u8]) {
+        for &b in bs {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// SplitMix64: a seeded, dependency-free word source for the mutants.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// The mutant corpus as `(configuration, kind, binary)`: over APP under
+/// OurMPX and OurSeg, every single-instruction `Nop` mutant, every
+/// `BndCheck` with its bound register swapped, and seeded word-level mutants
+/// of the encoded binary.
+fn verdict_corpus() -> Vec<(&'static str, &'static str, Binary)> {
+    let mut out = Vec::new();
+    for config in [Config::OurMpx, Config::OurSeg] {
+        let name = config.name();
+        let program = compile_for(APP, config).unwrap().program;
+        for (i, inst) in program.insts.iter().enumerate() {
+            let swapped = match *inst {
+                MInst::Nop => continue,
+                MInst::BndCheck { bnd, mem, upper } => Some(MInst::BndCheck {
+                    bnd: match bnd {
+                        BndReg::Bnd0 => BndReg::Bnd1,
+                        BndReg::Bnd1 => BndReg::Bnd0,
+                    },
+                    mem,
+                    upper,
+                }),
+                _ => None,
+            };
+            for (kind, mutated) in [("nop", Some(MInst::Nop)), ("bnd-swap", swapped)] {
+                if let Some(mutated) = mutated {
+                    let mut p = program.clone();
+                    p.insts[i] = mutated;
+                    out.push((name, kind, p.encode()));
+                }
+            }
+        }
+        let binary = program.encode();
+        let n = binary.words.len();
+        let mut rng = SplitMix(config as u64);
+        for kind in 0..4 {
+            for _ in 0..WORD_MUTANTS_PER_KIND {
+                let mut b = binary.clone();
+                let at = rng.below(n);
+                match kind {
+                    0 => b.words[at] ^= 1 << rng.below(64),
+                    1 => b.words[at] = rng.next(),
+                    2 => b.words.truncate(at),
+                    _ => {
+                        b.words.remove(at);
+                    }
+                }
+                out.push((name, "word", b));
+            }
+        }
+    }
+    out
+}
+
+fn absorb(h: &mut Fnv, outcome: &Result<VerifyReport, Vec<VerifyError>>) {
+    match outcome {
+        Ok(r) => {
+            h.u64(1);
+            for c in [
+                r.procedures,
+                r.instructions_checked,
+                r.stores_checked,
+                r.calls_checked,
+                r.returns_checked,
+                r.indirect_calls_checked,
+                r.cached_procedures,
+            ] {
+                h.u64(c as u64);
+            }
+        }
+        Err(errs) => {
+            h.u64(0);
+            h.u64(errs.len() as u64);
+            for e in errs {
+                h.u64(e.word as u64);
+                h.u64(e.message.len() as u64);
+                h.bytes(e.message.as_bytes());
+            }
+        }
+    }
+}
+
+/// Every verifier verdict over the mutant corpus is pinned: `verify` never
+/// panics, the parallel driver agrees with the serial scan on the
+/// word-level mutants, and one digest over all outcomes equals
+/// [`VERDICT_DIGEST`].
+#[test]
+fn every_verdict_on_the_mutant_corpus_is_pinned() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut accepted: BTreeMap<(&str, &str), (usize, usize)> = BTreeMap::new();
+    for (i, (config, kind, binary)) in verdict_corpus().iter().enumerate() {
+        let outcome = std::panic::catch_unwind(|| verify(binary))
+            .unwrap_or_else(|_| panic!("verify panicked on mutant #{i} ({config} {kind})"));
+        if *kind == "word" {
+            let parallel = verify_with(binary, &VerifyOptions::with_threads(4), None);
+            assert_eq!(
+                format!("{parallel:?}"),
+                format!("{outcome:?}"),
+                "mutant #{i} ({config} {kind}): parallel and serial verdicts differ"
+            );
+        }
+        absorb(&mut h, &outcome);
+        let (ok, n) = accepted.entry((config, kind)).or_default();
+        *ok += outcome.is_ok() as usize;
+        *n += 1;
+    }
+    let counts: String = accepted
+        .iter()
+        .map(|((config, kind), (ok, n))| format!("  {config} {kind}: {ok} of {n} accepted\n"))
+        .collect();
+    assert!(
+        h.0 == VERDICT_DIGEST,
+        "verifier verdicts changed; digest now 0x{:016x}\n{counts}",
+        h.0
+    );
 }
