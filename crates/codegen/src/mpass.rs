@@ -16,25 +16,25 @@
 //! * `mpx-hoist-checks` — emit one check of a loop-invariant base in the
 //!   loop preheader, making the per-iteration checks redundant,
 //! * `mpx-cross-block-elim` — drop checks that are available on *every* CFG
-//!   path (a forward must-dataflow over `confllvm_ir::dataflow::MustSet`)
-//!   **and** along the linear code layout, which is the discipline
-//!   ConfVerify's single-pass scan can re-derive.  Requiring both keeps the
-//!   elimination semantically sound (no path reaches the access unchecked)
-//!   and verifiable (the binary still convinces the independent checker).
+//!   path (a forward must-dataflow over the IR blocks, `avail_in`) **and**
+//!   along the linear code layout, which is the discipline ConfVerify's
+//!   single-pass scan can re-derive.  Requiring both keeps the elimination
+//!   semantically sound (no path reaches the access unchecked) and
+//!   verifiable (the binary still convinces the independent checker).
 //!
 //! All passes are taint-aware by construction: a check is only ever removed
 //! when a check of the *same region* against the same address is proved to
 //! dominate it, so the set of binaries the verifier must accept never
 //! widens.
 //!
-//! [`MachinePipeline::run`] reports through the IR layer's
-//! [`PipelineReport`], which the linker merges across a module's functions;
-//! the [`create_machine_pass`] match is the one list of machine passes.
+//! Each pass is a plain function and a row of this module's `PASSES`
+//! table, parsed by the IR layer's [`confllvm_ir::pm::parse_pipeline`].
+//! A pipeline's run reports through the IR layer's [`PipelineReport`],
+//! which the linker merges across a module's functions.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use confllvm_ir::dataflow::{solve_forward, ForwardTransfer, MustSet};
-use confllvm_ir::pm::{PassRun, PipelineReport};
+use confllvm_ir::pm::{parse_pipeline, PassRun, PassSpec, PipelineError, PipelineReport};
 use confllvm_ir::{natural_loops, BlockId, DomTree, Function, Inst, Module, Operand, ValueId};
 use confllvm_machine::{BndReg, MInst, MemOperand, MemoryLayout, Scheme, Taint, SCRATCH2};
 
@@ -68,19 +68,18 @@ pub struct CheckKey {
 }
 
 /// Shared analysis context handed to every machine pass of one function.
-pub struct MachineCtx<'a> {
-    pub module: &'a Module,
-    pub f: &'a Function,
-    pub frame: &'a FrameLayout,
-    pub opts: &'a CodegenOptions,
-    pub layout: MemoryLayout,
+pub(crate) struct MachineCtx<'a> {
+    f: &'a Function,
+    frame: &'a FrameLayout,
+    opts: &'a CodegenOptions,
+    layout: MemoryLayout,
     /// Set by `mpx-fold-displacements`: checks now cover the base register
     /// only, so availability keys ignore displacements.
-    pub folded: bool,
+    folded: bool,
     /// Keys checked at the *end* of each preheader block (indexed by block)
     /// by `mpx-hoist-checks`, consumed by the availability analysis of
     /// `mpx-cross-block-elim`.
-    pub hoisted: Vec<Vec<CheckKey>>,
+    hoisted: Vec<Vec<CheckKey>>,
     add_const: ValueTable<(ValueId, i64)>,
     globals: ValueTable<u32>,
 }
@@ -93,7 +92,6 @@ impl<'a> MachineCtx<'a> {
         opts: &'a CodegenOptions,
     ) -> MachineCtx<'a> {
         MachineCtx {
-            module,
             f,
             frame,
             opts,
@@ -140,74 +138,71 @@ impl<'a> MachineCtx<'a> {
     }
 }
 
-/// One machine transformation; same conventions as `confllvm_ir::pm::Pass`.
-pub trait MachinePass {
-    fn name(&self) -> &'static str;
-    /// Passes that, when present, must be scheduled before this one.
-    fn run_after(&self) -> &'static [&'static str] {
-        &[]
-    }
-    /// Passes that must be present in any pipeline containing this one.
-    fn requires(&self) -> &'static [&'static str] {
-        &[]
-    }
-    /// Transform one compiled function; returns the number of changes.
-    fn run(&self, mf: &mut CompiledFunction, cx: &mut MachineCtx) -> usize;
-}
+/// What a machine pass's `run` is: it transforms one compiled function and
+/// returns the number of changes made.
+type MachineRun = fn(&mut CompiledFunction, &mut MachineCtx) -> usize;
 
-/// Instantiate a registered machine pass by name.
-pub fn create_machine_pass(name: &str) -> Option<Box<dyn MachinePass>> {
-    match name {
-        "mpx-skip-stack-checks" => Some(Box::new(SkipStackChecks)),
-        "mpx-fold-displacements" => Some(Box::new(FoldDisplacements)),
-        "mpx-coalesce-checks" => Some(Box::new(CoalesceChecks)),
-        "mpx-hoist-checks" => Some(Box::new(HoistChecks)),
-        "mpx-cross-block-elim" => Some(Box::new(CrossBlockElim)),
-        _ => None,
-    }
-}
+/// The machine passes: the one list the pipeline parser looks names up in.
+const PASSES: &[PassSpec<MachineRun>] = &[
+    PassSpec {
+        name: "mpx-skip-stack-checks",
+        after: &[],
+        requires: &[],
+        run: skip_stack_checks,
+    },
+    PassSpec {
+        name: "mpx-fold-displacements",
+        after: &[],
+        requires: &[],
+        run: fold_displacements,
+    },
+    PassSpec {
+        name: "mpx-coalesce-checks",
+        after: &["mpx-skip-stack-checks", "mpx-fold-displacements"],
+        requires: &[],
+        run: coalesce_checks,
+    },
+    PassSpec {
+        name: "mpx-hoist-checks",
+        after: &[
+            "mpx-skip-stack-checks",
+            "mpx-fold-displacements",
+            "mpx-coalesce-checks",
+        ],
+        // Hoisting only *adds* checks; the elimination pass that makes the
+        // in-loop ones redundant must follow, or the pipeline is a net loss.
+        requires: &["mpx-cross-block-elim"],
+        run: hoist_checks,
+    },
+    PassSpec {
+        name: "mpx-cross-block-elim",
+        after: &[
+            "mpx-skip-stack-checks",
+            "mpx-fold-displacements",
+            "mpx-coalesce-checks",
+            "mpx-hoist-checks",
+        ],
+        requires: &[],
+        run: cross_block_elim,
+    },
+];
 
 /// An ordered, validated machine pipeline.
-pub struct MachinePipeline {
-    passes: Vec<Box<dyn MachinePass>>,
-}
-
-impl std::fmt::Debug for MachinePipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MachinePipeline")
-            .field("passes", &self.pass_names())
-            .finish()
-    }
+#[derive(Debug)]
+pub(crate) struct MachinePipeline {
+    passes: Vec<PassSpec<MachineRun>>,
 }
 
 impl MachinePipeline {
     /// Parse a comma-separated pipeline description (empty = no passes).
     pub fn parse(text: &str) -> Result<MachinePipeline, CodegenError> {
-        let mut passes: Vec<Box<dyn MachinePass>> = Vec::new();
-        for name in text.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            match create_machine_pass(name) {
-                Some(p) => passes.push(p),
-                None => {
-                    return Err(CodegenError {
-                        message: format!("unknown machine pass `{name}`"),
-                    })
-                }
-            }
-        }
-        let names: Vec<&'static str> = passes.iter().map(|p| p.name()).collect();
-        confllvm_ir::pm::validate_constraints(
-            &names,
-            |i| passes[i].run_after(),
-            |i| passes[i].requires(),
-        )
-        .map_err(|e| CodegenError {
-            message: format!("invalid machine pipeline: {e}"),
+        let passes = parse_pipeline(text, PASSES).map_err(|e| CodegenError {
+            message: match e {
+                PipelineError::UnknownPass(name) => format!("unknown machine pass `{name}`"),
+                e => format!("invalid machine pipeline: {e}"),
+            },
         })?;
         Ok(MachinePipeline { passes })
-    }
-
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
     }
 
     /// Run the pipeline over one compiled function.
@@ -222,8 +217,8 @@ impl MachinePipeline {
         let mut report = PipelineReport::default();
         for p in &self.passes {
             let checks_before = mf.check_sites.len();
-            let mut span = rec.span("compiler", p.name());
-            let changes = p.run(mf, cx);
+            let mut span = rec.span("compiler", p.name);
+            let changes = (p.run)(mf, cx);
             if span.active() {
                 span.attr("layer", "machine");
                 span.attr("changes", changes);
@@ -234,7 +229,7 @@ impl MachinePipeline {
                 );
             }
             report.per_pass.push(PassRun {
-                name: p.name(),
+                name: p.name,
                 changes,
             });
         }
@@ -359,393 +354,346 @@ fn is_call(inst: &MInst) -> bool {
 // the passes
 // ---------------------------------------------------------------------------
 
-struct SkipStackChecks;
-
-impl MachinePass for SkipStackChecks {
-    fn name(&self) -> &'static str {
-        "mpx-skip-stack-checks"
-    }
-
-    fn run(&self, mf: &mut CompiledFunction, _cx: &mut MachineCtx) -> usize {
-        let mut dead = vec![false; mf.insts.len()];
-        for s in &mf.check_sites {
-            if s.kind == CheckKind::Stack {
-                dead[s.lower] = true;
-                dead[s.upper] = true;
-            }
+fn skip_stack_checks(mf: &mut CompiledFunction, _cx: &mut MachineCtx) -> usize {
+    let mut dead = vec![false; mf.insts.len()];
+    for s in &mf.check_sites {
+        if s.kind == CheckKind::Stack {
+            dead[s.lower] = true;
+            dead[s.upper] = true;
         }
-        delete_insts(mf, &dead) / 2
     }
+    delete_insts(mf, &dead) / 2
 }
 
-struct FoldDisplacements;
-
-impl MachinePass for FoldDisplacements {
-    fn name(&self) -> &'static str {
-        "mpx-fold-displacements"
+fn fold_displacements(mf: &mut CompiledFunction, cx: &mut MachineCtx) -> usize {
+    let mut changed = 0;
+    for s in &mut mf.check_sites {
+        if s.kind != CheckKind::User || (s.disp as i64).abs() >= GUARD {
+            continue;
+        }
+        if s.disp != 0 {
+            for idx in [s.lower, s.upper] {
+                if let MInst::BndCheck { mem, .. } = &mut mf.insts[idx] {
+                    mem.disp = 0;
+                }
+            }
+            s.disp = 0;
+            changed += 1;
+        }
     }
+    cx.folded = true;
+    changed
+}
 
-    fn run(&self, mf: &mut CompiledFunction, cx: &mut MachineCtx) -> usize {
-        let mut changed = 0;
-        for s in &mut mf.check_sites {
-            if s.kind != CheckKind::User || (s.disp as i64).abs() >= GUARD {
+fn coalesce_checks(mf: &mut CompiledFunction, cx: &mut MachineCtx) -> usize {
+    if mf.check_sites.is_empty() {
+        return 0;
+    }
+    let site_by_lower = site_at_lower(mf);
+    let mut dead = vec![false; mf.insts.len()];
+    for (_, start, end) in block_ranges(mf) {
+        let mut checked: HashSet<CheckKey> = HashSet::new();
+        for (inst, &si) in mf.insts[start..end].iter().zip(&site_by_lower[start..end]) {
+            if is_call(inst) {
+                checked.clear();
                 continue;
             }
-            if s.disp != 0 {
-                for idx in [s.lower, s.upper] {
-                    if let MInst::BndCheck { mem, .. } = &mut mf.insts[idx] {
-                        mem.disp = 0;
-                    }
-                }
-                s.disp = 0;
-                changed += 1;
-            }
-        }
-        cx.folded = true;
-        changed
-    }
-}
-
-struct CoalesceChecks;
-
-impl MachinePass for CoalesceChecks {
-    fn name(&self) -> &'static str {
-        "mpx-coalesce-checks"
-    }
-
-    fn run_after(&self) -> &'static [&'static str] {
-        &["mpx-skip-stack-checks", "mpx-fold-displacements"]
-    }
-
-    fn run(&self, mf: &mut CompiledFunction, cx: &mut MachineCtx) -> usize {
-        if mf.check_sites.is_empty() {
-            return 0;
-        }
-        let site_by_lower = site_at_lower(mf);
-        let mut dead = vec![false; mf.insts.len()];
-        for (_, start, end) in block_ranges(mf) {
-            let mut checked: HashSet<CheckKey> = HashSet::new();
-            for (inst, &si) in mf.insts[start..end].iter().zip(&site_by_lower[start..end]) {
-                if is_call(inst) {
-                    checked.clear();
+            if let Some(site) = mf.check_sites.get(si) {
+                if site.kind != CheckKind::User {
                     continue;
                 }
-                if let Some(site) = mf.check_sites.get(si) {
-                    if site.kind != CheckKind::User {
-                        continue;
-                    }
-                    if let Some(key) = cx.key_of_site(site) {
-                        if !checked.insert(key) {
-                            dead[site.lower] = true;
-                            dead[site.upper] = true;
-                        }
+                if let Some(key) = cx.key_of_site(site) {
+                    if !checked.insert(key) {
+                        dead[site.lower] = true;
+                        dead[site.upper] = true;
                     }
                 }
             }
         }
-        delete_insts(mf, &dead) / 2
     }
+    delete_insts(mf, &dead) / 2
 }
 
-struct HoistChecks;
-
-impl MachinePass for HoistChecks {
-    fn name(&self) -> &'static str {
-        "mpx-hoist-checks"
+fn hoist_checks(mf: &mut CompiledFunction, cx: &mut MachineCtx) -> usize {
+    if mf.check_sites.is_empty() || cx.opts.scheme != Scheme::Mpx {
+        return 0;
     }
-
-    fn run_after(&self) -> &'static [&'static str] {
-        &[
-            "mpx-skip-stack-checks",
-            "mpx-fold-displacements",
-            "mpx-coalesce-checks",
-        ]
+    let f = cx.f;
+    let doms = DomTree::new(f);
+    let loops = natural_loops(f, &doms);
+    if loops.is_empty() {
+        return 0;
     }
-
-    fn requires(&self) -> &'static [&'static str] {
-        // Hoisting only *adds* checks; the elimination pass that makes the
-        // in-loop ones redundant must follow, or the pipeline is a net loss.
-        &["mpx-cross-block-elim"]
+    // Defining block of every value (parameters live in the entry).
+    let mut def_block: Vec<Option<BlockId>> = vec![None; f.values.len()];
+    for p in &f.params {
+        def_block[p.0 as usize] = Some(f.entry());
     }
-
-    fn run(&self, mf: &mut CompiledFunction, cx: &mut MachineCtx) -> usize {
-        if mf.check_sites.is_empty() || cx.opts.scheme != Scheme::Mpx {
-            return 0;
-        }
-        let f = cx.f;
-        let doms = DomTree::new(f);
-        let loops = natural_loops(f, &doms);
-        if loops.is_empty() {
-            return 0;
-        }
-        // Defining block of every value (parameters live in the entry).
-        let mut def_block: Vec<Option<BlockId>> = vec![None; f.values.len()];
-        for p in &f.params {
-            def_block[p.0 as usize] = Some(f.entry());
-        }
-        for b in &f.blocks {
-            for inst in &b.insts {
-                if let Some(d) = inst.def() {
-                    def_block[d.0 as usize] = Some(b.id);
-                }
+    for b in &f.blocks {
+        for inst in &b.insts {
+            if let Some(d) = inst.def() {
+                def_block[d.0 as usize] = Some(b.id);
             }
         }
-        let has_call: Vec<bool> = f
-            .blocks
-            .iter()
-            .map(|b| b.insts.iter().any(Inst::is_call))
-            .collect();
+    }
+    let has_call: Vec<bool> = f
+        .blocks
+        .iter()
+        .map(|b| b.insts.iter().any(Inst::is_call))
+        .collect();
 
-        let mut hoisted_total = 0usize;
-        // Keys already hoisted into an enclosing loop, with that loop.
-        let mut enclosing: Vec<(&confllvm_ir::NaturalLoop, CheckKey)> = Vec::new();
-        for l in &loops {
-            let Some(preheader) = l.preheader else {
+    let mut hoisted_total = 0usize;
+    // Keys already hoisted into an enclosing loop, with that loop.
+    let mut enclosing: Vec<(&confllvm_ir::NaturalLoop, CheckKey)> = Vec::new();
+    for l in &loops {
+        let Some(preheader) = l.preheader else {
+            continue;
+        };
+        if l.body.iter().any(|b| has_call[b.0 as usize]) {
+            // A call clobbers the bound registers conservatively: hoisted
+            // availability would not survive an iteration.
+            continue;
+        }
+        let mut keys: BTreeSet<CheckKey> = BTreeSet::new();
+        for site in &mf.check_sites {
+            if site.kind != CheckKind::User || !l.contains(site.block) {
+                continue;
+            }
+            // Profitability: only checks that execute on every complete
+            // iteration are worth paying for up front.
+            if !l.latches.iter().all(|&t| doms.dominates(site.block, t)) {
+                continue;
+            }
+            let Some(key) = cx.key_of_site(site) else {
                 continue;
             };
-            if l.body.iter().any(|b| has_call[b.0 as usize]) {
-                // A call clobbers the bound registers conservatively: hoisted
-                // availability would not survive an iteration.
+            // Safety: the hoisted check runs even when the loop is never
+            // entered (zero-trip), so it must be provably unable to
+            // fault.  That restricts hoisting to bases that are
+            // in-region by construction — global addresses and alloca
+            // (stack) addresses, whose folded displacement the guard
+            // areas absorb.  Arbitrary loop-invariant pointer values
+            // (e.g. heap pointers held in registers) must NOT be
+            // speculated: an out-of-region pointer guarded by a false
+            // loop condition would turn a clean exit into a fault.
+            let invariant = match key.base {
+                BaseSym::Global(_) => true,
+                BaseSym::Val(v) => {
+                    cx.frame.alloca(v).is_some()
+                        && match def_block.get(v.0 as usize).copied().flatten() {
+                            Some(db) => !l.contains(db) && doms.dominates(db, preheader),
+                            None => false,
+                        }
+                }
+            };
+            if !invariant {
                 continue;
             }
-            let mut keys: BTreeSet<CheckKey> = BTreeSet::new();
-            for site in &mf.check_sites {
-                if site.kind != CheckKind::User || !l.contains(site.block) {
-                    continue;
+            if enclosing
+                .iter()
+                .any(|(outer, k)| *k == key && outer.contains(l.header))
+            {
+                continue;
+            }
+            keys.insert(key);
+        }
+        if keys.is_empty() {
+            continue;
+        }
+        let mut new_insts: Vec<MInst> = Vec::new();
+        let mut new_sites: Vec<CheckSite> = Vec::new();
+        let mut new_keys: Vec<CheckKey> = Vec::new();
+        let at = mf
+            .mblocks
+            .iter()
+            .find(|b| b.id == preheader)
+            .map(|b| b.term_start);
+        let Some(at) = at else { continue };
+        for key in keys {
+            let mat = match key.base {
+                BaseSym::Global(g) => vec![MInst::MovGlobal {
+                    dst: SCRATCH2,
+                    index: g,
+                }],
+                BaseSym::Val(v) => materialize_value(cx.frame, cx.opts, &cx.layout, v, SCRATCH2),
+            };
+            let bnd = if key.taint == Taint::Private {
+                BndReg::Bnd1
+            } else {
+                BndReg::Bnd0
+            };
+            let mem = MemOperand::base_disp(SCRATCH2, key.disp);
+            let lower_at = at + new_insts.len() + mat.len();
+            new_insts.extend(mat);
+            new_insts.push(MInst::BndCheck {
+                bnd,
+                mem,
+                upper: false,
+            });
+            new_insts.push(MInst::BndCheck {
+                bnd,
+                mem,
+                upper: true,
+            });
+            let (base_val, global) = match key.base {
+                BaseSym::Val(v) => (Some(v), None),
+                BaseSym::Global(g) => (None, Some(g)),
+            };
+            new_sites.push(CheckSite {
+                lower: lower_at,
+                upper: lower_at + 1,
+                kind: CheckKind::User,
+                block: preheader,
+                base_val,
+                global,
+                disp: key.disp,
+                taint: key.taint,
+            });
+            new_keys.push(key);
+            enclosing.push((l, key));
+            hoisted_total += 1;
+        }
+        // The new sites carry their post-insertion indices, so they are
+        // registered after `insert_insts` has shifted the existing ones.
+        insert_insts(mf, at, new_insts);
+        mf.check_sites.extend(new_sites);
+        cx.hoisted[preheader.0 as usize].extend(new_keys);
+    }
+    hoisted_total
+}
+
+/// The forward availability analysis behind `mpx-cross-block-elim`: the
+/// check keys checked on every path into each block, indexed by block.
+/// `None` is the universal set, the optimistic fact of a block no path has
+/// reached yet; intersection only ever shrinks it.  The worklist starts
+/// with every block, pops the last, and gives up after `64n + 1024` visits.
+fn avail_in(cx: &MachineCtx) -> Vec<Option<HashSet<CheckKey>>> {
+    let f = cx.f;
+    let n = f.blocks.len();
+    let mut in_facts: Vec<Option<HashSet<CheckKey>>> = vec![None; n];
+    in_facts[f.entry().0 as usize] = Some(HashSet::new());
+    let mut worklist: Vec<BlockId> = f.blocks.iter().map(|b| b.id).collect();
+    let mut queued = vec![true; n];
+    let mut iterations = 0usize;
+    while let Some(b) = worklist.pop() {
+        queued[b.0 as usize] = false;
+        iterations += 1;
+        if iterations > n * 64 + 1024 {
+            break;
+        }
+        // The block's effect: accesses check their address, a call
+        // clobbers the bound registers, a redefinition kills its keys, and
+        // a preheader ends with the checks hoisted into it.
+        let mut out = in_facts[b.0 as usize].clone();
+        for inst in &f.block(b).insts {
+            if inst.is_call() {
+                out = Some(HashSet::new());
+                continue;
+            }
+            let Some(avail) = &mut out else { continue };
+            if let Inst::Load { addr, region, .. } | Inst::Store { addr, region, .. } = inst {
+                avail.extend(cx.key_of_addr(*addr, *region));
+            }
+            if let Some(d) = inst.def() {
+                avail.retain(|k| k.base != BaseSym::Val(d));
+            }
+        }
+        // A fact still universal at the block's end adds nothing to its
+        // successors' intersections.
+        let Some(mut out) = out else { continue };
+        out.extend(&cx.hoisted[b.0 as usize]);
+        for succ in f.block(b).term.successors() {
+            let s = succ.0 as usize;
+            let changed = match &mut in_facts[s] {
+                Some(avail) => {
+                    let before = avail.len();
+                    avail.retain(|k| out.contains(k));
+                    avail.len() != before
                 }
-                // Profitability: only checks that execute on every complete
-                // iteration are worth paying for up front.
-                if !l.latches.iter().all(|&t| doms.dominates(site.block, t)) {
+                fact @ None => {
+                    *fact = Some(out.clone());
+                    true
+                }
+            };
+            if changed && !queued[s] {
+                queued[s] = true;
+                worklist.push(succ);
+            }
+        }
+    }
+    in_facts
+}
+
+fn cross_block_elim(mf: &mut CompiledFunction, cx: &mut MachineCtx) -> usize {
+    if mf.check_sites.is_empty() {
+        return 0;
+    }
+    let avail_in = avail_in(cx);
+
+    // ConfVerify scans each procedure linearly: an elimination is only
+    // verifiable if the providing check also precedes the access in the
+    // code layout with no intervening call or slot overwrite.  Track that
+    // linear availability in lock-step with the CFG facts.
+    let slot_owner: HashMap<i32, ValueId> = cx
+        .frame
+        .slots()
+        .map(|(v, slot)| {
+            let disp = FrameLayout::slot_disp(
+                slot,
+                cx.opts.split_stacks,
+                cx.layout.private_stack_offset(),
+            );
+            (disp, v)
+        })
+        .collect();
+    let site_by_lower = site_at_lower(mf);
+
+    let mut linear: HashSet<CheckKey> = HashSet::new();
+    let mut dead = vec![false; mf.insts.len()];
+    for (bid, start, end) in block_ranges(mf) {
+        // A block no fact has reached gets nothing for free.
+        let mut avail = avail_in[bid.0 as usize].clone().unwrap_or_default();
+        for (inst, &si) in mf.insts[start..end].iter().zip(&site_by_lower[start..end]) {
+            if is_call(inst) {
+                avail.clear();
+                linear.clear();
+                continue;
+            }
+            if let MInst::Store { mem, .. } = inst {
+                if mem.is_stack_relative() {
+                    if let Some(v) = slot_owner.get(&mem.disp) {
+                        avail.retain(|k| k.base != BaseSym::Val(*v));
+                        linear.retain(|k| k.base != BaseSym::Val(*v));
+                    }
+                }
+            }
+            if let Some(site) = mf.check_sites.get(si) {
+                if site.kind != CheckKind::User {
                     continue;
                 }
                 let Some(key) = cx.key_of_site(site) else {
                     continue;
                 };
-                // Safety: the hoisted check runs even when the loop is never
-                // entered (zero-trip), so it must be provably unable to
-                // fault.  That restricts hoisting to bases that are
-                // in-region by construction — global addresses and alloca
-                // (stack) addresses, whose folded displacement the guard
-                // areas absorb.  Arbitrary loop-invariant pointer values
-                // (e.g. heap pointers held in registers) must NOT be
-                // speculated: an out-of-region pointer guarded by a false
-                // loop condition would turn a clean exit into a fault.
-                let invariant = match key.base {
+                // Alloca-materialised bases verify through the chkstk
+                // offset rule; everything else through slot or global
+                // provenance.
+                let verifiable = match key.base {
                     BaseSym::Global(_) => true,
                     BaseSym::Val(v) => {
-                        cx.frame.alloca(v).is_some()
-                            && match def_block.get(v.0 as usize).copied().flatten() {
-                                Some(db) => !l.contains(db) && doms.dominates(db, preheader),
-                                None => false,
-                            }
+                        cx.frame.alloca(v).is_none() || cx.opts.separate_trusted_memory
                     }
                 };
-                if !invariant {
-                    continue;
-                }
-                if enclosing
-                    .iter()
-                    .any(|(outer, k)| *k == key && outer.contains(l.header))
-                {
-                    continue;
-                }
-                keys.insert(key);
-            }
-            if keys.is_empty() {
-                continue;
-            }
-            let mut new_insts: Vec<MInst> = Vec::new();
-            let mut new_sites: Vec<CheckSite> = Vec::new();
-            let mut new_keys: Vec<CheckKey> = Vec::new();
-            let at = mf
-                .mblocks
-                .iter()
-                .find(|b| b.id == preheader)
-                .map(|b| b.term_start);
-            let Some(at) = at else { continue };
-            for key in keys {
-                let mat = match key.base {
-                    BaseSym::Global(g) => vec![MInst::MovGlobal {
-                        dst: SCRATCH2,
-                        index: g,
-                    }],
-                    BaseSym::Val(v) => {
-                        materialize_value(cx.frame, cx.opts, &cx.layout, v, SCRATCH2)
-                    }
-                };
-                let bnd = if key.taint == Taint::Private {
-                    BndReg::Bnd1
+                if verifiable && avail.contains(&key) && linear.contains(&key) {
+                    dead[site.lower] = true;
+                    dead[site.upper] = true;
                 } else {
-                    BndReg::Bnd0
-                };
-                let mem = MemOperand::base_disp(SCRATCH2, key.disp);
-                let lower_at = at + new_insts.len() + mat.len();
-                new_insts.extend(mat);
-                new_insts.push(MInst::BndCheck {
-                    bnd,
-                    mem,
-                    upper: false,
-                });
-                new_insts.push(MInst::BndCheck {
-                    bnd,
-                    mem,
-                    upper: true,
-                });
-                let (base_val, global) = match key.base {
-                    BaseSym::Val(v) => (Some(v), None),
-                    BaseSym::Global(g) => (None, Some(g)),
-                };
-                new_sites.push(CheckSite {
-                    lower: lower_at,
-                    upper: lower_at + 1,
-                    kind: CheckKind::User,
-                    block: preheader,
-                    base_val,
-                    global,
-                    disp: key.disp,
-                    taint: key.taint,
-                });
-                new_keys.push(key);
-                enclosing.push((l, key));
-                hoisted_total += 1;
-            }
-            // The new sites carry their post-insertion indices, so they are
-            // registered after `insert_insts` has shifted the existing ones.
-            insert_insts(mf, at, new_insts);
-            mf.check_sites.extend(new_sites);
-            cx.hoisted[preheader.0 as usize].extend(new_keys);
-        }
-        hoisted_total
-    }
-}
-
-struct CrossBlockElim;
-
-/// The forward availability analysis: which check keys are guaranteed to
-/// have been checked on every path into a block.
-struct AvailChecks<'c, 'a> {
-    cx: &'c MachineCtx<'a>,
-}
-
-impl ForwardTransfer for AvailChecks<'_, '_> {
-    type Fact = MustSet<CheckKey>;
-
-    fn transfer(&self, f: &Function, block: BlockId, fact: &Self::Fact) -> Self::Fact {
-        let mut out = fact.clone();
-        for inst in &f.block(block).insts {
-            if inst.is_call() {
-                // Calls conservatively clobber the bound registers.
-                out = MustSet::empty();
-                continue;
-            }
-            match inst {
-                Inst::Load { addr, region, .. } => {
-                    if let Some(k) = self.cx.key_of_addr(*addr, *region) {
-                        out.insert(k);
-                    }
-                }
-                Inst::Store { addr, region, .. } => {
-                    if let Some(k) = self.cx.key_of_addr(*addr, *region) {
-                        out.insert(k);
-                    }
-                }
-                _ => {}
-            }
-            if let Some(d) = inst.def() {
-                out.retain(|k| k.base != BaseSym::Val(d));
-            }
-        }
-        for k in &self.cx.hoisted[block.0 as usize] {
-            out.insert(*k);
-        }
-        out
-    }
-}
-
-impl MachinePass for CrossBlockElim {
-    fn name(&self) -> &'static str {
-        "mpx-cross-block-elim"
-    }
-
-    fn run_after(&self) -> &'static [&'static str] {
-        &[
-            "mpx-skip-stack-checks",
-            "mpx-fold-displacements",
-            "mpx-coalesce-checks",
-            "mpx-hoist-checks",
-        ]
-    }
-
-    fn run(&self, mf: &mut CompiledFunction, cx: &mut MachineCtx) -> usize {
-        if mf.check_sites.is_empty() {
-            return 0;
-        }
-        let avail_in = solve_forward(cx.f, &AvailChecks { cx }, MustSet::empty());
-
-        // ConfVerify scans each procedure linearly: an elimination is only
-        // verifiable if the providing check also precedes the access in the
-        // code layout with no intervening call or slot overwrite.  Track that
-        // linear availability in lock-step with the CFG facts.
-        let slot_owner: HashMap<i32, ValueId> = cx
-            .frame
-            .slots()
-            .map(|(v, slot)| {
-                let disp = FrameLayout::slot_disp(
-                    slot,
-                    cx.opts.split_stacks,
-                    cx.layout.private_stack_offset(),
-                );
-                (disp, v)
-            })
-            .collect();
-        let site_by_lower = site_at_lower(mf);
-
-        let mut linear: HashSet<CheckKey> = HashSet::new();
-        let mut dead = vec![false; mf.insts.len()];
-        for (bid, start, end) in block_ranges(mf) {
-            let mut avail: HashSet<CheckKey> = avail_in[bid.0 as usize].as_concrete();
-            for (inst, &si) in mf.insts[start..end].iter().zip(&site_by_lower[start..end]) {
-                if is_call(inst) {
-                    avail.clear();
-                    linear.clear();
-                    continue;
-                }
-                if let MInst::Store { mem, .. } = inst {
-                    if mem.is_stack_relative() {
-                        if let Some(v) = slot_owner.get(&mem.disp) {
-                            avail.retain(|k| k.base != BaseSym::Val(*v));
-                            linear.retain(|k| k.base != BaseSym::Val(*v));
-                        }
-                    }
-                }
-                if let Some(site) = mf.check_sites.get(si) {
-                    if site.kind != CheckKind::User {
-                        continue;
-                    }
-                    let Some(key) = cx.key_of_site(site) else {
-                        continue;
-                    };
-                    // Alloca-materialised bases verify through the chkstk
-                    // offset rule; everything else through slot or global
-                    // provenance.
-                    let verifiable = match key.base {
-                        BaseSym::Global(_) => true,
-                        BaseSym::Val(v) => {
-                            cx.frame.alloca(v).is_none() || cx.opts.separate_trusted_memory
-                        }
-                    };
-                    if verifiable && avail.contains(&key) && linear.contains(&key) {
-                        dead[site.lower] = true;
-                        dead[site.upper] = true;
-                    } else {
-                        avail.insert(key);
-                        linear.insert(key);
-                    }
+                    avail.insert(key);
+                    linear.insert(key);
                 }
             }
         }
-        delete_insts(mf, &dead) / 2
     }
+    delete_insts(mf, &dead) / 2
 }
 
 #[cfg(test)]
@@ -889,10 +837,34 @@ mod tests {
     }
 
     #[test]
+    fn pass_table_names_are_unique_and_dependencies_resolve() {
+        for (i, p) in PASSES.iter().enumerate() {
+            assert!(
+                PASSES[..i].iter().all(|q| q.name != p.name),
+                "`{}` is listed twice",
+                p.name
+            );
+            for dep in p.after.iter().chain(p.requires) {
+                assert!(
+                    PASSES.iter().any(|q| q.name == *dep),
+                    "`{}` names `{dep}`, which is not a machine pass",
+                    p.name
+                );
+            }
+        }
+        for pipeline in [
+            crate::options::PIPELINE_MPX_FULL,
+            crate::options::PIPELINE_MPX_PR1,
+        ] {
+            MachinePipeline::parse(pipeline).unwrap();
+        }
+    }
+
+    #[test]
     fn pipeline_parsing_validates_names_and_constraints() {
-        assert!(MachinePipeline::parse("").unwrap().pass_names().is_empty());
+        assert!(MachinePipeline::parse("").unwrap().passes.is_empty());
         let full = MachinePipeline::parse(crate::options::PIPELINE_MPX_FULL).unwrap();
-        assert_eq!(full.pass_names().len(), 5);
+        assert_eq!(full.passes.len(), 5);
         assert!(MachinePipeline::parse("mpx-make-fast").is_err());
         // Hoisting without the elimination pass is rejected.
         let err = MachinePipeline::parse("mpx-hoist-checks").unwrap_err();

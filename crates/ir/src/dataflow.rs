@@ -1,145 +1,11 @@
-//! A small generic forward-dataflow framework over IR CFGs, plus the CFG
-//! analyses built on it:
-//!
-//! * [`MustSet`] — an intersection (must) lattice for forward analyses such
-//!   as the available-bounds-checks analysis behind the cross-block
-//!   redundant-check elimination in `confllvm-codegen`,
-//! * [`DomTree`] and [`natural_loops`] — the dominator tree behind the IR's
-//!   CSE and the loop structure needed by the loop-invariant check-hoisting
-//!   machine pass.
+//! The CFG analyses of an IR function: the [`DomTree`] behind the IR's CSE
+//! and the [`natural_loops`] behind the loop-invariant check-hoisting
+//! machine pass in `confllvm-codegen`.
 //!
 //! Every per-block table is a `Vec` indexed by the dense `BlockId`.
 
-use std::collections::HashSet;
-use std::hash::Hash;
-
 use crate::inst::BlockId;
 use crate::module::Function;
-
-/// A join-semilattice of dataflow facts.
-pub trait Lattice: Clone + PartialEq {
-    /// Least element.
-    fn bottom() -> Self;
-    /// Least upper bound; returns `true` if `self` changed.
-    fn join(&mut self, other: &Self) -> bool;
-}
-
-/// A forward transfer function over basic blocks.
-pub trait ForwardTransfer {
-    type Fact: Lattice;
-    /// Apply the block's effect to the incoming fact.
-    fn transfer(&self, f: &Function, block: BlockId, fact: &Self::Fact) -> Self::Fact;
-}
-
-/// Solve a forward dataflow problem to a fixpoint using a worklist.
-/// Returns the fact holding *at entry* of each block, indexed by block.
-pub fn solve_forward<T: ForwardTransfer>(
-    f: &Function,
-    transfer: &T,
-    entry_fact: T::Fact,
-) -> Vec<T::Fact> {
-    let n = f.blocks.len();
-    let mut in_facts: Vec<T::Fact> = vec![T::Fact::bottom(); n];
-    in_facts[f.entry().0 as usize] = entry_fact;
-    let mut worklist: Vec<BlockId> = f.blocks.iter().map(|b| b.id).collect();
-    let mut queued = vec![true; n];
-    let mut iterations = 0usize;
-    while let Some(b) = worklist.pop() {
-        queued[b.0 as usize] = false;
-        iterations += 1;
-        if iterations > n * 64 + 1024 {
-            // Defensive bound; lattices used here all have finite height.
-            break;
-        }
-        let out = transfer.transfer(f, b, &in_facts[b.0 as usize]);
-        for succ in f.block(b).term.successors() {
-            let s = succ.0 as usize;
-            if in_facts[s].join(&out) && !queued[s] {
-                queued[s] = true;
-                worklist.push(succ);
-            }
-        }
-    }
-    in_facts
-}
-
-/// An intersection ("must") lattice over an arbitrary fact type, for forward
-/// analyses such as available expressions or available bounds checks.
-///
-/// `bottom()` is the *universal* set (`All`): in a must-analysis the
-/// optimistic starting point for a not-yet-visited block is "everything is
-/// available", and `join` (set intersection) only ever shrinks it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MustSet<K: Eq + Hash + Clone> {
-    /// The universal set (top of the subset order, bottom of the join order).
-    All,
-    /// A concrete set of facts.
-    Only(HashSet<K>),
-}
-
-impl<K: Eq + Hash + Clone> MustSet<K> {
-    /// The empty set of facts.
-    pub fn empty() -> Self {
-        MustSet::Only(HashSet::new())
-    }
-
-    pub fn contains(&self, k: &K) -> bool {
-        match self {
-            MustSet::All => true,
-            MustSet::Only(s) => s.contains(k),
-        }
-    }
-
-    /// Add a fact (no-op on `All`, which already contains everything).
-    pub fn insert(&mut self, k: K) {
-        if let MustSet::Only(s) = self {
-            s.insert(k);
-        }
-    }
-
-    /// Remove every fact rejected by `keep`.  `All` is left unchanged: it is
-    /// the identity of the must-join and only arises for blocks no concrete
-    /// fact has reached yet (unreachable, or not yet visited mid-fixpoint),
-    /// where it must keep acting as the join identity.  Consumers that *act*
-    /// on facts must go through [`MustSet::as_concrete`], which treats `All`
-    /// as empty — the conservative direction.
-    pub fn retain(&mut self, keep: impl Fn(&K) -> bool) {
-        match self {
-            MustSet::All => {}
-            MustSet::Only(s) => s.retain(|k| keep(k)),
-        }
-    }
-
-    /// The concrete facts, treating the universal set as empty (conservative
-    /// for consumers that *use* availability to justify eliminations).
-    pub fn as_concrete(&self) -> HashSet<K> {
-        match self {
-            MustSet::All => HashSet::new(),
-            MustSet::Only(s) => s.clone(),
-        }
-    }
-}
-
-impl<K: Eq + Hash + Clone> Lattice for MustSet<K> {
-    fn bottom() -> Self {
-        MustSet::All
-    }
-
-    fn join(&mut self, other: &Self) -> bool {
-        match (&mut *self, other) {
-            (_, MustSet::All) => false,
-            (MustSet::All, MustSet::Only(o)) => {
-                *self = MustSet::Only(o.clone());
-                true
-            }
-            (MustSet::Only(s), MustSet::Only(o)) => {
-                let before = s.len();
-                s.retain(|k| o.contains(k));
-                s.len() != before
-            }
-        }
-    }
-}
 
 /// "No block": the dense per-block tables below use it for unreachable
 /// blocks and absent entries.
@@ -403,25 +269,6 @@ mod tests {
         let sema = Sema::analyze(&prog).unwrap();
         let m = lower(&prog, &sema, "t").unwrap();
         m.function(name).unwrap().clone()
-    }
-
-    #[test]
-    fn mustset_join_is_intersection() {
-        let mut a: MustSet<u32> = MustSet::bottom();
-        let mut b = MustSet::empty();
-        b.insert(1);
-        b.insert(2);
-        assert!(
-            a.join(&b),
-            "bottom (All) must collapse to the first operand"
-        );
-        let mut c = MustSet::empty();
-        c.insert(2);
-        c.insert(3);
-        assert!(a.join(&c));
-        assert!(a.contains(&2));
-        assert!(!a.contains(&1));
-        assert!(!a.join(&b), "already the intersection");
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! * [`mod@lower`] — lowering from the mini-C AST to the IR,
 //! * [`taint`] — the type-qualifier inference of Section 5.1 (a constraint
 //!   solver over the two-point lattice replacing the paper's use of Z3),
-//! * [`pm`] — the IR pass manager: a [`pm::Pass`] trait, textual pipeline
-//!   descriptions (`"const-fold,copy-prop,cse,dce"`), ordering/requirement
-//!   declarations and per-pass statistics,
+//! * [`pm`] — the pass tables and pipeline parser both pass layers share
+//!   ([`pm::PassSpec`], [`pm::parse_pipeline`]: textual pipelines such as
+//!   `"const-fold,copy-prop,cse,dce"` with ordering/requirement
+//!   declarations), and the IR pass manager with per-pass statistics,
 //! * [`passes`] — the standard clean-up optimisations kept enabled by
-//!   ConfLLVM, registered as pass-manager passes,
-//! * [`dataflow`] — a small dataflow framework (a forward solver,
-//!   must-sets, dominators, natural loops) shared with the machine-layer
-//!   passes in `confllvm-codegen`.
+//!   ConfLLVM, the rows of the IR pass table,
+//! * [`dataflow`] — the CFG analyses (dominators, natural loops) shared
+//!   with the machine-layer passes in `confllvm-codegen`.
 //!
 //! ```
 //! use confllvm_ir::{lower, taint};
@@ -37,10 +37,10 @@ pub mod pm;
 pub mod taint;
 
 pub use builder::FunctionBuilder;
-pub use dataflow::{natural_loops, DomTree, MustSet, NaturalLoop};
+pub use dataflow::{natural_loops, DomTree, NaturalLoop};
 pub use inst::{BinOp, BlockId, CmpOp, Inst, MemSize, Operand, Terminator, ValueId};
 pub use lower::lower;
 pub use module::{Block, ExternFunc, Function, Global, Module, ValueInfo};
 pub use passes::DEFAULT_IR_PIPELINE;
-pub use pm::{Pass, PassManager, PipelineError, PipelineReport};
+pub use pm::{PassManager, PipelineError, PipelineReport};
 pub use taint::{infer, InferOptions, TaintError, TaintReport};

@@ -1,14 +1,15 @@
 //! The IR optimisation passes, standing in for the "standard LLVM IR
 //! optimizations" the paper keeps enabled (Section 5.1).
 //!
-//! Since the pass-manager refactor every optimisation here is a
-//! [`crate::pm::Pass`] registered under a stable name ([`create_pass`]), and
-//! pipelines are described textually — `"const-fold,copy-prop,cse,dce"` is
-//! the default run by every `confllvm_core::Config`.  The passes are
-//! deliberately conservative and taint-aware: none of them changes the set
-//! of memory accesses in a way that would alter taint flow (values carrying
-//! declared taint or pointee pins are never merged or propagated through),
-//! mirroring the paper's choice to disable metadata-changing optimizations.
+//! Every optimisation here is a plain function over one IR function, and
+//! its row of the `PASSES` table (a [`crate::pm::PassSpec`]) gives it a
+//! pipeline name and its ordering and requirements.  Pipelines are
+//! described textually — `"const-fold,copy-prop,cse,dce"` is the default
+//! run by every `confllvm_core::Config`.  The passes are deliberately
+//! conservative and taint-aware: none of them changes the set of memory
+//! accesses in a way that would alter taint flow (values carrying declared
+//! taint or pointee pins are never merged or propagated through), mirroring
+//! the paper's choice to disable metadata-changing optimizations.
 //!
 //! The available passes:
 //!
@@ -25,84 +26,38 @@ use std::collections::HashMap;
 use crate::dataflow::DomTree;
 use crate::inst::{BlockId, Inst, Operand, Terminator, ValueId};
 use crate::module::Function;
+use crate::pm::{IrRun, PassSpec};
 
 /// The default optimisation pipeline, in dependency order.
 pub const DEFAULT_IR_PIPELINE: &str = "const-fold,copy-prop,cse,dce";
 
-// ---------------------------------------------------------------------------
-// pass registry
-// ---------------------------------------------------------------------------
-
-/// Instantiate a registered pass by name.
-pub fn create_pass(name: &str) -> Option<Box<dyn crate::pm::Pass>> {
-    match name {
-        "const-fold" => Some(Box::new(ConstFold)),
-        "copy-prop" => Some(Box::new(CopyProp)),
-        "cse" => Some(Box::new(Cse)),
-        "dce" => Some(Box::new(Dce)),
-        _ => None,
-    }
-}
-
-struct ConstFold;
-
-impl crate::pm::Pass for ConstFold {
-    fn name(&self) -> &'static str {
-        "const-fold"
-    }
-
-    fn run_on_function(&self, f: &mut Function) -> usize {
-        const_fold(f)
-    }
-}
-
-struct CopyProp;
-
-impl crate::pm::Pass for CopyProp {
-    fn name(&self) -> &'static str {
-        "copy-prop"
-    }
-
-    fn run_after(&self) -> &'static [&'static str] {
-        &["const-fold"]
-    }
-
-    fn run_on_function(&self, f: &mut Function) -> usize {
-        copy_propagate(f)
-    }
-}
-
-struct Cse;
-
-impl crate::pm::Pass for Cse {
-    fn name(&self) -> &'static str {
-        "cse"
-    }
-
-    fn run_after(&self) -> &'static [&'static str] {
-        &["const-fold", "copy-prop"]
-    }
-
-    fn run_on_function(&self, f: &mut Function) -> usize {
-        common_subexpr_elim(f)
-    }
-}
-
-struct Dce;
-
-impl crate::pm::Pass for Dce {
-    fn name(&self) -> &'static str {
-        "dce"
-    }
-
-    fn run_after(&self) -> &'static [&'static str] {
-        &["copy-prop", "cse"]
-    }
-
-    fn run_on_function(&self, f: &mut Function) -> usize {
-        dead_code_elim(f)
-    }
-}
+/// The IR passes: the one list the pipeline parser looks names up in.
+pub(crate) const PASSES: &[PassSpec<IrRun>] = &[
+    PassSpec {
+        name: "const-fold",
+        after: &[],
+        requires: &[],
+        run: const_fold,
+    },
+    PassSpec {
+        name: "copy-prop",
+        after: &["const-fold"],
+        requires: &[],
+        run: copy_propagate,
+    },
+    PassSpec {
+        name: "cse",
+        after: &["const-fold", "copy-prop"],
+        requires: &[],
+        run: common_subexpr_elim,
+    },
+    PassSpec {
+        name: "dce",
+        after: &["copy-prop", "cse"],
+        requires: &[],
+        run: dead_code_elim,
+    },
+];
 
 /// Fold `Bin`/`Cmp` instructions whose operands are both constants into
 /// copies of the folded constant.
@@ -522,6 +477,25 @@ mod tests {
 
     fn optimise(m: &mut Module, pipeline: &str) -> PipelineReport {
         PassManager::parse(pipeline).unwrap().run(m)
+    }
+
+    #[test]
+    fn pass_table_names_are_unique_and_dependencies_resolve() {
+        for (i, p) in PASSES.iter().enumerate() {
+            assert!(
+                PASSES[..i].iter().all(|q| q.name != p.name),
+                "`{}` is listed twice",
+                p.name
+            );
+            for dep in p.after.iter().chain(p.requires) {
+                assert!(
+                    PASSES.iter().any(|q| q.name == *dep),
+                    "`{}` names `{dep}`, which is not an IR pass",
+                    p.name
+                );
+            }
+        }
+        PassManager::parse(DEFAULT_IR_PIPELINE).unwrap();
     }
 
     #[test]

@@ -1,46 +1,77 @@
-//! The IR-level pass manager.
+//! The IR-level pass manager, and the pass table and pipeline parser both
+//! pass layers share.
 //!
-//! Every IR optimisation is a [`Pass`] registered under a stable textual
-//! name.  A pipeline is described as comma-separated pass names
-//! (`"const-fold,copy-prop,cse,dce"`), the format the `-Zpasses=`-style
-//! overrides in `confllvm_core::CompileOptions` use; [`PassManager::parse`]
-//! validates the names and the ordering/requirement declarations each pass
-//! makes, and [`PassManager::run`] drives the passes to a fixpoint while
-//! collecting per-pass statistics.
+//! A layer's passes are the rows of one table of [`PassSpec`]s: each row
+//! names a pass, lists the passes that must run before it when both are
+//! present (`after`) and those that must be present at all (`requires`),
+//! and holds the plain function that applies it.  A pipeline is described
+//! as comma-separated pass names (`"const-fold,copy-prop,cse,dce"`), the
+//! format the `-Zpasses=`-style overrides in `confllvm_core::CompileOptions`
+//! use; [`parse_pipeline`] looks each name up in a layer's table and checks
+//! the `after`/`requires` declarations.
 //!
-//! The machine layer has the same spine in `confllvm_codegen::mpass`; the two
-//! managers share the naming and dependency conventions (and
-//! [`validate_constraints`]) so a configuration in `confllvm_core::Config` is
-//! fully described by two pipeline strings, and both report through
-//! [`PipelineReport`].  Registering a pass means adding its name to
-//! `create_pass` here (`create_machine_pass` there): that match is each
-//! layer's one list of passes.
+//! [`PassManager`] holds the IR layer's parsed pipeline (the table is
+//! `PASSES` in [`crate::passes`]) and [`PassManager::run`] drives it to a
+//! fixpoint while collecting per-pass statistics.  The machine layer in
+//! `confllvm_codegen::mpass` parses its own table with the same
+//! [`parse_pipeline`], so a configuration in `confllvm_core::Config` is
+//! fully described by two pipeline strings, and both layers report through
+//! [`PipelineReport`].
 
 use crate::module::{Function, Module};
 
-/// One IR transformation.
-///
-/// Implementations are stateless: `run_on_function` is called repeatedly
-/// (over every function, over multiple fixpoint rounds) and must be monotone
-/// — repeated application reaches a state where it reports `0` changes.
-pub trait Pass {
+/// One pass of a layer's table.  `run` is the function that applies it;
+/// its type is the layer's (one IR function for [`PassManager`], one
+/// compiled function and its analysis context for the machine layer), and
+/// it returns the number of changes made.  Repeated application must reach
+/// a state where it reports `0` changes.
+#[derive(Debug, Clone, Copy)]
+pub struct PassSpec<R> {
     /// Stable pipeline name (kebab-case, used in pipeline strings).
-    fn name(&self) -> &'static str;
-
+    pub name: &'static str,
     /// Passes that, *when present* in the same pipeline, must be scheduled
     /// before this one (a soft ordering constraint).
-    fn run_after(&self) -> &'static [&'static str] {
-        &[]
-    }
+    pub after: &'static [&'static str],
+    /// Passes that *must* be present in any pipeline containing this one (a
+    /// hard requirement; ordering is still governed by `after`).
+    pub requires: &'static [&'static str],
+    pub run: R,
+}
 
-    /// Passes that *must* be present in any pipeline containing this one
-    /// (a hard requirement; ordering is still governed by [`Pass::run_after`]).
-    fn requires(&self) -> &'static [&'static str] {
-        &[]
+/// Parse a comma-separated pipeline description against a layer's pass
+/// table.  The empty string is the empty pipeline (used for the
+/// unoptimised configurations).
+pub fn parse_pipeline<R: Copy>(
+    text: &str,
+    table: &[PassSpec<R>],
+) -> Result<Vec<PassSpec<R>>, PipelineError> {
+    let mut passes = Vec::new();
+    for name in text.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+        match table.iter().find(|p| p.name == name) {
+            Some(p) => passes.push(*p),
+            None => return Err(PipelineError::UnknownPass(name.to_string())),
+        }
     }
-
-    /// Apply the pass to one function; returns the number of changes made.
-    fn run_on_function(&self, f: &mut Function) -> usize;
+    let position = |name: &str| passes.iter().position(|p| p.name == name);
+    for (i, p) in passes.iter().enumerate() {
+        for dep in p.after {
+            if position(dep).is_some_and(|j| j > i) {
+                return Err(PipelineError::OrderViolation {
+                    first: p.name.to_string(),
+                    second: dep.to_string(),
+                });
+            }
+        }
+        for req in p.requires {
+            if position(req).is_none() {
+                return Err(PipelineError::MissingRequirement {
+                    pass: p.name.to_string(),
+                    missing: req.to_string(),
+                });
+            }
+        }
+    }
+    Ok(passes)
 }
 
 /// An invalid pipeline description.
@@ -115,60 +146,25 @@ impl PipelineReport {
     }
 }
 
-/// An ordered, validated list of IR passes.
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-}
+/// What an IR pass's `run` is: it transforms one function and returns the
+/// number of changes made.
+pub(crate) type IrRun = fn(&mut Function) -> usize;
 
-/// Validate the soft-ordering and hard-requirement declarations of an
-/// ordered pass list.  Shared with the machine-layer manager in
-/// `confllvm-codegen`, which follows the same conventions.
-pub fn validate_constraints(
-    names: &[&'static str],
-    after: impl Fn(usize) -> &'static [&'static str],
-    requires: impl Fn(usize) -> &'static [&'static str],
-) -> Result<(), PipelineError> {
-    for (i, name) in names.iter().enumerate() {
-        for dep in after(i) {
-            if let Some(j) = names.iter().position(|n| n == dep) {
-                if j > i {
-                    return Err(PipelineError::OrderViolation {
-                        first: name.to_string(),
-                        second: dep.to_string(),
-                    });
-                }
-            }
-        }
-        for req in requires(i) {
-            if !names.contains(req) {
-                return Err(PipelineError::MissingRequirement {
-                    pass: name.to_string(),
-                    missing: req.to_string(),
-                });
-            }
-        }
-    }
-    Ok(())
+/// An ordered, validated list of IR passes.
+#[derive(Debug)]
+pub struct PassManager {
+    passes: Vec<PassSpec<IrRun>>,
 }
 
 impl PassManager {
-    /// Parse a comma-separated pipeline description.  The empty string is the
-    /// empty pipeline (used for the unoptimised configurations).
+    /// Parse a comma-separated pipeline of the passes in
+    /// [`crate::passes`].
     pub fn parse(text: &str) -> Result<PassManager, PipelineError> {
-        let mut passes: Vec<Box<dyn Pass>> = Vec::new();
-        for name in text.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            match crate::passes::create_pass(name) {
-                Some(p) => passes.push(p),
-                None => return Err(PipelineError::UnknownPass(name.to_string())),
-            }
-        }
-        let names: Vec<&'static str> = passes.iter().map(|p| p.name()).collect();
-        validate_constraints(&names, |i| passes[i].run_after(), |i| passes[i].requires())?;
-        Ok(PassManager { passes })
+        parse_pipeline(text, crate::passes::PASSES).map(|passes| PassManager { passes })
     }
 
     pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
+        self.passes.iter().map(|p| p.name).collect()
     }
 
     /// Run the pipeline over every function until a fixpoint (bounded by a
@@ -186,7 +182,7 @@ impl PassManager {
                 .passes
                 .iter()
                 .map(|p| PassRun {
-                    name: p.name(),
+                    name: p.name,
                     changes: 0,
                 })
                 .collect(),
@@ -195,8 +191,8 @@ impl PassManager {
             for _ in 0..4 {
                 let mut round = 0usize;
                 for (i, p) in self.passes.iter().enumerate() {
-                    let mut span = rec.span("compiler", p.name());
-                    let changes = p.run_on_function(f);
+                    let mut span = rec.span("compiler", p.name);
+                    let changes = (p.run)(f);
                     if span.active() {
                         span.attr("layer", "ir");
                         span.attr("changes", changes);
@@ -211,14 +207,6 @@ impl PassManager {
             }
         }
         report
-    }
-}
-
-impl std::fmt::Debug for PassManager {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PassManager")
-            .field("passes", &self.pass_names())
-            .finish()
     }
 }
 

@@ -142,15 +142,13 @@ impl Facts {
 
     /// What a call leaves: caller-saved registers and the flags are
     /// conservatively private and callee-saved registers public (Section
-    /// 4).  The bound registers count as clobbered, so every check dies, and
-    /// with the register contents so does their slot and global provenance.
-    /// Slot contents survive, and so do `rsp` offsets.
+    /// 4).  The bound registers count as clobbered, so every check dies.
+    /// Nothing checks that a callee preserves any register (the CFI return
+    /// sequence itself overwrites `r15`), so every register's slot, global
+    /// and `rsp` offset die too.  Slot contents survive.
     fn call(&mut self) {
         for f in &mut self.regs {
-            *f = RegFacts {
-                rsp_off: f.rsp_off,
-                ..RegFacts::new(f.taint)
-            };
+            *f = RegFacts::new(f.taint);
         }
         for r in CALLER_SAVED {
             self.regs[r.index()].taint = Taint::Private;
@@ -169,9 +167,12 @@ impl Facts {
     ///
     /// * Segmentation scheme: the segment prefix is the classification, and
     ///   the operand must use only the low 32 bits of its registers.
-    /// * MPX scheme: `rsp`-relative operands, and registers holding
-    ///   `rsp + constant`, are classified by their offset relative to
-    ///   OFFSET, justified by the `_chkstk` enforcement.  Any other base
+    /// * MPX scheme: the operand must have no segment prefix and use full
+    ///   64-bit registers, since the checks classify the address its
+    ///   registers hold, not one offset by a segment base or truncated.
+    ///   `rsp`-relative operands, and registers holding `rsp + constant`,
+    ///   are classified by their offset relative to OFFSET, justified by
+    ///   the `_chkstk` enforcement.  Any other base
     ///   counts as checked if this state records a complete pair on it: on
     ///   the register itself, on the stack slot its value was reloaded from
     ///   with no call since the check (the check-coalescing optimisation of
@@ -196,6 +197,12 @@ impl Facts {
                 }
             }
             Scheme::Mpx => {
+                if mem.seg.is_some() || mem.use_low32 {
+                    return Err(
+                        "MPX-scheme memory operand has a segment prefix or uses 32-bit registers"
+                            .to_string(),
+                    );
+                }
                 let offset = s.layout.private_stack_offset();
                 if mem.is_stack_relative() {
                     if !self.chkstk {

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use confllvm_core::{compile_for, Config};
-use confllvm_machine::{Binary, BndReg, MInst, Reg, Seg, Taint};
+use confllvm_machine::{AluOp, Binary, BndReg, MInst, Reg, RegImm, Seg, Taint};
 use confllvm_verify::{
     is_verifiable, verify, verify_with, VerifyError, VerifyOptions, VerifyReport,
 };
@@ -329,6 +329,107 @@ fn a_setcc_of_private_data_stored_to_public_memory_is_rejected() {
     }
 }
 
+/// Under MPX the checks and `rsp` offsets classify an operand, yet the VM
+/// still adds an `fs`/`gs` base and truncates to 32 bits when an operand
+/// asks for it.  `scramble`'s reload of its public argument slot,
+/// `[rsp+128]`, turned into `gs:[esp+128]` reads the private region while
+/// the scan would type the loaded register public.
+#[test]
+fn a_segment_prefixed_operand_under_mpx_is_rejected() {
+    let mut program = compile_for(APP, Config::OurMpx).unwrap().program;
+    let entry = program.function("scramble").unwrap().entry_word;
+    let words = program.word_offsets();
+    let pos = (0..program.insts.len())
+        .filter(|&i| words[i] >= entry)
+        .find(|&i| {
+            matches!(program.insts[i], MInst::Load { size: 8, mem, .. }
+                if mem.is_stack_relative() && mem.disp == 128)
+        })
+        .expect("scramble reloads its first argument");
+    if let MInst::Load { mem, .. } = &mut program.insts[pos] {
+        mem.seg = Some(Seg::Gs);
+        mem.use_low32 = true;
+    }
+    let errs = verify(&program.encode()).unwrap_err();
+    assert!(
+        errs.iter().any(|e| e.message.contains("segment prefix")),
+        "expected a segment-prefix error, got {errs:?}"
+    );
+}
+
+/// A callee need not preserve any register (the CFI return sequence itself
+/// overwrites `r15`), so an `rsp + C` value computed before a call says
+/// nothing about the register after it.  Here `main` puts the private
+/// stack address that the compiler re-materialises after `call scramble`
+/// into `r15` before `call read_passwd` instead, and the
+/// re-materialisation and its bound check are gone: the store of the digest
+/// goes through whatever `r15` holds when `scramble` returns.
+#[test]
+fn an_rsp_offset_held_across_a_call_is_rejected() {
+    let mut program = compile_for(APP, Config::OurMpx).unwrap().program;
+    let read_passwd = program
+        .externs
+        .iter()
+        .position(|e| e.name == "read_passwd")
+        .unwrap() as u16;
+    let scramble = program.function("scramble").unwrap().entry_word;
+    let insts = &mut program.insts;
+    let first_call = insts
+        .iter()
+        .position(|i| matches!(i, MInst::CallExternal { index } if *index == read_passwd))
+        .unwrap();
+    let second_call = first_call
+        + insts[first_call..]
+            .iter()
+            .position(|i| matches!(i, MInst::CallDirect { target } if *target == scramble))
+            .unwrap();
+    // After the second call: `mov r15, rsp; add r15, C` and a bnd1 pair.
+    let mov = second_call
+        + insts[second_call..]
+            .iter()
+            .position(|i| {
+                *i == MInst::MovReg {
+                    dst: Reg::R15,
+                    src: Reg::Rsp,
+                }
+            })
+            .unwrap();
+    let MInst::Alu {
+        src: RegImm::Imm(c),
+        ..
+    } = insts[mov + 1]
+    else {
+        panic!("expected `add r15, C` after {:?}", insts[mov]);
+    };
+    let checks: Vec<usize> = (mov..insts.len())
+        .filter(|&i| {
+            matches!(insts[i], MInst::BndCheck { bnd: BndReg::Bnd1, mem, .. }
+                if mem.base == Some(Reg::R15))
+        })
+        .take(2)
+        .collect();
+    for i in [mov, mov + 1].into_iter().chain(checks) {
+        insts[i] = MInst::Nop;
+    }
+    // Before the first call: the last `add r15, 0` now adds C.
+    let add_r15 = |imm| MInst::Alu {
+        op: AluOp::Add,
+        dst: Reg::R15,
+        src: RegImm::Imm(imm),
+    };
+    let add = insts[..first_call]
+        .iter()
+        .rposition(|i| *i == add_r15(0))
+        .unwrap();
+    insts[add] = add_r15(c);
+    let errs = verify(&program.encode()).unwrap_err();
+    assert!(
+        errs.iter()
+            .any(|e| e.message == "access through r15 has no bound check in this block"),
+        "expected an unchecked-access error, got {errs:?}"
+    );
+}
+
 /// A direct call whose target word starts no instruction — past the end of
 /// the code, far out of range, or the immediate word of the callee's first
 /// instruction — has no callee magic word to check the argument taints
@@ -364,8 +465,10 @@ fn call_targets_that_start_no_instruction_are_rejected() {
 /// and lists the flips.  The guard-distance and `setcc` rules flipped seven
 /// mutants from accepted to rejected: three whose checked access moved past
 /// the guard and four that compare an unknown register or stale flags and
-/// store the `setcc` result to public memory.
-const VERDICT_DIGEST: u64 = 0xdb88_4fbc_9400_71f1;
+/// store the `setcc` result to public memory.  The rule against segment
+/// prefixes and 32-bit registers under MPX flipped all 116 `segment`
+/// mutants (#842 to #957) from accepted to rejected.
+const VERDICT_DIGEST: u64 = 0x3840_01a9_f62d_6577;
 
 /// Word-level mutants of each binary, per kind (bit flip, random word,
 /// truncation, deleted word).
@@ -406,7 +509,8 @@ impl SplitMix {
 /// The mutant corpus as `(configuration, kind, binary)`: over APP under
 /// OurMPX and OurSeg, every single-instruction `Nop` mutant, every
 /// `BndCheck` with its bound register swapped, and seeded word-level mutants
-/// of the encoded binary.
+/// of the encoded binary; under OurMPX also every load and store given a
+/// `gs:` and, separately, an `fs:` prefix with 32-bit registers.
 fn verdict_corpus() -> Vec<(&'static str, &'static str, Binary)> {
     let mut out = Vec::new();
     for config in [Config::OurMpx, Config::OurSeg] {
@@ -450,6 +554,21 @@ fn verdict_corpus() -> Vec<(&'static str, &'static str, Binary)> {
                 }
                 out.push((name, "word", b));
             }
+        }
+    }
+    let config = Config::OurMpx;
+    let program = compile_for(APP, config).unwrap().program;
+    for (i, inst) in program.insts.iter().enumerate() {
+        if !matches!(inst, MInst::Load { .. } | MInst::Store { .. }) {
+            continue;
+        }
+        for seg in [Seg::Gs, Seg::Fs] {
+            let mut p = program.clone();
+            if let MInst::Load { mem, .. } | MInst::Store { mem, .. } = &mut p.insts[i] {
+                mem.seg = Some(seg);
+                mem.use_low32 = true;
+            }
+            out.push((config.name(), "segment", p.encode()));
         }
     }
     out
